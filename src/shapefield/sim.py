@@ -7,6 +7,12 @@ bodies interact through penalty contacts with Coulomb friction and a linear
 viscous drag.  Integration is semi-implicit Euler with a fixed body order,
 so a run is bit-reproducible from its configuration and seed alone.
 
+Contacts are found through a Verlet neighbour list built from a uniform
+cell list: the list holds the pairs within a small skin of touching, is
+reused while no body has moved more than half the skin, and each step
+tests only the listed pairs, by direct coordinate differences.  Contact
+memory is O(n + listed pairs).
+
 The 3-D mode drives independent point agents (no membrane, no grains,
 no contacts) with the same control law, which is how the cube-forming demo
 operates.
@@ -28,6 +34,7 @@ from .lang import ShapeProgram
 from .morph import DegenerateBlendError, MorphSchedule
 from .tolerances import (
     CONTACT_COINCIDENT_EPS,
+    CONTACT_SKIN_FRACTION,
     CONTACT_SLIP_EPS,
     SPRING_COINCIDENT_EPS,
     STABILITY_SAFETY,
@@ -63,6 +70,9 @@ _GRAIN_SPACING_MARGIN = 0.05   # hex pitch = 2 r_max (1 + margin)
 _GRAIN_JITTER_FRACTION = 0.8   # of the per-grain clearance
 _RING_CLEARANCE = 0.01         # gap between packing and ring robots (m)
 _RING_PACK_FACTOR = 1.25       # min robot spacing, in robot diameters
+_CELL_MARGIN = 1e-6            # relative cell padding: rounding in a cell index
+                               # never puts a near pair two cells apart
+_MAX_CELLS_PER_AXIS = 1 << 20  # wider worlds get wider cells; keeps int64 keys small
 
 
 class PackingError(RuntimeError):
@@ -433,20 +443,122 @@ def spring_forces(world: WorldState) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         np.divide(fmag, dist, out=scale, where=ok)
     pair = dvec * scale[:, None]
-    np.add.at(F, world.spring_i, pair)
-    np.add.at(F, world.spring_j, -pair)
-    return F
+    return _scatter_pairs(pair, world.spring_i, world.spring_j, world.n)
+
+
+def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Per-body sums of +pair on bodies i and -pair on bodies j.
+
+    Each body sums its terms in the order ``np.add.at`` on i then on j
+    would, so the result is bit-identical to that.
+    """
+    idx = np.concatenate([i, j])
+    terms = np.concatenate([pair, -pair])
+    return np.stack(
+        [np.bincount(idx, weights=terms[:, k], minlength=n) for k in range(pair.shape[1])],
+        axis=1,
+    )
+
+
+def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
+    """Pairs i < j with |p_i - p_j| < r_i + r_j + skin, sorted by (i, j).
+
+    Broad phase on a uniform cell list: cells are at least as wide as the
+    largest cutoff, so a near pair sits in the same or an adjacent cell.
+    Bodies are stable-sorted by cell key and each looks up its 9 neighbour
+    cells by binary search; candidates are then kept by direct coordinate
+    differences.  A world too wide for ``_MAX_CELLS_PER_AXIS`` cells per
+    axis gets wider cells, which only adds candidates.  Bodies with
+    non-finite coordinates are left out: they touch nothing.
+    """
+    none = np.zeros(0, dtype=np.intp)
+    idx = np.flatnonzero(np.isfinite(pos).all(axis=1))
+    if idx.size < 2:
+        return none, none
+    p = pos[idx]
+    cutoff = 2.0 * float(radius[idx].max()) + skin
+    if not cutoff > 0.0:
+        return none, none
+    # halves keep the span finite for any finite coordinates
+    lo = 0.5 * p.min(axis=0)
+    half_span = float(np.max(0.5 * p.max(axis=0) - lo))
+    half_cell = 0.5 * max(
+        cutoff * (1.0 + _CELL_MARGIN), half_span * (2.0 / _MAX_CELLS_PER_AXIS)
+    )
+    coord = np.floor((0.5 * p - lo) / half_cell).astype(np.int64)
+    # two spare columns per row, so a probe of column -1 or +1 stays in its row
+    width = int(coord[:, 1].max()) + 3
+    key = coord[:, 0] * width + (coord[:, 1] + 1)
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    offsets = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)[None, :]).ravel()
+    probe = key[:, None] + offsets
+    first = np.searchsorted(sorted_key, probe, side="left").ravel()
+    count = np.searchsorted(sorted_key, probe, side="right").ravel() - first
+    a = np.repeat(np.arange(idx.size).repeat(offsets.size), count)
+    run_start = np.cumsum(count) - count
+    b = order[np.arange(count.sum()) - np.repeat(run_start - first, count)]
+    keep = a < b
+    i = idx[a[keep]]
+    j = idx[b[keep]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = pos[i] - pos[j]
+        reach = radius[i] + radius[j] + skin
+        near = np.einsum("ij,ij->i", d, d) < reach * reach
+    i, j = i[near], j[near]
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair]
 
 
 class _PairCache:
-    """Precomputed pair geometry: candidate mask and summed radii."""
+    """Verlet neighbour list of the contact layer.
+
+    Holds every pair i < j with |p_i - p_j| < r_i + r_j + skin at the
+    positions it was built from, with r_i + r_j for each pair; the skin
+    is ``CONTACT_SKIN_FRACTION`` of the smallest radius.  While no body
+    has moved more than skin/2 since the build, every overlapping pair is
+    still on the list, so :meth:`hits` reuses it.  It rebuilds when a body
+    moves farther, when the body count changes, or when the radii change.
+    ``builds`` counts the builds.
+    """
 
     def __init__(self, world: WorldState):
-        n = world.n
-        rsum = world.radius[:, None] + world.radius[None, :]
-        self.rsum2_mat = rsum * rsum
-        # only index pairs with i < j; the diagonal and lower triangle are off
-        self.upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+        self.builds = 0
+        self._build(world)
+
+    def _build(self, world: WorldState):
+        self.pos = world.pos.copy()
+        self.radius = world.radius.copy()
+        self.skin = CONTACT_SKIN_FRACTION * float(self.radius.min()) if world.n else 0.0
+        self.i, self.j = _near_pairs(self.pos, self.radius, self.skin)
+        self.rsum = self.radius[self.i] + self.radius[self.j]
+        self.rsum2 = self.rsum * self.rsum
+        self.builds += 1
+
+    def _stale(self, world: WorldState) -> bool:
+        if world.pos.shape != self.pos.shape or not np.array_equal(
+            world.radius, self.radius
+        ):
+            return True
+        moved = world.pos - self.pos
+        # NaN (a non-finite body) compares False, so it forces a rebuild too
+        return not np.einsum("ij,ij->i", moved, moved).max() <= (0.5 * self.skin) ** 2
+
+    def hits(self, world: WorldState):
+        """Overlapping pairs of ``world``: (i, j, p_i - p_j, |p_i - p_j|^2, r_i + r_j).
+
+        Pairs come sorted by (i, j), the row-major order of the upper
+        triangle, and are exactly those with |p_i - p_j|^2 < (r_i + r_j)^2
+        from direct coordinate differences.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            # a diverging state may overflow here; step() reports it right after
+            if self._stale(world):
+                self._build(world)
+            d = world.pos.take(self.i, axis=0) - world.pos.take(self.j, axis=0)
+            d2 = np.einsum("ij,ij->i", d, d)
+            hit = d2 < self.rsum2
+        return self.i[hit], self.j[hit], d[hit], d2[hit], self.rsum[hit]
 
 
 def contact_forces(
@@ -457,27 +569,23 @@ def contact_forces(
     Normal force ``max(k_c * penetration - c_c * separation_rate, 0)``;
     tangential force opposes slip with magnitude clamped to mu |F_n|
     (ramped linearly below CONTACT_SLIP_EPS to avoid chatter).
+
+    Overlapping pairs come from ``cache``, a neighbour list reused across
+    steps; without one a fresh list is built for this call.
     """
     F = np.zeros_like(world.pos)
     if world.dimension == 3 or world.n < 2:
         return F  # 3-D point agents do not collide
     if cache is None:
         cache = _PairCache(world)
-    pos = world.pos
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a diverging state may overflow here; step() reports it right after
-        sq = np.einsum("ij,ij->i", pos, pos)
-        d2_mat = sq[:, None] + sq[None, :] - 2.0 * (pos @ pos.T)
-        hit = (d2_mat < cache.rsum2_mat) & cache.upper
-    if not np.any(hit):
+    i, j, dph, d2, rsum = cache.hits(world)
+    if i.size == 0:
         return F
-    i, j = np.nonzero(hit)
-    dph = pos[i] - pos[j]
-    dist = np.sqrt(np.einsum("ij,ij->i", dph, dph))
+    dist = np.sqrt(d2)
     ok = dist > CONTACT_COINCIDENT_EPS
     dist = np.where(ok, dist, 1.0)
     nvec = dph / dist[:, None]  # from j toward i
-    pen = (world.radius[i] + world.radius[j]) - dist
+    pen = rsum - dist
     dv = world.vel[i] - world.vel[j]
     vn = np.einsum("ij,ij->i", dv, nvec)  # separation rate along the normal
     fn = np.maximum(config.contact_stiffness * pen - config.contact_damping * vn, 0.0)
@@ -488,9 +596,7 @@ def contact_forces(
     tdir = np.zeros_like(vt)
     np.divide(vt, vt_mag[:, None], out=tdir, where=vt_mag[:, None] > 0.0)
     pair = fn[:, None] * nvec - ft_mag[:, None] * tdir
-    np.add.at(F, i, pair)
-    np.add.at(F, j, -pair)
-    return F
+    return _scatter_pairs(pair, i, j, world.n)
 
 
 def control_forces(

@@ -26,6 +26,7 @@ MORPH_COMPLETE_EPS = 1e-6        # schedule complete once ramp >= 1 - this
 SPRING_COINCIDENT_EPS = 1e-9     # spring endpoints closer than this get zero force (m)
 CONTACT_COINCIDENT_EPS = 1e-12   # overlapping bodies with coincident centers (m)
 CONTACT_SLIP_EPS = 1e-4          # slip speed below which friction ramps linearly (m/s)
+CONTACT_SKIN_FRACTION = 0.25     # contact neighbour-list skin, as a fraction of the smallest radius
 STABILITY_SAFETY = 0.2           # dt bound factor: dt <= STABILITY_SAFETY*sqrt(m_min/k_c)
 
 # Grid sampling.

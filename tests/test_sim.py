@@ -1,10 +1,13 @@
 """Simulator: world construction, forces, integration, metrics, determinism."""
 
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapefield.fields import Circle, Plane
 from shapefield.morph import MorphSchedule
@@ -15,6 +18,7 @@ from shapefield.sim import (
     SimulationDivergenceError,
     Trajectory,
     WorldState,
+    _PairCache,
     apply_disturbance,
     as_field_driver,
     build_world,
@@ -31,6 +35,7 @@ from shapefield.sim import (
 )
 
 QUIET = {"category": RuntimeWarning, "match": "stability"}
+RADII = (0.03, 0.0325, 0.0325 * math.sqrt(2.0))
 
 
 def small_config(**kw):
@@ -72,6 +77,48 @@ def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, 
         time=0.0,
         seed=0,
     )
+
+
+def brute_force_hits(pos, radius):
+    """Overlapping pairs i < j in row-major order, from direct differences."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pos[:, None, :] - pos[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        rsum = radius[:, None] + radius[None, :]
+        return np.nonzero(np.triu(d2 < rsum * rsum, k=1))
+
+
+def listed_hits(cache, world):
+    i, j, *_ = cache.hits(world)
+    return i, j
+
+
+def assert_same_pairs(got, want):
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def squeezed_world(config, scale):
+    """The built world with every position scaled toward the origin."""
+    w = build_world(config)
+    return dataclasses.replace(w, pos=w.pos * scale)
+
+
+@st.composite
+def packings(draw):
+    """Random mixed-radius packings with an exactly touching pair (bodies 0
+    and 1), coincident centres (bodies 2 and 3) and optionally one body at
+    1e12 m."""
+    n = draw(st.integers(5, 40))
+    half = draw(st.floats(0.05, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.uniform(-half, half, (n, 2))
+    radius = rng.choice(RADII, n)
+    pos[0] = (0.0, pos[0, 1])
+    pos[1] = (radius[0] + radius[1], pos[0, 1])
+    pos[3] = pos[2]
+    if draw(st.booleans()):
+        pos[draw(st.integers(4, n - 1))] = (1e12, -1e12)
+    return free_world(pos, radius=radius), rng
 
 
 class TestBuildWorld:
@@ -179,6 +226,19 @@ class TestSpringForces:
         F = spring_forces(w)
         assert np.max(np.abs(F.sum(axis=0))) < 1e-12
 
+    def test_accumulation_matches_add_at(self, rng):
+        # reference: the np.add.at scatter, with repeated link endpoints
+        pos = rng.uniform(-0.2, 0.2, (9, 2))
+        links = [(a, b, 50.0, 0.05) for a, b in rng.integers(0, 9, (40, 2)) if a != b]
+        w = free_world(pos, springs=links)
+        dvec = w.pos[w.spring_j] - w.pos[w.spring_i]
+        dist = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
+        pair = dvec * (w.spring_k * (dist - w.spring_rest) / dist)[:, None]
+        want = np.zeros_like(pos)
+        np.add.at(want, w.spring_i, pair)
+        np.add.at(want, w.spring_j, -pair)
+        assert spring_forces(w).tobytes() == want.tobytes()
+
     def test_coincident_endpoints_zero_force(self, caplog):
         w = free_world([[0.0, 0.0], [0.0, 0.0]], springs=[(0, 1, 50.0, 0.1)])
         with caplog.at_level(logging.WARNING, logger="shapefield.sim"):
@@ -239,6 +299,75 @@ class TestContactForces:
         Fa = contact_forces(approaching, cfg)[1, 0]
         Fs = contact_forces(separating, cfg)[1, 0]
         assert Fa > 25.0 > Fs
+
+    def test_far_from_origin_matches_origin(self):
+        # moving the whole world must not move its contacts; a hit test
+        # that expands |a|^2 + |b|^2 - 2 a.b loses the pairs near touching
+        cfg = SimConfig()
+        w = squeezed_world(cfg, 0.93)
+        far = dataclasses.replace(w, pos=w.pos + np.array([1e6, -1e6]))
+        F0 = contact_forces(w, cfg)
+        assert np.max(np.abs(F0)) > 10.0
+        assert np.max(np.abs(contact_forces(far, cfg) - F0)) < 1e-5
+
+
+class TestNeighbourList:
+    @settings(max_examples=150, deadline=None)
+    @given(packings())
+    def test_hits_equal_brute_force(self, packing):
+        w, rng = packing
+        cache = _PairCache(w)
+        assert_same_pairs(listed_hits(cache, w), brute_force_hits(w.pos, w.radius))
+        i, j = listed_hits(cache, w)
+        assert not np.any((i == 0) & (j == 1))  # touching exactly is no hit
+        assert np.any((i == 2) & (j == 3))  # coincident centres are one
+        # moves below half the skin reuse the list and still find every hit
+        moved = dataclasses.replace(w, pos=w.pos + rng.uniform(-2.6e-3, 2.6e-3, w.pos.shape))
+        assert_same_pairs(listed_hits(cache, moved), brute_force_hits(moved.pos, moved.radius))
+        assert cache.builds == 1
+
+    @pytest.mark.filterwarnings("error")  # no overflow while building the grid
+    def test_extreme_and_non_finite_coordinates(self, rng):
+        pos = rng.uniform(-0.1, 0.1, (30, 2))
+        pos[5] = (1.7e308, -1.7e308)
+        pos[6] = (-1.7e308, 1.7e308)
+        pos[7] = (np.nan, 0.0)
+        pos[8] = (np.inf, 0.0)
+        w = free_world(pos, radius=0.04)
+        i, j = listed_hits(_PairCache(w), w)
+        assert i.size > 0
+        assert_same_pairs((i, j), brute_force_hits(w.pos, w.radius))
+
+    def test_rebuilds_when_radii_or_count_change(self, rng):
+        pos = rng.uniform(-0.1, 0.1, (20, 2))
+        cache = _PairCache(free_world(pos, radius=0.001))
+        grown = free_world(pos, radius=0.03)
+        assert_same_pairs(listed_hits(cache, grown), brute_force_hits(grown.pos, grown.radius))
+        fewer = free_world(pos[:12], radius=0.03)
+        assert_same_pairs(listed_hits(cache, fewer), brute_force_hits(fewer.pos, fewer.radius))
+        assert cache.builds == 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kick=st.integers(10, 120))
+    def test_reused_list_steps_bit_identical(self, seed, kick):
+        cfg = small_config(seed=seed % 1000, alpha=3.0)
+        w = squeezed_world(cfg, 0.9)
+        rng = np.random.default_rng(seed)
+        w = dataclasses.replace(w, vel=rng.uniform(-0.5, 0.5, w.vel.shape))
+        drv = as_field_driver(Circle((0.0, 0.0), 0.5 * ring_radius_of(w)))
+        cache = _PairCache(w)
+        fresh = w
+        hits = 0
+        for k in range(150):
+            if k == kick:
+                w = apply_disturbance(w, (0.05, -0.03), (0.0, 1.0), (0, 3))
+                fresh = apply_disturbance(fresh, (0.05, -0.03), (0.0, 1.0), (0, 3))
+            hits += listed_hits(cache, w)[0].size
+            w = step(w, cfg, drv, cfg.dt, cache)
+            fresh = step(fresh, cfg, drv, cfg.dt, None)
+            assert w.pos.tobytes() == fresh.pos.tobytes()
+            assert w.vel.tobytes() == fresh.vel.tobytes()
+        assert hits > 0 and cache.builds > 2
 
 
 class TestControlForces:
@@ -343,10 +472,11 @@ class TestStep:
 
         w = dataclasses.replace(w, pos=pos)
         cfg = SimConfig(n_boundary=6, n_interior=0, dt=10.0, drag=0.0)
+        cache = _PairCache(w)
         with pytest.raises(SimulationDivergenceError) as err:
             for _ in range(2000):
-                w = step(w, cfg, None, cfg.dt)
-        assert "body" in str(err.value)
+                w = step(w, cfg, None, cfg.dt, cache)
+        assert "body 0 has a non-finite spring force" in str(err.value)
 
     def test_momentum_conserved_without_control_and_drag(self, rng):
         cfg = SimConfig(n_boundary=8, n_interior=12, drag=0.0, dt=1e-4, seed=9)
