@@ -4,7 +4,7 @@ run simulations.
 Subcommands
     grid        sample a shape's field on a regular grid and export it
     check-grad  compare forward-mode gradients against finite differences
-    simulate    run the granular-robot simulation from a manifest
+    simulate    run the granular-robot simulation from a shape and a config
     morph-grid  export a morph's field at a list of times
 
 Exit codes are a stable contract: 0 ok, 1 parse error, 2 semantic/usage
@@ -14,9 +14,10 @@ error, 3 I/O error, 4 gradient check failed, 5 simulation divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from dataclasses import dataclass
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +48,6 @@ EXIT_DIVERGED = 5
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything a simulation run needs; reproducible from this plus nothing."""
-
-    shape_path: Path
-    config_path: Path
-    out_dir: Path
-    seed: int | None = None
-    mode: str | None = None
-    duration: float | None = None
-    dt: float | None = None
-    alpha: float | None = None
-    include_positions: bool = False
 
 
 def _read_text(path: Path) -> str:
@@ -226,55 +212,37 @@ def _final_state_csv(world) -> bytes:
 
 
 def cmd_simulate(args) -> int:
-    manifest = RunManifest(
-        shape_path=args.shape,
-        config_path=args.config,
-        out_dir=args.out,
-        seed=args.seed,
-        mode=args.mode,
-        duration=args.duration,
-        dt=args.dt,
-        alpha=args.alpha,
-        include_positions=args.positions,
-    )
-    program = _load_program(manifest.shape_path)
+    program = _load_program(args.shape)
     try:
-        config = parse_sim_config(_read_text(manifest.config_path))
+        config = parse_sim_config(_read_text(args.config))
     except ValueError as err:
         raise SemanticError(1, 1, f"bad sim config: {err}") from None
-    overrides = {}
-    if manifest.seed is not None:
-        overrides["seed"] = manifest.seed
-    if manifest.mode is not None:
-        overrides["control_mode"] = manifest.mode
-    if manifest.duration is not None:
-        overrides["duration"] = manifest.duration
-    if manifest.dt is not None:
-        overrides["dt"] = manifest.dt
-    if manifest.alpha is not None:
-        overrides["alpha"] = manifest.alpha
-    if overrides:
-        import dataclasses
-
-        config = dataclasses.replace(config, **overrides)
+    overrides = {
+        "seed": args.seed,
+        "control_mode": args.mode,
+        "duration": args.duration,
+        "dt": args.dt,
+        "alpha": args.alpha,
+    }
+    config = dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None}
+    )
     if config.dt > stability_dt_bound(config):
         print(
             f"warning: dt={config.dt:g} exceeds the stability bound "
             f"{stability_dt_bound(config):.3g}; attempting the run anyway",
             file=sys.stderr,
         )
-    import warnings
-
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         traj, world = run(config, program, return_world=True)
     wall = time.perf_counter() - t0
 
-    out = manifest.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "trajectory.csv").write_bytes(
-        export_trajectory(traj, include_positions=manifest.include_positions)
+        export_trajectory(traj, include_positions=args.positions)
     )
     (out / "final_state.csv").write_bytes(_final_state_csv(world))
     final_err = float(traj.shape_error[-1])

@@ -22,9 +22,9 @@ points as an ``(n, d)`` array and is vectorised over the batch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "validate",
-    "dimension_of",
     "eval_circle",
     "eval_segment",
     "eval_sphere",
@@ -240,17 +239,11 @@ class Segment(FieldExpr):
         f = ((pts[:, 0] - x1) * (y2 - y1) - (pts[:, 1] - y1) * (x2 - x1)) / L
         relc = pts - np.array(((x1 + x2) / 2.0, (y1 + y2) / 2.0))
         t = (0.25 * L * L - np.einsum("ij,ij->i", relc, relc)) / L
-        aux = np.sqrt(t * t + f ** 4)
-        w = 0.5 * (aux - t)
-        v = np.sqrt(f * f + w * w)
-        if not want_grad:
-            return v, None
-        gf = np.broadcast_to(np.array(((y2 - y1) / L, -(x2 - x1) / L)), pts.shape)
-        gt = relc * (-2.0 / L)
-        gaux = _div_rows(t[:, None] * gt + (2.0 * f ** 3)[:, None] * gf, aux)
-        gw = 0.5 * (gaux - gt)
-        g = _div_rows(f[:, None] * gf + w[:, None] * gw, v)
-        return v, g
+        gf = gt = None
+        if want_grad:
+            gf = np.broadcast_to(np.array(((y2 - y1) / L, -(x2 - x1) / L)), pts.shape)
+            gt = relc * (-2.0 / L)
+        return _trim_vg(f, gf, t, gt, want_grad)
 
 
 @dataclass(frozen=True)
@@ -340,25 +333,23 @@ class Negation(FieldExpr):
         return -v, (-g if want_grad else None)
 
 
-def _r_binary_values(w1, w2, s: float, sign: float):
-    """Shared value rule for R-disjunction (+1) and R-conjunction (-1)."""
-    rad = w1 * w1 + w2 * w2 - 2.0 * s * w1 * w2
+def _r_binary_vg(v1, g1, v2, g2, s: float, sign: float, want_grad: bool):
+    """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
+
+    Value ``(v1 + v2 + sign sqrt(v1^2 + v2^2 - 2 s v1 v2)) / (1 + s)``,
+    with the radicand clamped at 0 (only s > 1 can make it negative);
+    with ``want_grad`` also the forward-mode gradient from g1, g2.
+    """
+    rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
     if s > 1.0 and np.any(rad < 0.0):
         warnings.warn(
             f"R-function radicand clamped to 0 (s = {s} > 1)", RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-    rad = np.maximum(rad, 0.0)
-    return (w1 + w2 + sign * np.sqrt(rad)) / (1.0 + s)
-
-
-def _r_binary_vg(v1, g1, v2, g2, s: float, sign: float, want_grad: bool):
-    """Forward-mode rule matching :func:`_r_binary_values` on the value side."""
-    v = _r_binary_values(v1, v2, s, sign)
+    root = np.sqrt(np.maximum(rad, 0.0))
+    v = (v1 + v2 + sign * root) / (1.0 + s)
     if not want_grad:
         return v, None
-    rad = np.maximum(v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2, 0.0)
-    root = np.sqrt(rad)
     drad = (
         2.0 * v1[:, None] * g1
         + 2.0 * v2[:, None] * g2
@@ -369,9 +360,10 @@ def _r_binary_vg(v1, g1, v2, g2, s: float, sign: float, want_grad: bool):
 
 
 @dataclass(frozen=True)
-class Disjunction(FieldExpr):
-    """R-disjunction (union): positive iff either child is positive."""
+class _RBinary(FieldExpr):
+    """Shared node of the two R-operations; subclasses fix ``sign``."""
 
+    sign: ClassVar[float]
     left: FieldExpr
     right: FieldExpr
     s: float = 0.0
@@ -387,46 +379,54 @@ class Disjunction(FieldExpr):
     def _vg(self, pts, want_grad):
         v1, g1 = self.left._vg(pts, want_grad)
         v2, g2 = self.right._vg(pts, want_grad)
-        return _r_binary_vg(v1, g1, v2, g2, self.s, +1.0, want_grad)
+        return _r_binary_vg(v1, g1, v2, g2, self.s, self.sign, want_grad)
 
 
 @dataclass(frozen=True)
-class Conjunction(FieldExpr):
+class Disjunction(_RBinary):
+    """R-disjunction (union): positive iff either child is positive."""
+
+    sign: ClassVar[float] = +1.0
+
+
+@dataclass(frozen=True)
+class Conjunction(_RBinary):
     """R-conjunction (intersection): positive iff both children are positive."""
 
-    left: FieldExpr
-    right: FieldExpr
-    s: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
-        if not (self.s >= 0.0 and np.isfinite(self.s)):
-            raise FieldError(f"s must be >= 0, got {self.s}")
-
-    def children(self):
-        return (self.left, self.right)
-
-    def _vg(self, pts, want_grad):
-        v1, g1 = self.left._vg(pts, want_grad)
-        v2, g2 = self.right._vg(pts, want_grad)
-        return _r_binary_vg(v1, g1, v2, g2, self.s, -1.0, want_grad)
+    sign: ClassVar[float] = -1.0
 
 
-def _equiv_n_values(stacked: np.ndarray, m: int) -> np.ndarray:
-    """Order-``m`` equivalence of non-negative values ``stacked`` of shape (k, n).
+def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
+    """Order-``m`` equivalence of non-negative values ``U`` of shape (k, n).
 
     Evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a scaled form that cannot
     overflow: with ``a = min_i phi_i``, the result is ``a / (sum_i
     (a/phi_i)^m)^(1/m)``.  Zero whenever any input is zero (the limit).
+    With the inputs' gradients ``G`` (k, n, d) also returns the
+    forward-mode gradient, zero where the value is zero; else ``None``.
     """
-    a = stacked.min(axis=0)
-    out = np.zeros_like(a)
+    a = U.min(axis=0)
+    v = np.zeros_like(a)
+    g = None if G is None else np.zeros(G.shape[1:])
     pos = a > 0.0
     if np.any(pos):
-        ratios = a[pos] / stacked[:, pos]
-        ssum = np.power(ratios, m).sum(axis=0)
-        out[pos] = a[pos] * np.power(ssum, -1.0 / m)
-    return out
+        Up = U[:, pos]
+        ap = a[pos]
+        ratios = ap / Up  # (k, np), all in (0, 1]
+        ssum = np.power(ratios, m).sum(axis=0)  # >= 1
+        scale = np.power(ssum, -1.0 / m)
+        v[pos] = ap * scale
+        if G is not None:
+            Gp = G[:, pos, :]
+            piv = np.argmin(Up, axis=0)
+            ga = Gp[piv, np.arange(Up.shape[1])]  # (np, d)
+            # d ratio_i = (ga * u_i - a * g_i) / u_i^2
+            dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
+                Up * Up
+            )[:, :, None]
+            ds = m * (np.power(ratios, m - 1)[:, :, None] * dr).sum(axis=0)
+            g[pos] = scale[:, None] * (ga - (ap / (m * ssum))[:, None] * ds)
+    return v, g
 
 
 @dataclass(frozen=True)
@@ -455,44 +455,29 @@ class Equivalence(FieldExpr):
         return self.children_
 
     def _vg(self, pts, want_grad):
-        m = self.m
         pairs = [c._vg(pts, want_grad) for c in self.children_]
         U = np.stack([np.abs(v) for v, _ in pairs])  # (k, n)
-        v = _equiv_n_values(U, m)
-        if not want_grad:
-            return v, None
-        # d|phi| with sign(0) = 0, the corner convention.
-        G = np.stack([np.sign(vi)[:, None] * gi for vi, gi in pairs])  # (k, n, d)
-        n = pts.shape[0]
-        g = np.zeros_like(pts)
-        a = U.min(axis=0)
-        pos = a > 0.0
-        if np.any(pos):
-            Up = U[:, pos]
-            Gp = G[:, pos, :]
-            ap = a[pos]
-            piv = np.argmin(Up, axis=0)
-            cols = np.arange(Up.shape[1])
-            ga = Gp[piv, cols]  # (np, d)
-            ratios = ap / Up  # (k, np), all in (0, 1]
-            ssum = np.power(ratios, m).sum(axis=0)  # >= 1
-            # d ratio_i = (ga * u_i - a * g_i) / u_i^2
-            dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
-                Up * Up
-            )[:, :, None]
-            ds = m * (np.power(ratios, m - 1)[:, :, None] * dr).sum(axis=0)
-            scale = np.power(ssum, -1.0 / m)
-            g[pos] = scale[:, None] * (
-                ga - (ap / (m * ssum))[:, None] * ds
-            )
-        return v, g
+        G = None
+        if want_grad:
+            # d|phi| with sign(0) = 0, the corner convention.
+            G = np.stack([np.sign(vi)[:, None] * gi for vi, gi in pairs])  # (k, n, d)
+        return _equiv_vg(U, G, self.m)
 
 
-def _trim_values(f, t):
-    """Trimming rule: carrier ``f`` stays zero only where trimmer ``t >= 0``."""
+def _trim_vg(f, gf, t, gt, want_grad: bool):
+    """Trimming rule: carrier ``f`` stays zero only where trimmer ``t >= 0``.
+
+    With ``want_grad`` also the forward-mode gradient from gf, gt.
+    """
     aux = np.sqrt(t * t + f ** 4)
     w = 0.5 * (aux - t)
-    return np.sqrt(f * f + w * w)
+    v = np.sqrt(f * f + w * w)
+    if not want_grad:
+        return v, None
+    gaux = _div_rows(t[:, None] * gt + (2.0 * f ** 3)[:, None] * gf, aux)
+    gw = 0.5 * (gaux - gt)
+    g = _div_rows(f[:, None] * gf + w[:, None] * gw, v)
+    return v, g
 
 
 @dataclass(frozen=True)
@@ -513,15 +498,7 @@ class Trim(FieldExpr):
     def _vg(self, pts, want_grad):
         f, gf = self.base._vg(pts, want_grad)
         t, gt = self.trimmer._vg(pts, want_grad)
-        v = _trim_values(f, t)
-        if not want_grad:
-            return v, None
-        aux = np.sqrt(t * t + f ** 4)
-        w = 0.5 * (aux - t)
-        gaux = _div_rows(t[:, None] * gt + (2.0 * f ** 3)[:, None] * gf, aux)
-        gw = 0.5 * (gaux - gt)
-        g = _div_rows(f[:, None] * gf + w[:, None] * gw, v)
-        return v, g
+        return _trim_vg(f, gf, t, gt, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +520,6 @@ def _leaf_dims(expr: FieldExpr) -> frozenset[int]:
     if isinstance(expr, Plane):
         return frozenset((len(expr.origin),))
     raise FieldError(f"unknown leaf node {type(expr).__name__}")
-
-
-def dimension_of(expr: FieldExpr) -> int:
-    """Spatial dimension of ``expr``; raises on mixed 2-D/3-D leaves."""
-    return expr.dimension
 
 
 def evaluate(expr: FieldExpr, x) -> float | np.ndarray:
@@ -602,7 +574,7 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
                     path,
                 )
             )
-        if isinstance(node, (Disjunction, Conjunction)) and node.s > 1.0:
+        if isinstance(node, _RBinary) and node.s > 1.0:
             diags.append(
                 Diagnostic(
                     "s-above-one",
@@ -656,26 +628,23 @@ def r_negation(w):
     return _scalarize(out, np.isscalar(w) or np.ndim(w) == 0)
 
 
-def r_disjunction(w1, w2, s: float = 0.0):
-    """R-disjunction of two field values; positive iff either is positive."""
+def _r_binary_point(w1, w2, s: float, sign: float):
     if not s >= 0.0:
         raise FieldError(f"s must be >= 0, got {s}")
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)
-    scalar = a.ndim == 0 and b.ndim == 0
-    out = _r_binary_values(a, b, float(s), +1.0)
-    return _scalarize(out, scalar)
+    out, _ = _r_binary_vg(a, None, b, None, float(s), sign, want_grad=False)
+    return _scalarize(out, a.ndim == 0 and b.ndim == 0)
+
+
+def r_disjunction(w1, w2, s: float = 0.0):
+    """R-disjunction of two field values; positive iff either is positive."""
+    return _r_binary_point(w1, w2, s, +1.0)
 
 
 def r_conjunction(w1, w2, s: float = 0.0):
     """R-conjunction of two field values; positive iff both are positive."""
-    if not s >= 0.0:
-        raise FieldError(f"s must be >= 0, got {s}")
-    a = np.asarray(w1, dtype=float)
-    b = np.asarray(w2, dtype=float)
-    scalar = a.ndim == 0 and b.ndim == 0
-    out = _r_binary_values(a, b, float(s), -1.0)
-    return _scalarize(out, scalar)
+    return _r_binary_point(w1, w2, s, -1.0)
 
 
 def r_equivalence_pair(phi1, phi2, m: int = 2):
@@ -712,7 +681,7 @@ def r_equivalence_n(values, m: int = 2):
         raise FieldError("equivalence inputs must be non-negative")
     scalar = all(a.ndim == 0 for a in arrays)
     stacked = np.stack(np.broadcast_arrays(*arrays)).reshape(len(arrays), -1)
-    out = _equiv_n_values(stacked, int(m))
+    out, _ = _equiv_vg(stacked, None, int(m))
     if scalar:
         return float(out[0])
     return out.reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
@@ -726,6 +695,5 @@ def trim(f, t):
     """
     a = np.asarray(f, dtype=float)
     b = np.asarray(t, dtype=float)
-    scalar = a.ndim == 0 and b.ndim == 0
-    out = _trim_values(a, b)
-    return _scalarize(out, scalar)
+    out, _ = _trim_vg(a, None, b, None, want_grad=False)
+    return _scalarize(out, a.ndim == 0 and b.ndim == 0)

@@ -50,8 +50,10 @@ class GridSpec:
         object.__setattr__(self, "spacing", float(self.spacing))
         if len(self.origin) not in (2, 3) or len(self.dims) != len(self.origin):
             raise ValueError("origin and dims must both be 2-D or 3-D")
-        if self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
+        if not all(np.isfinite(self.origin)):
+            raise ValueError("origin must be finite")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError("spacing must be positive and finite")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
         if self.count > self.node_cap:

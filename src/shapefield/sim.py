@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .tolerances import (
 
 __all__ = [
     "SimConfig",
-    "BodyState",
-    "SpringLink",
     "WorldState",
     "Disturbance",
     "Trajectory",
@@ -136,57 +134,40 @@ class SimConfig:
             "sample_interval",
             "spawn_radius",
         ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("friction", "contact_damping", "drag", "alpha", "duration"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.n_boundary < 1 or self.n_interior < 0:
             raise ValueError("body counts out of range")
         if self.dimension == 2 and self.n_boundary < 3:
             raise ValueError("2-D ring needs at least 3 boundary robots")
         if self.dimension == 3 and self.n_interior != 0:
             raise ValueError("3-D mode drives point agents only; set n_interior=0")
-        if any(r <= 0.0 for r in self.grain_radii):
-            raise ValueError("grain radii must be positive")
-
-
-@dataclass(frozen=True)
-class BodyState:
-    """Per-body view of the world arrays (positions in m, velocities in m/s)."""
-
-    position: tuple[float, ...]
-    velocity: tuple[float, ...]
-    orientation: float
-    angular_velocity: float
-    radius: float
-    mass: float
-    kind: str  # "boundary-robot" | "interior-grain"
-
-
-@dataclass(frozen=True)
-class SpringLink:
-    i: int
-    j: int
-    stiffness: float
-    rest_length: float
+        if not all(0.0 < r < math.inf for r in self.grain_radii):
+            raise ValueError("grain radii must be positive and finite")
+        if not all(map(math.isfinite, self.target or ())):
+            raise ValueError("target must be finite")
+        if self.max_packing_radius is not None and not math.isfinite(self.max_packing_radius):
+            raise ValueError("max_packing_radius must be finite")
 
 
 @dataclass(frozen=True)
 class WorldState:
-    """Complete rigid-body state; arrays are treated as immutable.
+    """Everything the physics reads or updates; arrays are treated as immutable.
 
-    Body order is fixed: boundary robots first (``boundary_count`` of
-    them), then interior grains.  In a built 2-D world the boundary robots
-    form one closed spring ring (each has exactly two spring neighbors).
-    ``last_control`` carries the previous step's control forces so a
-    degenerate morph blend can fall back per robot.
+    Bodies carry position, velocity, radius and mass only: the model has
+    no torques, so there is no orientation.  Body order is fixed: boundary
+    robots first (``boundary_count`` of them), then interior grains.  In a
+    built 2-D world the boundary robots form one closed spring ring (each
+    has exactly two spring neighbors).  ``last_control`` carries the
+    previous step's control forces so a degenerate morph blend can fall
+    back per robot.
     """
 
     pos: np.ndarray  # (n, d)
     vel: np.ndarray  # (n, d)
-    theta: np.ndarray | None  # (n,), 2-D only
-    omega: np.ndarray | None  # (n,), 2-D only
     radius: np.ndarray  # (n,)
     mass: np.ndarray  # (n,)
     boundary_count: int
@@ -195,7 +176,6 @@ class WorldState:
     spring_k: np.ndarray  # (ns,)
     spring_rest: np.ndarray  # (ns,)
     time: float
-    seed: int
     last_control: np.ndarray | None = None
 
     @property
@@ -205,26 +185,6 @@ class WorldState:
     @property
     def dimension(self) -> int:
         return self.pos.shape[1]
-
-    def body(self, i: int) -> BodyState:
-        return BodyState(
-            position=tuple(self.pos[i]),
-            velocity=tuple(self.vel[i]),
-            orientation=float(self.theta[i]) if self.theta is not None else 0.0,
-            angular_velocity=float(self.omega[i]) if self.omega is not None else 0.0,
-            radius=float(self.radius[i]),
-            mass=float(self.mass[i]),
-            kind="boundary-robot" if i < self.boundary_count else "interior-grain",
-        )
-
-    @property
-    def springs(self) -> tuple[SpringLink, ...]:
-        return tuple(
-            SpringLink(int(i), int(j), float(k), float(r))
-            for i, j, k, r in zip(
-                self.spring_i, self.spring_j, self.spring_k, self.spring_rest
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -360,8 +320,6 @@ def build_world(config: SimConfig) -> WorldState:
         return WorldState(
             pos=pos,
             vel=np.zeros_like(pos),
-            theta=None,
-            omega=None,
             radius=np.full(nb, config.robot_radius),
             mass=np.full(nb, config.robot_mass),
             boundary_count=nb,
@@ -370,7 +328,6 @@ def build_world(config: SimConfig) -> WorldState:
             spring_k=np.zeros(0),
             spring_rest=np.zeros(0),
             time=0.0,
-            seed=config.seed,
         )
 
     if config.n_interior > 0:
@@ -396,12 +353,9 @@ def build_world(config: SimConfig) -> WorldState:
     mass = np.concatenate(
         [np.full(nb, config.robot_mass), np.full(grain_pos.shape[0], config.grain_mass)]
     )
-    n = pos.shape[0]
     return WorldState(
         pos=pos,
         vel=np.zeros_like(pos),
-        theta=np.zeros(n),
-        omega=np.zeros(n),
         radius=radius,
         mass=mass,
         boundary_count=nb,
@@ -410,7 +364,6 @@ def build_world(config: SimConfig) -> WorldState:
         spring_k=np.full(nb, config.spring_stiffness),
         spring_rest=np.full(nb, rest),
         time=0.0,
-        seed=config.seed,
     )
 
 
@@ -612,40 +565,32 @@ def control_forces(
     -alpha phi grad(phi), the descent direction of phi^2/2, which attracts
     to the zero set from both sides.  Returns (full forces, control rows).
     If a morph blend is degenerate at some robot, that robot reuses its
-    previous control (logged).
+    previous control ``prev``, or gets zero without one (logged).
     """
     F = np.zeros_like(world.pos)
     nb = world.boundary_count
     if driver is None or alpha == 0.0 or nb == 0:
         return F, np.zeros((nb, world.dimension))
+    if mode not in ("squared", "paper"):
+        raise ValueError(f"unknown control mode {mode!r}")
     q = world.pos[:nb]
+    bad = None
     try:
         v, g = driver.values_grads(q, world.time)
     except DegenerateBlendError as err:
-        u = np.zeros((nb, world.dimension))
         bad = err.mask
-        good = ~bad
-        if np.any(good):
-            vg, gg = driver.values_grads(q[good], world.time)
-            if mode == "squared":
-                u[good] = -alpha * vg[:, None] * gg
-            else:
-                u[good] = -alpha * gg
-        if prev is not None:
-            u[bad] = prev[bad]
+        v = np.zeros(nb)
+        g = np.zeros((nb, world.dimension))
+        if not np.all(bad):
+            v[~bad], g[~bad] = driver.values_grads(q[~bad], world.time)
+    u = -alpha * v[:, None] * g if mode == "squared" else -alpha * g
+    if bad is not None:
+        u[bad] = 0.0 if prev is None else prev[bad]
         log.warning(
             "degenerate morph blend at t=%.6f for robots %s; reusing previous control",
             world.time,
             np.nonzero(bad)[0].tolist(),
         )
-        F[:nb] = u
-        return F, u
-    if mode == "squared":
-        u = -alpha * v[:, None] * g
-    elif mode == "paper":
-        u = -alpha * g
-    else:
-        raise ValueError(f"unknown control mode {mode!r}")
     F[:nb] = u
     return F, u
 
@@ -690,18 +635,7 @@ def step(
         raise SimulationDivergenceError(
             f"body {bad} has a non-finite {term} force/state at t={world.time:.6f}"
         )
-    theta = world.theta
-    if theta is not None:
-        # no contact torques in this model; orientation just integrates omega
-        theta = theta + world.omega * dt
-    return replace(
-        world,
-        pos=pos,
-        vel=vel,
-        theta=theta,
-        time=world.time + dt,
-        last_control=u,
-    )
+    return replace(world, pos=pos, vel=vel, time=world.time + dt, last_control=u)
 
 
 def apply_disturbance(
@@ -709,6 +643,7 @@ def apply_disturbance(
 ) -> WorldState:
     """Instantaneous velocity kicks impulse/m on ``targets``.
 
+    ``targets`` are body indices in [0, n); any other index is rejected.
     A no-op when the world clock is outside [t0, t1]: disturbances stay
     confined to their window.
     """
@@ -718,6 +653,10 @@ def apply_disturbance(
     targets = np.asarray(list(targets), dtype=np.intp)
     if targets.size == 0:
         raise ValueError("disturbance target set is empty")
+    if not np.all((targets >= 0) & (targets < world.n)):
+        raise ValueError(
+            f"disturbance targets must lie in [0, {world.n}), got {targets.tolist()}"
+        )
     if not (t0 <= world.time <= t1):
         return world
     imp = np.asarray(impulse, dtype=float)

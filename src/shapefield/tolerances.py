@@ -1,9 +1,10 @@
 """Numeric constants used across the library, collected in one place.
 
 Every tolerance that the field algebra, the morph blend, or the simulator
-relies on is defined here so it can be inspected or overridden (module
-attributes are plain floats; functions that depend on one accept it as a
-keyword argument where overriding per call makes sense).
+relies on is defined here as a plain number, so it can be inspected and
+the tests can check against the same values.  The library modules bind
+them by name at import; only ``GRID_NODE_CAP`` has a per-call override,
+``GridSpec(node_cap=...)``.
 """
 
 # Construction / validation.

@@ -83,10 +83,12 @@ class TestGridCommand:
         assert code == 2
 
     def test_bad_grid_flag_exits_2(self, circle_shape, tmp_path):
-        code = main(
-            ["grid", str(circle_shape), "--grid", "nonsense", "--out", str(tmp_path / "x.csv")]
-        )
-        assert code == 2
+        for spec in ("nonsense", "0,0:nan:3,3", "0,0:inf:3,3", "nan,0:0.1:3,3"):
+            code = main(
+                ["grid", str(circle_shape), f"--grid={spec}", "--out", str(tmp_path / "x.csv")]
+            )
+            assert code == 2, spec
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCheckGradCommand:
@@ -151,14 +153,24 @@ class TestSimulateCommand:
         assert code == 0
         assert "stability bound" in capsys.readouterr().err
 
-    def test_bad_config_exits_2(self, circle_shape, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("gravity = 9.81\n")
-        code = main(
-            ["simulate", "--shape", str(circle_shape), "--config", str(cfg),
-             "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
+    def test_bad_config_exits_2(self, circle_shape, quick_config, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("gravity = 9.81\n")
+        nan_drag = tmp_path / "nan_drag.cfg"
+        nan_drag.write_text(quick_config.read_text() + "drag = nan\n")
+        cases = [
+            (bad, []),
+            (nan_drag, []),
+            (quick_config, ["--duration", "inf"]),
+            (quick_config, ["--dt", "inf"]),
+            (quick_config, ["--alpha", "nan"]),
+        ]
+        for cfg, extra in cases:
+            code = main(
+                ["simulate", "--shape", str(circle_shape), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")] + extra
+            )
+            assert code == 2, (cfg.name, extra)
 
     def test_divergence_exits_5(self, circle_shape, tmp_path):
         cfg = tmp_path / "explode.cfg"

@@ -432,7 +432,7 @@ class TestGradients:
 
 
 class TestComposition:
-    def test_disjunction_matches_scalar_composition(self):
+    def test_disjunction_matches_scalar_composition(self, rng):
         # the two-circle union evaluated as a tree must equal the scalar
         # R-disjunction of the member circle values
         c1 = Circle((0.0, 0.5), 0.75)
@@ -440,6 +440,22 @@ class TestComposition:
         expr = Disjunction(c1, c2, s=0.0)
         for x in [(0.0, 0.5), (0.3, -0.2), (1.0, 1.0), (0.0, 1.25)]:
             assert expr.eval(x) == r_disjunction(c1.eval(x), c2.eval(x), s=0.0)
+        pts = rng.uniform(-2.0, 2.0, (500, 2))
+        for s in (0.0, 0.4, 1.0):
+            want = r_disjunction(c1.eval(pts), c2.eval(pts), s=s)
+            assert Disjunction(c1, c2, s=s).eval(pts).tobytes() == want.tobytes()
+
+    def test_conjunction_and_trim_match_scalar_composition(self, rng):
+        # one rule serves the nodes and the point-wise API, bit for bit
+        c = Circle((0.2, 0.0), 0.9)
+        seg = Segment((-1.0, -0.5), (1.0, 0.5))
+        plane = Plane((0.0, 0.0), (0.6, 0.8))
+        pts = rng.uniform(-2.0, 2.0, (500, 2))
+        for s in (0.0, 0.4, 1.0):
+            want = r_conjunction(c.eval(pts), seg.eval(pts), s=s)
+            assert Conjunction(c, seg, s=s).eval(pts).tobytes() == want.tobytes()
+        want = trim(c.eval(pts), plane.eval(pts))
+        assert Trim(c, plane).eval(pts).tobytes() == want.tobytes()
 
     def test_equivalence_matches_pairwise_composition(self):
         s1 = Segment((0.0, 0.0), (4.0, 0.0))

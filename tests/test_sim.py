@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapefield.fields import Circle, Plane
-from shapefield.morph import MorphSchedule
+from shapefield.morph import DegenerateBlendError, MorphSchedule
 from shapefield.sim import (
     Disturbance,
     PackingError,
@@ -48,7 +48,7 @@ def small_config(**kw):
 def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, nb=None):
     """Hand-built world for focused force tests (no ring invariant implied)."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    n, d = pos.shape
+    n = pos.shape[0]
     vel = np.zeros_like(pos) if velocities is None else np.atleast_2d(
         np.asarray(velocities, dtype=float)
     )
@@ -65,8 +65,6 @@ def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, 
     return WorldState(
         pos=pos,
         vel=vel,
-        theta=np.zeros(n) if d == 2 else None,
-        omega=np.zeros(n) if d == 2 else None,
         radius=radius,
         mass=mass,
         boundary_count=n if nb is None else nb,
@@ -75,7 +73,6 @@ def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, 
         spring_k=sk,
         spring_rest=sr,
         time=0.0,
-        seed=0,
     )
 
 
@@ -190,19 +187,11 @@ class TestBuildWorld:
         assert w.n == 162
         assert w.dimension == 3
         assert w.spring_i.size == 0
-        assert w.theta is None
         assert np.allclose(np.linalg.norm(w.pos, axis=1), 0.7)
 
     def test_3d_rejects_interior(self):
         with pytest.raises(ValueError):
             SimConfig(dimension=3, n_boundary=162, n_interior=10)
-
-    def test_body_view(self):
-        w = build_world(SimConfig())
-        b = w.body(0)
-        assert b.kind == "boundary-robot" and b.mass == 0.2 and b.radius == 0.03
-        g = w.body(30)
-        assert g.kind == "interior-grain" and g.mass == 0.03
 
 
 class TestSpringForces:
@@ -407,6 +396,30 @@ class TestControlForces:
         F, _ = control_forces(w, field, alpha=1.0, mode="paper")
         assert F[0, 0] > 0.0
 
+    @pytest.mark.parametrize("mode", ["squared", "paper"])
+    def test_degenerate_blend_falls_back_per_robot(self, mode, caplog):
+        # robots with x > 0 see a degenerate blend; the rest follow the law
+        circle = as_field_driver(Circle((0.05, 0.0), 0.3))
+
+        class HalfDegenerate:
+            def values_grads(self, q, t):
+                bad = q[:, 0] > 0.0
+                if bad.any():
+                    raise DegenerateBlendError(q[bad], t, bad)
+                return circle.values_grads(q, t)
+
+        w = free_world([[0.2, 0.1], [-0.2, 0.1], [0.1, -0.3], [-0.1, -0.2]])
+        want, _ = control_forces(w, circle, alpha=1.5, mode=mode)
+        prev = np.arange(8.0).reshape(4, 2)
+        bad = w.pos[:, 0] > 0.0
+        with caplog.at_level(logging.WARNING, logger="shapefield.sim"):
+            F, u = control_forces(w, HalfDegenerate(), 1.5, mode, prev)
+            F0, _ = control_forces(w, HalfDegenerate(), 1.5, mode)
+        assert np.array_equal(F[~bad], want[~bad]) and np.array_equal(u, F)
+        assert np.array_equal(F[bad], prev[bad])
+        assert np.array_equal(F0[~bad], want[~bad]) and np.all(F0[bad] == 0.0)
+        assert any("robots [0, 2]" in r.message for r in caplog.records)
+
 
 class TestStep:
     def test_no_force_no_motion(self):
@@ -534,6 +547,12 @@ class TestDisturbance:
         with pytest.raises(ValueError):
             apply_disturbance(w, (0.1, 0.0), (5.0, 5.0), (0,))
 
+    def test_out_of_range_targets_rejected(self):
+        w = build_world(small_config())
+        for targets in ((-1,), (0, w.n), (99,)):
+            with pytest.raises(ValueError, match="targets must lie in"):
+                apply_disturbance(w, (0.1, 0.0), (0.0, 1.0), targets)
+
 
 class TestMetrics:
     def test_shape_error_zero_on_zero_set(self):
@@ -641,6 +660,19 @@ class TestConfigFile:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_sim_config("just words")
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"robot_mass": math.inf},
+            {"grain_radii": (0.03, math.nan)},
+            {"target": (0.0, math.inf)},
+            {"max_packing_radius": math.nan},
+        ],
+    )
+    def test_non_finite_values_rejected(self, override):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(**override)
 
     def test_defaults_match_reference_platform(self):
         cfg = SimConfig()
