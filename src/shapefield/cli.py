@@ -149,6 +149,10 @@ def cmd_check_grad(args) -> int:
         lo, hi = (float(v) for v in args.box.split(":"))
     except ValueError:
         raise _UsageError(f"bad --box {args.box!r}") from None
+    if not (lo < hi and np.isfinite(hi - lo)):  # a finite width implies finite ends
+        raise _UsageError(f"--box needs finite LO < HI, got {args.box!r}")
+    if not (args.tol >= 0.0 and np.isfinite(args.tol)):
+        raise _UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     pts = []
     attempts = 0

@@ -333,6 +333,14 @@ class Negation(FieldExpr):
         return -v, (-g if want_grad else None)
 
 
+def _check_s(s) -> float:
+    """The R-operation parameter ``s`` as a float; it must be finite and >= 0."""
+    s = float(s)
+    if not (s >= 0.0 and np.isfinite(s)):
+        raise FieldError(f"s must be >= 0, got {s}")
+    return s
+
+
 def _r_binary_vg(v1, g1, v2, g2, s: float, sign: float, want_grad: bool):
     """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
 
@@ -369,9 +377,7 @@ class _RBinary(FieldExpr):
     s: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
-        if not (self.s >= 0.0 and np.isfinite(self.s)):
-            raise FieldError(f"s must be >= 0, got {self.s}")
+        object.__setattr__(self, "s", _check_s(self.s))
 
     def children(self):
         return (self.left, self.right)
@@ -629,11 +635,9 @@ def r_negation(w):
 
 
 def _r_binary_point(w1, w2, s: float, sign: float):
-    if not s >= 0.0:
-        raise FieldError(f"s must be >= 0, got {s}")
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)
-    out, _ = _r_binary_vg(a, None, b, None, float(s), sign, want_grad=False)
+    out, _ = _r_binary_vg(a, None, b, None, _check_s(s), sign, want_grad=False)
     return _scalarize(out, a.ndim == 0 and b.ndim == 0)
 
 

@@ -26,8 +26,11 @@ Grammar (EBNF; ``#`` starts a line comment, whitespace is free):
 Constructors: ``circle(c, r)``, ``segment(p1, p2)``,
 ``sphere(c, r, normalized)``, ``plane(o, n)``, ``halfplane(o, n)``,
 ``neg(x)``, ``union(a, b, s)``, ``inter(a, b, s)``,
-``requiv(m, x, y, ...)``, ``trim(base, trimmer)``.  All lengths are in
-meters; names must be defined before use.
+``requiv(m, x, y, ...)``, ``trim(base, trimmer)``.  The morph statement
+takes only keyword arguments: the shape names ``initial`` and ``final``,
+the ramp rate ``p``, and an optional ``s`` (default 0).  No keyword may
+be given twice.  All lengths are in meters; names must be defined before
+use.
 
 Parsing normalizes programs: optional parameters are materialized with
 their defaults and keyword arguments are stored in signature order, so
@@ -37,7 +40,9 @@ their defaults and keyword arguments are stored in signature order, so
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .fields import (
     Circle,
@@ -98,83 +103,47 @@ class Token:
 
 
 _PUNCT = {"(": "lparen", ")": "rparen", ",": "comma", "=": "eq", ";": "semi"}
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+# One alternative per lexeme of a line; 'illegal' takes any character no
+# other one starts with, so the matches tile the line.  A number needs a digit
+# or '.' after its optional sign (a bare sign is illegal), and an 'e' joins the
+# number even without exponent digits so that case reads as a malformed exponent.
+_TOKEN = re.compile(
+    r"(?P<punct>[(),=;])|(?P<skip>[ \t\r]+|#.*)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>[+-]?(?=[0-9.])[0-9]*(?:\.[0-9]*)?(?:(?P<exp>[eE][+-]?)[0-9]*)?)"
+    r"|(?P<illegal>.)"
+)
+# characters that may not directly follow a number
+_NUMBER_STOP = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
 
 
 def tokenize(source: str) -> list[Token]:
     """Lex ``source`` into tokens; raises :class:`ParseError` on bad input."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and source[i] in _IDENT_CONT:
-                i += 1
-            text = source[start:i]
-            toks.append(Token("ident", text, line, col))
-            col += i - start
-            continue
-        if ch in _DIGITS or ch == "." or (ch in "+-" and i + 1 < n and source[i + 1] in _DIGITS | {"."}):
-            start, startcol = i, col
-            if ch in "+-":
-                i += 1
-            while i < n and source[i] in _DIGITS:
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i] in _DIGITS:
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in _DIGITS:
-                    i = j
-                    while i < n and source[i] in _DIGITS:
-                        i += 1
-                else:
-                    bad = min(j, n - 1)
-                    raise ParseError(
-                        line, col + (bad - start), "malformed exponent in number"
-                    )
-            raw = source[start:i]
-            if i < n and (source[i] in _IDENT_CONT or source[i] == "."):
-                raise ParseError(
-                    line,
-                    col + (i - start),
-                    f"invalid character {source[i]!r} in number",
-                )
-            try:
-                val = float(raw)
-            except ValueError:
-                raise ParseError(line, startcol, f"malformed number {raw!r}") from None
-            toks.append(Token("number", val, line, startcol))
-            col += i - start
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(line, col, f"illegal character {ch!r}")
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "skip":
+                continue
+            col = m.start() + 1
+            if kind == "punct":
+                toks.append(Token(_PUNCT[m.group()], m.group(), line, col))
+            elif kind == "ident":
+                toks.append(Token("ident", m.group(), line, col))
+            elif kind == "number":
+                end = m.end()
+                if m.end("exp") == end:  # an 'e' with no exponent digits
+                    if line == len(lines):  # at the end of input, point at the last character
+                        end = min(end, len(text) - 1)
+                    raise ParseError(line, end + 1, "malformed exponent in number")
+                if end < len(text) and text[end] in _NUMBER_STOP:
+                    raise ParseError(line, end + 1, f"invalid character {text[end]!r} in number")
+                try:
+                    toks.append(Token("number", float(m.group()), line, col))
+                except ValueError:
+                    raise ParseError(line, col, f"malformed number {m.group()!r}") from None
+            else:
+                raise ParseError(line, col, f"illegal character {m.group()!r}")
     return toks
 
 
@@ -201,7 +170,7 @@ class SCall:
 @dataclass(frozen=True)
 class _Param:
     key: str
-    kind: str  # number | int | point | bool
+    kind: str  # number | int | point | bool | name (of an earlier binding)
     required: bool = True
     default: object = None
 
@@ -212,40 +181,36 @@ class _Ctor:
     params: tuple[_Param, ...]
     min_children: int
     max_children: int | None  # None = unbounded
+    build: Callable[[tuple, dict], FieldExpr]  # (compiled children, params) -> node
     params_first: bool = False  # requiv prints m before its children
 
+
+_S = _Param("s", "number", required=False, default=0.0)
 
 _CONSTRUCTORS = {
     c.name: c
     for c in (
-        _Ctor("circle", (_Param("c", "point"), _Param("r", "number")), 0, 0),
-        _Ctor("segment", (_Param("p1", "point"), _Param("p2", "point")), 0, 0),
-        _Ctor(
-            "sphere",
-            (
-                _Param("c", "point"),
-                _Param("r", "number"),
-                _Param("normalized", "bool", required=False, default=True),
-            ),
-            0,
-            0,
-        ),
-        _Ctor("plane", (_Param("o", "point"), _Param("n", "point")), 0, 0),
-        _Ctor("halfplane", (_Param("o", "point"), _Param("n", "point")), 0, 0),
-        _Ctor("neg", (), 1, 1),
-        _Ctor("union", (_Param("s", "number", required=False, default=0.0),), 2, 2),
-        _Ctor("inter", (_Param("s", "number", required=False, default=0.0),), 2, 2),
-        _Ctor(
-            "requiv",
-            (_Param("m", "int", required=False, default=2),),
-            2,
-            None,
-            params_first=True,
-        ),
-        _Ctor("trim", (), 2, 2),
+        _Ctor("circle", (_Param("c", "point"), _Param("r", "number")), 0, 0,
+              lambda kids, a: Circle(a["c"], a["r"])),
+        _Ctor("segment", (_Param("p1", "point"), _Param("p2", "point")), 0, 0,
+              lambda kids, a: Segment(a["p1"], a["p2"])),
+        _Ctor("sphere", (_Param("c", "point"), _Param("r", "number"),
+                         _Param("normalized", "bool", required=False, default=True)), 0, 0,
+              lambda kids, a: Sphere(a["c"], a["r"], a["normalized"])),
+        _Ctor("plane", (_Param("o", "point"), _Param("n", "point")), 0, 0,
+              lambda kids, a: Plane(a["o"], a["n"])),
+        _Ctor("halfplane", (_Param("o", "point"), _Param("n", "point")), 0, 0,
+              lambda kids, a: Plane(a["o"], a["n"])),
+        _Ctor("neg", (), 1, 1, lambda kids, a: Negation(kids[0])),
+        _Ctor("union", (_S,), 2, 2, lambda kids, a: Disjunction(kids[0], kids[1], s=a["s"])),
+        _Ctor("inter", (_S,), 2, 2, lambda kids, a: Conjunction(kids[0], kids[1], s=a["s"])),
+        _Ctor("requiv", (_Param("m", "int", required=False, default=2),), 2, None,
+              lambda kids, a: Equivalence(kids, m=a["m"]), params_first=True),
+        _Ctor("trim", (), 2, 2, lambda kids, a: Trim(kids[0], kids[1])),
     )
 }
 
+_MORPH_PARAMS = (_Param("initial", "name"), _Param("final", "name"), _Param("p", "number"), _S)
 _RESERVED = set(_CONSTRUCTORS) | {"morph", "true", "false"}
 
 
@@ -263,7 +228,6 @@ class ShapeProgram:
     order: tuple[str, ...]
     defs_src: dict
     morph_src: tuple | None  # (initial, final, p, s) or None
-    spans: dict = field(compare=False, default_factory=dict)
     resolved: dict = field(compare=False, default_factory=dict)
 
     @property
@@ -285,14 +249,12 @@ class ShapeProgram:
             raise SemanticError(1, 1, "program exports a morph, not a field")
         return self.resolved["field"]
 
-    def morph_schedule(self, t_start: float = 0.0) -> MorphSchedule:
+    def morph_schedule(self) -> MorphSchedule:
         """The exported morph schedule; raises if the program exports a field."""
         if not self.has_morph:
             raise SemanticError(1, 1, "program exports a field, not a morph")
         initial, final, p, s = self.morph_src
-        return MorphSchedule(
-            self.resolved[initial], self.resolved[final], p=p, s=s, t_start=t_start
-        )
+        return MorphSchedule(self.resolved[initial], self.resolved[final], p=p, s=s)
 
 
 class _Parser:
@@ -305,14 +267,14 @@ class _Parser:
         self.toks.append(Token("eof", None, eline, ecol))
         self.i = 0
 
+    # No call moves past the final eof token: the parser steps only over a
+    # token whose kind it has checked, and looks ahead only from an ident.
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def advance(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
@@ -323,7 +285,8 @@ class _Parser:
                 f"expected {what} but found {self._describe(tok)}",
                 expected=frozenset((what,)),
             )
-        return self.advance()
+        self.i += 1
+        return tok
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -337,7 +300,6 @@ class _Parser:
         order: list[str] = []
         defs_src: dict = {}
         resolved: dict = {}
-        spans: dict = {}
         morph_src = None
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -381,7 +343,6 @@ class _Parser:
             order.append(name)
             defs_src[name] = src
             resolved[name] = expr
-            spans[name] = (name_tok.line, name_tok.col)
         if morph_src is None and "field" not in defs_src:
             end = self.peek()
             raise SemanticError(
@@ -391,55 +352,25 @@ class _Parser:
             order=tuple(order),
             defs_src=defs_src,
             morph_src=morph_src,
-            spans=spans,
             resolved=resolved,
         )
 
     def _morph_stmt(self, resolved: dict) -> tuple:
         head = self.advance()  # 'morph'
         self.expect("lparen", "'('")
-        kwargs: dict = {}
-        while True:
-            key_tok = self.expect("ident", "keyword argument")
-            self.expect("eq", "'='")
-            if key_tok.value in ("initial", "final"):
-                ref = self.expect("ident", "shape name")
-                if ref.value not in resolved:
-                    raise SemanticError(
-                        ref.line, ref.col, f"unknown name {ref.value!r}"
-                    )
-                kwargs[key_tok.value] = ref.value
-            elif key_tok.value in ("p", "s"):
-                num = self.expect("number", "number")
-                kwargs[key_tok.value] = float(num.value)
-            else:
-                raise SemanticError(
-                    key_tok.line,
-                    key_tok.col,
-                    f"unknown morph argument {key_tok.value!r}",
-                )
-            if self.peek().kind == "comma":
-                self.advance()
-                continue
-            break
+        got: dict = {}
+        self._kwarg("morph", _MORPH_PARAMS, got, resolved)
+        while self.peek().kind == "comma":
+            self.advance()
+            self._kwarg("morph", _MORPH_PARAMS, got, resolved)
         self.expect("rparen", "')'")
         self.expect("semi", "';'")
-        for required in ("initial", "final", "p"):
-            if required not in kwargs:
-                raise SemanticError(
-                    head.line, head.col, f"morph is missing {required!r}"
-                )
-        kwargs.setdefault("s", 0.0)
+        initial, final, p, s = (v for _, v in _signature(head, "morph", _MORPH_PARAMS, got))
         try:
-            MorphSchedule(
-                resolved[kwargs["initial"]],
-                resolved[kwargs["final"]],
-                p=kwargs["p"],
-                s=kwargs["s"],
-            )
+            MorphSchedule(resolved[initial], resolved[final], p=p, s=s)
         except ValueError as err:
             raise SemanticError(head.line, head.col, str(err)) from None
-        return (kwargs["initial"], kwargs["final"], kwargs["p"], kwargs["s"])
+        return (initial, final, p, s)
 
     # -- expressions --------------------------------------------------------
 
@@ -447,43 +378,23 @@ class _Parser:
         tok = self.expect("ident", "shape expression")
         if tok.value in _CONSTRUCTORS:
             return self._call(tok, resolved)
-        if tok.value not in resolved:
-            raise SemanticError(tok.line, tok.col, f"unknown name {tok.value!r}")
-        return SRef(tok.value, tok.line, tok.col)
+        return SRef(_known(tok, resolved), tok.line, tok.col)
 
     def _call(self, head: Token, resolved: dict) -> SCall:
         spec = _CONSTRUCTORS[head.value]
         self.expect("lparen", "'('")
         children: list = []
-        params: dict = {}
+        got: dict = {}
         if self.peek().kind != "rparen":
             while True:
                 if self.peek().kind == "ident" and self.peek(1).kind == "eq":
-                    key_tok = self.advance()
-                    self.advance()  # '='
-                    pspec = next(
-                        (p for p in spec.params if p.key == key_tok.value), None
-                    )
-                    if pspec is None:
-                        raise SemanticError(
-                            key_tok.line,
-                            key_tok.col,
-                            f"{spec.name} has no argument {key_tok.value!r}",
-                        )
-                    if key_tok.value in params:
-                        raise SemanticError(
-                            key_tok.line,
-                            key_tok.col,
-                            f"duplicate argument {key_tok.value!r}",
-                        )
-                    params[key_tok.value] = self._value(pspec, resolved)
+                    self._kwarg(spec.name, spec.params, got, resolved)
                 else:
                     children.append(self._expr(resolved))
-                if self.peek().kind == "comma":
-                    self.advance()
-                    continue
-                break
-        close = self.expect("rparen", "')'")
+                if self.peek().kind != "comma":
+                    break
+                self.advance()
+        self.expect("rparen", "')'")
         hi = spec.max_children if spec.max_children is not None else len(children)
         if not (spec.min_children <= len(children) <= hi):
             want = (
@@ -496,22 +407,22 @@ class _Parser:
                 head.col,
                 f"{spec.name} takes {want} shape argument(s), got {len(children)}",
             )
-        ordered = []
-        for pspec in spec.params:
-            if pspec.key in params:
-                ordered.append((pspec.key, params[pspec.key]))
-            elif pspec.required:
-                raise SemanticError(
-                    head.line, head.col, f"{spec.name} is missing {pspec.key!r}"
-                )
-            else:
-                ordered.append((pspec.key, pspec.default))
-        return SCall(
-            spec.name, tuple(children), tuple(ordered), head.line, head.col
-        )
+        params = _signature(head, spec.name, spec.params, got)
+        return SCall(spec.name, tuple(children), params, head.line, head.col)
+
+    def _kwarg(self, owner: str, specs: tuple[_Param, ...], got: dict, resolved: dict) -> None:
+        """Read one ``key=value`` argument of ``owner`` into ``got``."""
+        key_tok = self.expect("ident", "keyword argument")
+        self.expect("eq", "'='")
+        key = key_tok.value
+        pspec = next((p for p in specs if p.key == key), None)
+        if pspec is None:
+            raise SemanticError(key_tok.line, key_tok.col, f"{owner} has no argument {key!r}")
+        if key in got:
+            raise SemanticError(key_tok.line, key_tok.col, f"duplicate argument {key!r}")
+        got[key] = self._value(pspec, resolved)
 
     def _value(self, pspec: _Param, resolved: dict):
-        tok = self.peek()
         if pspec.kind in ("number", "int"):
             num = self.expect("number", "number")
             val = float(num.value)
@@ -532,14 +443,12 @@ class _Parser:
                 coords.append(float(self.expect("number", "number").value))
             self.expect("rparen", "')'")
             return tuple(coords)
-        if pspec.kind == "bool":
-            word = self.expect("ident", "'true' or 'false'")
-            if word.value not in ("true", "false"):
-                raise SemanticError(
-                    word.line, word.col, f"{pspec.key} must be true or false"
-                )
-            return word.value == "true"
-        raise AssertionError(f"unhandled param kind {pspec.kind}")
+        if pspec.kind == "name":
+            return _known(self.expect("ident", "shape name"), resolved)
+        word = self.expect("ident", "'true' or 'false'")
+        if word.value not in ("true", "false"):
+            raise SemanticError(word.line, word.col, f"{pspec.key} must be true or false")
+        return word.value == "true"
 
     # -- compilation --------------------------------------------------------
 
@@ -547,29 +456,30 @@ class _Parser:
         if isinstance(src, SRef):
             return resolved[src.name]
         kids = tuple(self._compile(c, resolved) for c in src.children)
-        params = dict(src.params)
         try:
-            if src.ctor == "circle":
-                return Circle(params["c"], params["r"])
-            if src.ctor == "segment":
-                return Segment(params["p1"], params["p2"])
-            if src.ctor == "sphere":
-                return Sphere(params["c"], params["r"], params["normalized"])
-            if src.ctor in ("plane", "halfplane"):
-                return Plane(params["o"], params["n"])
-            if src.ctor == "neg":
-                return Negation(kids[0])
-            if src.ctor == "union":
-                return Disjunction(kids[0], kids[1], s=params["s"])
-            if src.ctor == "inter":
-                return Conjunction(kids[0], kids[1], s=params["s"])
-            if src.ctor == "requiv":
-                return Equivalence(kids, m=params["m"])
-            if src.ctor == "trim":
-                return Trim(kids[0], kids[1])
+            return _CONSTRUCTORS[src.ctor].build(kids, dict(src.params))
         except FieldError as err:
             raise SemanticError(src.line, src.col, str(err)) from None
-        raise AssertionError(f"unhandled constructor {src.ctor}")
+
+
+def _known(tok: Token, resolved: dict) -> str:
+    """The name ``tok`` refers to; it must be bound earlier in the program."""
+    if tok.value not in resolved:
+        raise SemanticError(tok.line, tok.col, f"unknown name {tok.value!r}")
+    return tok.value
+
+
+def _signature(head: Token, owner: str, specs: tuple[_Param, ...], got: dict) -> tuple:
+    """``(key, value)`` pairs in signature order, with defaults filled in."""
+    out = []
+    for pspec in specs:
+        if pspec.key in got:
+            out.append((pspec.key, got[pspec.key]))
+        elif pspec.required:
+            raise SemanticError(head.line, head.col, f"{owner} is missing {pspec.key!r}")
+        else:
+            out.append((pspec.key, pspec.default))
+    return tuple(out)
 
 
 def parse(source: str) -> ShapeProgram:

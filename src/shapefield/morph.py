@@ -29,6 +29,7 @@ from .fields import (
     FieldExpr,
     GradientSample,
     _as_batch,
+    _check_s,
     _r_binary_vg,
 )
 from .tolerances import BLEND_DEGENERACY_EPS, MORPH_COMPLETE_EPS
@@ -90,12 +91,12 @@ class MorphSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "t_start", float(self.t_start))
         if not (self.p > 0.0 and math.isfinite(self.p)):
             raise ValueError(f"ramp rate p must be positive, got {self.p}")
-        if not self.s >= 0.0:
-            raise ValueError(f"s must be >= 0, got {self.s}")
+        object.__setattr__(self, "s", _check_s(self.s))
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"t_start must be finite, got {self.t_start}")
         if self.initial.dimension != self.final.dimension:
             raise DimensionMismatchError(
                 "initial and final fields have different dimensions"

@@ -101,9 +101,23 @@ class TestCheckGradCommand:
         code = main(["check-grad", str(circle_shape), "--tol", "0"])
         assert code == 4
 
-    def test_zero_samples_usage_error(self, circle_shape):
+    def test_zero_samples_usage_error(self, circle_shape, capsys):
         code = main(["check-grad", str(circle_shape), "--samples", "0"])
         assert code == 2
+        for flags in (
+            ["--box", "nan:nan"],
+            ["--box", "0:inf"],
+            ["--box", "1:-1"],
+            ["--box", "1:1"],
+            ["--box=-1e308:1e308"],
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+        ):
+            capsys.readouterr()
+            code = main(["check-grad", str(circle_shape), "--samples", "3", *flags])
+            err = capsys.readouterr().err
+            assert code == 2, flags
+            assert "error:" in err and "Traceback" not in err, flags
 
     def test_pacman_passes(self):
         code = main(

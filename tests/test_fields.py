@@ -150,8 +150,10 @@ class TestROps:
         )
 
     def test_negative_s_rejected(self):
-        with pytest.raises(FieldError):
-            r_disjunction(1.0, 2.0, s=-0.1)
+        for s in (-0.1, math.inf, math.nan):
+            for op in (r_disjunction, r_conjunction):
+                with pytest.raises(FieldError):
+                    op(1.0, 2.0, s=s)
 
     def test_s_above_one_clamps_with_warning(self):
         # like-signed large arguments make the radicand negative for s > 1

@@ -73,6 +73,21 @@ class TestTokenize:
         with pytest.raises(ParseError):
             tokenize("x = 1e;")
 
+    def test_number_error_positions(self):
+        cases = [
+            ("x = 1e;", 7, "malformed exponent"),
+            ("x = 1e", 6, "malformed exponent"),  # clamped to the last character
+            ("x = 1e+;", 8, "malformed exponent"),
+            ("x = 1.2.3;", 8, "invalid character '.'"),
+            ("x = .;", 5, "malformed number"),
+            ("x = +a;", 5, "illegal character '+'"),
+        ]
+        for src, col, message in cases:
+            with pytest.raises(ParseError) as err:
+                tokenize(src)
+            assert (err.value.line, err.value.col) == (1, col), src
+            assert message in err.value.message, src
+
 
 class TestParse:
     def test_pacman_structure(self):
@@ -150,11 +165,19 @@ class TestParse:
             prog.field_expr()
 
     def test_morph_requires_rate(self):
-        with pytest.raises(SemanticError):
-            parse(
-                "a = circle(c=(0,0),r=1);\nb = circle(c=(1,0),r=1);\n"
-                "morph(initial=a, final=b);"
-            )
+        for stmt in ("morph(initial=a, final=b);", "morph(initial=a, final=b, p=1, s=1e309);"):
+            with pytest.raises(SemanticError):
+                parse("a = circle(c=(0,0),r=1);\nb = circle(c=(1,0),r=1);\n" + stmt)
+
+    def test_duplicate_morph_keyword_rejected(self):
+        src = (
+            "a = circle(c=(0,0),r=1);\nb = circle(c=(1,0),r=1);\n"
+            "morph(initial=a, final=b, p=1, p=5, initial=b);"
+        )
+        with pytest.raises(SemanticError) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (3, 32)
+        assert "duplicate argument 'p'" in err.value.message
 
     def test_sphere_normalized_flag(self):
         prog = parse("field = sphere(c=(0,0,0), r=1, normalized=false);")

@@ -72,8 +72,9 @@ class TestSchedule:
             MorphSchedule(Circle((0, 0), 1.0), Sphere((0, 0, 0), 1.0), p=1.0)
 
     def test_rejects_nonpositive_p(self):
-        with pytest.raises(ValueError):
-            MorphSchedule(Circle((0, 0), 1.0), Circle((1, 0), 1.0), p=0.0)
+        for bad in ({"p": 0.0}, {"p": 1.0, "s": math.inf}, {"p": 1.0, "t_start": math.nan}):
+            with pytest.raises(ValueError):
+                MorphSchedule(Circle((0, 0), 1.0), Circle((1, 0), 1.0), **bad)
 
     def test_completion_threshold(self, sched):
         # tanh(p t / 2) >= 1 - eps  <=>  t >= 2 artanh(1 - eps) / p
