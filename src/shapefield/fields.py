@@ -176,19 +176,21 @@ class FieldExpr:
 
 
 @dataclass(frozen=True)
-class Circle(FieldExpr):
-    """2-D circle, inside-positive: ``(R^2 - |x - c|^2) / (2R)``."""
+class _Ball(FieldExpr):
+    """Ball ``(R^2 - |x - c|^2) / (2R)``; subclasses fix ``dim`` and ``noun``."""
 
-    center: tuple[float, float]
+    dim: ClassVar[int]
+    noun: ClassVar[str]
+    center: tuple[float, ...]
     radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", _point_tuple(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
-        if len(self.center) != 2:
-            raise DimensionMismatchError("circle center must be 2-D")
+        if len(self.center) != self.dim:
+            raise DimensionMismatchError(f"{self.noun} center must be {self.dim}-D")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise FieldError(f"circle radius must be positive, got {self.radius}")
+            raise FieldError(f"{self.noun} radius must be positive, got {self.radius}")
 
     @cached_property
     def _c(self) -> np.ndarray:
@@ -203,13 +205,22 @@ class Circle(FieldExpr):
 
 
 @dataclass(frozen=True)
+class Circle(_Ball):
+    """2-D circle, inside-positive: ``(R^2 - |x - c|^2) / (2R)``."""
+
+    dim: ClassVar[int] = 2
+    noun: ClassVar[str] = "circle"
+
+
+@dataclass(frozen=True)
 class Segment(FieldExpr):
     """2-D line segment; unsigned field, zero exactly on the closed segment.
 
-    The carrier is the normalized signed line distance ``f``; the trimming
-    field ``t`` is positive between the endpoints, and the combination
-    lifts the unwanted half-lines off zero while staying first-order equal
-    to unsigned distance near the segment interior.
+    A leaf that evaluates ``Trim(Plane(p1, n), Circle(mid, L/2))``: the
+    line through the endpoints, trimmed by the circle with the segment as
+    its diameter, which lifts the unwanted half-lines off zero while staying
+    first-order equal to unsigned distance near the segment interior
+    (Biswas & Shapiro 2004).
     """
 
     p1: tuple[float, float]
@@ -231,58 +242,44 @@ class Segment(FieldExpr):
                 f"segment endpoints coincide within {DEGENERATE_SEGMENT_LENGTH} m"
             )
 
-    def _vg(self, pts, want_grad):
+    @cached_property
+    def _tree(self) -> Trim:
         self._require_proper()
-        x1, y1 = self.p1
-        x2, y2 = self.p2
+        (x1, y1), (x2, y2) = self.p1, self.p2
         L = self.length
-        f = ((pts[:, 0] - x1) * (y2 - y1) - (pts[:, 1] - y1) * (x2 - x1)) / L
-        relc = pts - np.array(((x1 + x2) / 2.0, (y1 + y2) / 2.0))
-        t = (0.25 * L * L - np.einsum("ij,ij->i", relc, relc)) / L
-        gf = gt = None
-        if want_grad:
-            gf = np.broadcast_to(np.array(((y2 - y1) / L, -(x2 - x1) / L)), pts.shape)
-            gt = relc * (-2.0 / L)
-        return _trim_vg(f, gf, t, gt, want_grad)
+        return Trim(
+            Plane(self.p1, ((y2 - y1) / L, -(x2 - x1) / L)),
+            Circle(((x1 + x2) / 2.0, (y1 + y2) / 2.0), L / 2.0),
+        )
+
+    def _vg(self, pts, want_grad):
+        return self._tree._vg(pts, want_grad)
 
 
 @dataclass(frozen=True)
-class Sphere(FieldExpr):
+class Sphere(_Ball):
     """3-D sphere.
 
-    ``normalized=True`` (the default) gives the inside-positive field
+    ``normalized=True`` (the default) gives the inside-positive ball field
     ``(R^2 - |x - c|^2) / (2R)`` with unit gradient on the boundary;
     ``normalized=False`` keeps the raw quadric ``|x - c|^2 - R^2``
     (outside-positive, gradient 2R on the boundary).
     """
 
-    center: tuple[float, float, float]
-    radius: float
+    dim: ClassVar[int] = 3
+    noun: ClassVar[str] = "sphere"
     normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _point_tuple(self.center, "center"))
-        object.__setattr__(self, "radius", float(self.radius))
+        super().__post_init__()
         object.__setattr__(self, "normalized", bool(self.normalized))
-        if len(self.center) != 3:
-            raise DimensionMismatchError("sphere center must be 3-D")
-        if not (self.radius > 0.0 and np.isfinite(self.radius)):
-            raise FieldError(f"sphere radius must be positive, got {self.radius}")
-
-    @cached_property
-    def _c(self) -> np.ndarray:
-        return np.array(self.center)
 
     def _vg(self, pts, want_grad):
-        dx = pts - self._c
-        r2 = np.einsum("ij,ij->i", dx, dx)
         if self.normalized:
-            v = (self.radius * self.radius - r2) / (2.0 * self.radius)
-            g = dx / (-self.radius) if want_grad else None
-        else:
-            v = r2 - self.radius * self.radius
-            g = 2.0 * dx if want_grad else None
-        return v, g
+            return super()._vg(pts, want_grad)
+        dx = pts - self._c
+        v = np.einsum("ij,ij->i", dx, dx) - self.radius * self.radius
+        return v, (2.0 * dx if want_grad else None)
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,8 @@ class Plane(FieldExpr):
         return np.array(self.normal)
 
     def _vg(self, pts, want_grad):
-        v = (pts - self._o) @ self._n
+        # einsum, not a BLAS product, so a point's value is the same in any batch
+        v = np.einsum("ij,j->i", pts - self._o, self._n)
         g = np.broadcast_to(self._n, pts.shape) if want_grad else None
         return v, g
 
@@ -519,10 +517,10 @@ def _leaf_dims(expr: FieldExpr) -> frozenset[int]:
         for c in kids:
             dims |= _leaf_dims(c)
         return dims
-    if isinstance(expr, (Circle, Segment)):
+    if isinstance(expr, _Ball):
+        return frozenset((expr.dim,))
+    if isinstance(expr, Segment):
         return frozenset((2,))
-    if isinstance(expr, Sphere):
-        return frozenset((3,))
     if isinstance(expr, Plane):
         return frozenset((len(expr.origin),))
     raise FieldError(f"unknown leaf node {type(expr).__name__}")
@@ -568,10 +566,7 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
     re-reported here.
     """
     diags: list[Diagnostic] = []
-    dims: set[int] = set()
     for node, path in _walk(expr, ""):
-        if not node.children():
-            dims |= set(_leaf_dims(node))
         if isinstance(node, Segment) and node.length < DEGENERATE_SEGMENT_LENGTH:
             diags.append(
                 Diagnostic(
@@ -588,6 +583,7 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
                     path,
                 )
             )
+    dims = _leaf_dims(expr)
     if len(dims) > 1:
         diags.insert(
             0,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import FieldDriver, Trajectory, as_field_driver
+from .sim import Trajectory, as_field_driver
 from .tolerances import GRID_NODE_CAP
 
 __all__ = [
@@ -42,7 +42,6 @@ class GridSpec:
     origin: tuple[float, ...]
     spacing: float
     dims: tuple[int, ...]
-    node_cap: int = GRID_NODE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(c) for c in self.origin))
@@ -56,9 +55,9 @@ class GridSpec:
             raise ValueError("spacing must be positive and finite")
         if any(d < 1 for d in self.dims):
             raise ValueError("dims must be positive")
-        if self.count > self.node_cap:
+        if self.count > GRID_NODE_CAP:
             raise ValueError(
-                f"grid has {self.count} nodes, above the cap {self.node_cap}"
+                f"grid has {self.count} nodes, above the cap {GRID_NODE_CAP}"
             )
 
     @property
@@ -98,7 +97,7 @@ def sample_grid(
 
     Each sample equals a direct evaluation at that node (no interpolation).
     """
-    driver = field if isinstance(field, FieldDriver) else as_field_driver(field)
+    driver = as_field_driver(field)
     if driver.dimension != grid.dimension:
         raise ValueError(
             f"field is {driver.dimension}-D but the grid is {grid.dimension}-D"
@@ -205,13 +204,9 @@ def parse_grid_vtk(data: bytes):
 # Trajectory export
 # ---------------------------------------------------------------------------
 
-def export_trajectory(
-    traj: Trajectory, format: str = "csv", include_positions: bool = False
-) -> bytes:
+def export_trajectory(traj: Trajectory, *, include_positions: bool = False) -> bytes:
     """CSV with one row per sample: time, center of mass, shape error,
     target distance, and optionally every body position."""
-    if format != "csv":
-        raise ValueError(f"unknown trajectory format {format!r}")
     d = traj.dimension
     cols = ["t"] + [f"com_{a}" for a in "xyz"[:d]] + ["shape_error", "target_distance"]
     if include_positions:

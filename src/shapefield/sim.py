@@ -149,6 +149,8 @@ class SimConfig:
             raise ValueError("grain radii must be positive and finite")
         if not all(map(math.isfinite, self.target or ())):
             raise ValueError("target must be finite")
+        if self.target is not None and len(self.target) != self.dimension:
+            raise ValueError(f"target must have {self.dimension} coordinates")
         if self.max_packing_radius is not None and not math.isfinite(self.max_packing_radius):
             raise ValueError("max_packing_radius must be finite")
 
@@ -596,7 +598,10 @@ def control_forces(
 
 
 def stability_dt_bound(config: SimConfig) -> float:
-    """Documented step bound: dt <= 0.2 sqrt(m_min / k_c)."""
+    """Documented step bound: dt <= 0.2 sqrt(m_min / k_c); infinite in 3-D,
+    where point agents have no contact springs to ring."""
+    if config.dimension == 3:
+        return math.inf
     m_min = config.robot_mass
     if config.n_interior > 0:
         m_min = min(m_min, config.grain_mass)
@@ -625,8 +630,9 @@ def step(
     F = Fs + Fc + Fu - config.drag * world.vel
     vel = world.vel + F * (dt / world.mass[:, None])
     pos = world.pos + vel * dt
-    if not (np.all(np.isfinite(vel)) and np.all(np.isfinite(pos))):
-        bad = int(np.nonzero(~np.isfinite(vel).all(axis=1) | ~np.isfinite(pos).all(axis=1))[0][0])
+    # a non-finite velocity always gives a non-finite position
+    if not np.all(np.isfinite(pos)):
+        bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
         term = "state"
         for name, arr in (("spring", Fs), ("contact", Fc), ("control", Fu)):
             if not np.all(np.isfinite(arr[bad])):
@@ -709,9 +715,7 @@ def run(
         )
     world = build_world(config)
     cache = _PairCache(world) if config.dimension == 2 else None
-    if config.dt > stability_dt_bound(config) and (
-        config.n_interior > 0 or config.dimension == 2
-    ):
+    if config.dt > stability_dt_bound(config):
         warnings.warn(
             f"dt={config.dt} exceeds the documented stability bound "
             f"{stability_dt_bound(config):.2e}; contacts may ring",
@@ -730,16 +734,11 @@ def run(
     times = []
     positions = []
     errors = []
-    dists = []
 
     def record(w: WorldState):
         times.append(w.time)
         positions.append(w.pos.copy())
         errors.append(shape_error(w, driver))
-        if config.target is not None:
-            dists.append(com_distance(w, config.target))
-        else:
-            dists.append(math.nan)
 
     record(world)
     for k in range(n_steps):
@@ -757,6 +756,11 @@ def run(
             for p in positions
         ]
     )
+    if config.target is None:
+        dists = [math.nan] * len(times)
+    else:
+        target = np.asarray(config.target, dtype=float)
+        dists = [float(np.linalg.norm(c - target)) for c in com]
     traj = Trajectory(
         times=np.asarray(times),
         positions=np.asarray(positions),

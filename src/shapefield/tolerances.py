@@ -3,8 +3,7 @@
 Every tolerance that the field algebra, the morph blend, or the simulator
 relies on is defined here as a plain number, so it can be inspected and
 the tests can check against the same values.  The library modules bind
-them by name at import; only ``GRID_NODE_CAP`` has a per-call override,
-``GridSpec(node_cap=...)``.
+them by name at import; none has a per-call override.
 """
 
 # Construction / validation.
@@ -31,4 +30,4 @@ CONTACT_SKIN_FRACTION = 0.25     # contact neighbour-list skin, as a fraction of
 STABILITY_SAFETY = 0.2           # dt bound factor: dt <= STABILITY_SAFETY*sqrt(m_min/k_c)
 
 # Grid sampling.
-GRID_NODE_CAP = 10_000_000       # default maximum number of grid nodes
+GRID_NODE_CAP = 10_000_000       # maximum number of grid nodes

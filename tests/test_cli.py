@@ -167,6 +167,16 @@ class TestSimulateCommand:
         assert code == 0
         assert "stability bound" in capsys.readouterr().err
 
+    def test_3d_run_has_no_stability_warning(self, tmp_path, capsys):
+        # 3-D point agents have no contacts, so no dt is above the bound
+        code = main(
+            ["simulate", "--shape", data_path("shapes/cube.shape"),
+             "--config", data_path("configs/cube_3d.cfg"), "--out", str(tmp_path / "o"),
+             "--dt", "0.002", "--duration", "0.02"]
+        )
+        assert code == 0
+        assert "stability bound" not in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, circle_shape, quick_config, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gravity = 9.81\n")

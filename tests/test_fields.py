@@ -92,6 +92,25 @@ class TestSegment:
         pts = rng.uniform(-3, 3, (500, 2))
         assert np.all(seg.eval(pts) >= 0.0)
 
+    def test_is_its_trim_tree(self):
+        # a segment is the line through its endpoints trimmed by the circle
+        # on the segment as diameter, bit for bit
+        local = np.random.default_rng(17)
+        pts = local.uniform(-2.0, 2.0, (2000, 2))
+        for _ in range(5):
+            (x1, y1), (x2, y2) = local.uniform(-1.0, 1.0, (2, 2)).tolist()
+            seg = Segment((x1, y1), (x2, y2))
+            L = seg.length
+            tree = Trim(
+                Plane((x1, y1), ((y2 - y1) / L, -(x2 - x1) / L)),
+                Circle(((x1 + x2) / 2.0, (y1 + y2) / 2.0), L / 2.0),
+            )
+            assert seg.children() == ()
+            assert seg.eval(pts).tobytes() == tree.eval(pts).tobytes()
+            gs, gt = seg.gradient(pts), tree.gradient(pts)
+            assert gs.value.tobytes() == gt.value.tobytes()
+            assert gs.grad.tobytes() == gt.grad.tobytes()
+
 
 class TestSphere:
     def test_boundary_point_both_flags(self):
@@ -106,6 +125,22 @@ class TestSphere:
 
     def test_default_is_normalized(self):
         assert Sphere((0, 0, 0), 1.0).normalized is True
+
+    def test_ball_checks_keep_their_messages(self):
+        cases = [
+            (lambda: Circle((0.0, 0.0, 0.0), 1.0), DimensionMismatchError,
+             "circle center must be 2-D"),
+            (lambda: Sphere((0.0, 0.0), 1.0), DimensionMismatchError,
+             "sphere center must be 3-D"),
+            (lambda: Circle((0.0, 0.0), math.inf), FieldError,
+             "circle radius must be positive, got inf"),
+            (lambda: Sphere((0.0, 0.0, 0.0), -1.0), FieldError,
+             "sphere radius must be positive, got -1.0"),
+        ]
+        for build, cls, message in cases:
+            with pytest.raises(cls) as err:
+                build()
+            assert str(err.value) == message
 
 
 class TestPlane:
@@ -123,6 +158,18 @@ class TestPlane:
             Plane((0, 0, 0), (0, 0, 2))
         with pytest.raises(FieldError):
             Plane((0.0, 0.0), (1.0, 1.0))
+
+    def test_batch_value_equals_point_value(self):
+        # a grid sample must equal a direct evaluation at that node, so a
+        # value may not depend on the batch around it
+        local = np.random.default_rng(11)
+        pts = local.uniform(-1.0, 1.0, (400, 2))
+        for expr in (
+            Plane((0.31, -0.12), (0.6, 0.8)),
+            Segment((0.525, 0.3031088913245535), (0.42, 0.16)),
+        ):
+            batch = expr.eval(pts)
+            assert [float(v) for v in batch] == [expr.eval(p) for p in pts]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class TestGridSpec:
     def test_node_cap(self):
         with pytest.raises(ValueError, match="cap"):
             GridSpec((0.0, 0.0), 0.1, (4000, 4000))
-        GridSpec((0.0, 0.0), 0.1, (4000, 4000), node_cap=20_000_000)
 
     def test_points_row_major(self):
         grid = GridSpec((0.0, 10.0), 1.0, (2, 3))

@@ -491,6 +491,15 @@ class TestStep:
                 w = step(w, cfg, None, cfg.dt, cache)
         assert "body 0 has a non-finite spring force" in str(err.value)
 
+    def test_control_blow_up_is_reported(self):
+        # phi overflows to -inf far from the circle, so the control force
+        # is the first non-finite term
+        w = free_world([[1e200, 0.0]])
+        drv = as_field_driver(Circle((0.0, 0.0), 0.75))
+        with np.errstate(all="ignore"), pytest.raises(SimulationDivergenceError) as err:
+            step(w, SimConfig(), drv)
+        assert "body 0 has a non-finite control force" in str(err.value)
+
     def test_momentum_conserved_without_control_and_drag(self, rng):
         cfg = SimConfig(n_boundary=8, n_interior=12, drag=0.0, dt=1e-4, seed=9)
         w = build_world(cfg)
@@ -674,6 +683,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="finite"):
             SimConfig(**override)
 
+    def test_target_dimension_checked(self):
+        with pytest.raises(ValueError, match="target must have 2 coordinates"):
+            SimConfig(target=(0.5,))
+        with pytest.raises(ValueError, match="target must have 3 coordinates"):
+            SimConfig(dimension=3, n_interior=0, target=(0.0, 0.0))
+
     def test_defaults_match_reference_platform(self):
         cfg = SimConfig()
         assert cfg.n_boundary == 30
@@ -695,3 +710,5 @@ class TestConfigFile:
         assert stability_dt_bound(ring_only) == pytest.approx(
             0.2 * math.sqrt(0.2 / 5000.0)
         )
+        # 3-D point agents have no contacts to ring
+        assert stability_dt_bound(SimConfig(dimension=3, n_interior=0)) == math.inf
