@@ -17,6 +17,20 @@ corners, creases of unsigned fields) the propagation uses the convention
 
 Evaluation accepts a single point (length-``d`` sequence) or a batch of
 points as an ``(n, d)`` array and is vectorised over the batch.
+
+Trees are evaluated through compiled plans, a forward-mode tape in the
+sense of Griewank & Walther (*Evaluating Derivatives*, ch. 3).  A tree is
+compiled on its first evaluation.  Equal subtrees are merged, each segment
+becomes its ``Trim`` tree, and the nodes of one kind at one height are
+grouped, so each group runs as one sequence of numpy operations on a
+``(k, n)`` value stack and a ``(k, n, d)`` gradient stack.  All balls are
+one group, as are all raw quadrics, all planes, the negations, the
+R-operations (with a per-row ``s``) and the trims at one height; an
+equivalence is a group of its own.  Grouping same-kind nodes follows the
+tape compilation of Keeter 2020 (SIGGRAPH).  Each group performs the same
+floating-point operations per element as the node's recursive ``_vg``,
+which is kept as the reference the plans are tested against, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -130,9 +144,13 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Row-wise ``num / den`` returning 0 where ``den`` is 0 (sqrt-corner rule)."""
+    """Row-wise ``num / den`` returning 0 where ``den`` is 0 (sqrt-corner rule).
+
+    ``num`` has one more (trailing) axis than ``den``: (n, d) over (n,), or
+    a (k, n, d) stack over (k, n).
+    """
     out = np.zeros_like(num)
-    np.divide(num, den[:, None], out=out, where=den[:, None] != 0.0)
+    np.divide(num, den[..., None], out=out, where=den[..., None] != 0.0)
     return out
 
 
@@ -142,7 +160,13 @@ def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldExpr:
-    """Immutable base node.  Subclasses implement ``_vg`` and ``children``."""
+    """Immutable base node.
+
+    Subclasses implement ``_emit`` (the node's kind, parameters and
+    operands, which the plan compiler reads), ``children`` and ``_vg``, the
+    recursive evaluator kept as the reference the compiled plans are
+    checked against.
+    """
 
     def children(self) -> tuple["FieldExpr", ...]:
         return ()
@@ -157,19 +181,30 @@ class FieldExpr:
             )
         return next(iter(dims))
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        """This tree as a compiled plan, built at the first evaluation: a
+        degenerate segment raises there, and again on every later call, as a
+        failed build caches nothing."""
+        return _Plan((self,))
+
     def eval(self, x) -> float | np.ndarray:
         """Field value at point ``x`` (or at each row of a point batch)."""
         pts, scalar = _as_batch(x, self.dimension)
-        v, _ = self._vg(pts, want_grad=False)
+        v = self._plan(pts, want_grad=False)[0][0]
         return float(v[0]) if scalar else v
 
     def gradient(self, x) -> GradientSample:
         """Value and forward-mode spatial gradient at ``x`` (point or batch)."""
         pts, scalar = _as_batch(x, self.dimension)
-        v, g = self._vg(pts, want_grad=True)
+        V, G = self._plan(pts, want_grad=True)
+        v, g = V[0], G[0]
         if scalar:
             return GradientSample(float(v[0]), g[0].copy())
         return GradientSample(v, g)
+
+    def _emit(self) -> tuple[str, tuple, tuple["FieldExpr", ...]]:
+        raise FieldError(f"unknown node {type(self).__name__}")
 
     def _vg(self, pts: np.ndarray, want_grad: bool):
         raise NotImplementedError
@@ -195,6 +230,9 @@ class _Ball(FieldExpr):
     @cached_property
     def _c(self) -> np.ndarray:
         return np.array(self.center)
+
+    def _emit(self):
+        return "ball", (self.center, self.radius), ()
 
     def _vg(self, pts, want_grad):
         dx = pts - self._c
@@ -231,6 +269,11 @@ class Segment(FieldExpr):
         object.__setattr__(self, "p2", _point_tuple(self.p2, "p2"))
         if len(self.p1) != 2 or len(self.p2) != 2:
             raise DimensionMismatchError("segment endpoints must be 2-D")
+        if not (np.isfinite(self.length) and np.all(np.isfinite(self._mid))):
+            raise FieldError(
+                f"segment p1={self.p1}, p2={self.p2}: length or midpoint "
+                "overflows a float"
+            )
 
     @cached_property
     def length(self) -> float:
@@ -243,14 +286,22 @@ class Segment(FieldExpr):
             )
 
     @cached_property
+    def _mid(self) -> tuple[float, float]:
+        (x1, y1), (x2, y2) = self.p1, self.p2
+        return (x1 + x2) / 2.0, (y1 + y2) / 2.0
+
+    @cached_property
     def _tree(self) -> Trim:
         self._require_proper()
         (x1, y1), (x2, y2) = self.p1, self.p2
         L = self.length
         return Trim(
             Plane(self.p1, ((y2 - y1) / L, -(x2 - x1) / L)),
-            Circle(((x1 + x2) / 2.0, (y1 + y2) / 2.0), L / 2.0),
+            Circle(self._mid, L / 2.0),
         )
+
+    def _emit(self):
+        return self._tree._emit()
 
     def _vg(self, pts, want_grad):
         return self._tree._vg(pts, want_grad)
@@ -273,6 +324,10 @@ class Sphere(_Ball):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "normalized", bool(self.normalized))
+
+    def _emit(self):
+        kind = "ball" if self.normalized else "quadric"
+        return kind, (self.center, self.radius), ()
 
     def _vg(self, pts, want_grad):
         if self.normalized:
@@ -310,6 +365,9 @@ class Plane(FieldExpr):
     def _n(self) -> np.ndarray:
         return np.array(self.normal)
 
+    def _emit(self):
+        return "plane", (self.origin, self.normal), ()
+
     def _vg(self, pts, want_grad):
         # einsum, not a BLAS product, so a point's value is the same in any batch
         v = np.einsum("ij,j->i", pts - self._o, self._n)
@@ -326,6 +384,9 @@ class Negation(FieldExpr):
     def children(self):
         return (self.child,)
 
+    def _emit(self):
+        return "neg", (), (self.child,)
+
     def _vg(self, pts, want_grad):
         v, g = self.child._vg(pts, want_grad)
         return -v, (-g if want_grad else None)
@@ -339,27 +400,39 @@ def _check_s(s) -> float:
     return s
 
 
-def _r_binary_vg(v1, g1, v2, g2, s: float, sign: float, want_grad: bool):
+def _lift(x):
+    """A per-row column (k, 1) as (k, 1, 1), to broadcast over gradients; a
+    scalar as itself."""
+    return x[..., None] if np.ndim(x) else x
+
+
+def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
     """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
 
     Value ``(v1 + v2 + sign sqrt(v1^2 + v2^2 - 2 s v1 v2)) / (1 + s)``,
     with the radicand clamped at 0 (only s > 1 can make it negative);
-    with ``want_grad`` also the forward-mode gradient from g1, g2.
+    with ``want_grad`` also the forward-mode gradient from g1, g2.  On a
+    (k, n) stack, ``s`` and ``sign`` may be (k, 1) columns.  A constant
+    operand is a column or scalar with the scalar gradient 0.0, which
+    broadcasts to the same values as a zero array.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
-    if s > 1.0 and np.any(rad < 0.0):
-        warnings.warn(
-            f"R-function radicand clamped to 0 (s = {s} > 1)", RuntimeWarning,
-            stacklevel=4,
-        )
+    if np.greater(s, 1.0).any():
+        clamped = (rad < 0.0) & (s > 1.0)
+        for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
+            warnings.warn(
+                f"R-function radicand clamped to 0 (s = {float(s_bad)} > 1)",
+                RuntimeWarning, stacklevel=4,
+            )
     root = np.sqrt(np.maximum(rad, 0.0))
     v = (v1 + v2 + sign * root) / (1.0 + s)
     if not want_grad:
         return v, None
+    s, sign = _lift(s), _lift(sign)
     drad = (
-        2.0 * v1[:, None] * g1
-        + 2.0 * v2[:, None] * g2
-        - 2.0 * s * (v1[:, None] * g2 + v2[:, None] * g1)
+        2.0 * v1[..., None] * g1
+        + 2.0 * v2[..., None] * g2
+        - 2.0 * s * (v1[..., None] * g2 + v2[..., None] * g1)
     )
     g = (g1 + g2 + sign * _div_rows(0.5 * drad, root)) / (1.0 + s)
     return v, g
@@ -379,6 +452,9 @@ class _RBinary(FieldExpr):
 
     def children(self):
         return (self.left, self.right)
+
+    def _emit(self):
+        return "rbin", (self.s, self.sign), (self.left, self.right)
 
     def _vg(self, pts, want_grad):
         v1, g1 = self.left._vg(pts, want_grad)
@@ -410,26 +486,32 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     forward-mode gradient, zero where the value is zero; else ``None``.
     """
     a = U.min(axis=0)
-    v = np.zeros_like(a)
-    g = None if G is None else np.zeros(G.shape[1:])
     pos = a > 0.0
-    if np.any(pos):
-        Up = U[:, pos]
-        ap = a[pos]
-        ratios = ap / Up  # (k, np), all in (0, 1]
-        ssum = np.power(ratios, m).sum(axis=0)  # >= 1
-        scale = np.power(ssum, -1.0 / m)
-        v[pos] = ap * scale
-        if G is not None:
-            Gp = G[:, pos, :]
-            piv = np.argmin(Up, axis=0)
-            ga = Gp[piv, np.arange(Up.shape[1])]  # (np, d)
-            # d ratio_i = (ga * u_i - a * g_i) / u_i^2
-            dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
-                Up * Up
-            )[:, :, None]
-            ds = m * (np.power(ratios, m - 1)[:, :, None] * dr).sum(axis=0)
-            g[pos] = scale[:, None] * (ga - (ap / (m * ssum))[:, None] * ds)
+    every = pos.all()  # the usual case: no masking needed
+    Up, ap = (U, a) if every else (U[:, pos], a[pos])
+    ratios = ap / Up  # (k, np), all in (0, 1]
+    ssum = np.power(ratios, m).sum(axis=0)  # >= 1
+    scale = np.power(ssum, -1.0 / m)
+    vp = ap * scale
+    gp = None
+    if G is not None:
+        Gp = G if every else G[:, pos, :]
+        piv = np.argmin(Up, axis=0)
+        ga = Gp[piv, np.arange(Up.shape[1])]  # (np, d)
+        # d ratio_i = (ga * u_i - a * g_i) / u_i^2
+        dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
+            Up * Up
+        )[:, :, None]
+        ds = m * (np.power(ratios, m - 1)[:, :, None] * dr).sum(axis=0)
+        gp = scale[:, None] * (ga - (ap / (m * ssum))[:, None] * ds)
+    if every:
+        return vp, gp
+    v = np.zeros_like(a)
+    v[pos] = vp
+    g = None
+    if G is not None:
+        g = np.zeros(G.shape[1:])
+        g[pos] = gp
     return v, g
 
 
@@ -458,6 +540,9 @@ class Equivalence(FieldExpr):
     def children(self):
         return self.children_
 
+    def _emit(self):
+        return "equiv", (self.m,), self.children_
+
     def _vg(self, pts, want_grad):
         pairs = [c._vg(pts, want_grad) for c in self.children_]
         U = np.stack([np.abs(v) for v, _ in pairs])  # (k, n)
@@ -478,9 +563,9 @@ def _trim_vg(f, gf, t, gt, want_grad: bool):
     v = np.sqrt(f * f + w * w)
     if not want_grad:
         return v, None
-    gaux = _div_rows(t[:, None] * gt + (2.0 * f ** 3)[:, None] * gf, aux)
+    gaux = _div_rows(t[..., None] * gt + (2.0 * f ** 3)[..., None] * gf, aux)
     gw = 0.5 * (gaux - gt)
-    g = _div_rows(f[:, None] * gf + w[:, None] * gw, v)
+    g = _div_rows(f[..., None] * gf + w[..., None] * gw, v)
     return v, g
 
 
@@ -499,10 +584,203 @@ class Trim(FieldExpr):
     def children(self):
         return (self.base, self.trimmer)
 
+    def _emit(self):
+        return "trim", (), (self.base, self.trimmer)
+
     def _vg(self, pts, want_grad):
         f, gf = self.base._vg(pts, want_grad)
         t, gt = self.trimmer._vg(pts, want_grad)
         return _trim_vg(f, gf, t, gt, want_grad)
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans
+# ---------------------------------------------------------------------------
+# Each step evaluates one group of nodes on a (k, n) value stack and a
+# (k, n, d) gradient stack, with the same floating-point operations per
+# element as the node's own ``_vg``, so a plan matches it bit for bit.
+
+def _sphere_dx(pts, c):
+    dx = pts - c[0]
+    return dx, np.einsum("kij,kij->ki", dx, dx)
+
+
+def _ball_step(pts, ops, c, want_grad):
+    dx, r2 = _sphere_dx(pts, c)
+    return (c[1] - r2) / c[2], (dx / c[3] if want_grad else None)
+
+
+def _quadric_step(pts, ops, c, want_grad):
+    dx, r2 = _sphere_dx(pts, c)
+    return r2 - c[1], (2.0 * dx if want_grad else None)
+
+
+def _plane_step(pts, ops, c, want_grad):
+    origin, normal = c
+    v = np.einsum("kij,kj->ki", pts - origin, normal)
+    if not want_grad:
+        return v, None
+    g = np.empty(v.shape + pts.shape[1:])
+    g[...] = normal[:, None, :]
+    return v, g
+
+
+def _neg_step(pts, ops, c, want_grad):
+    ((v, g),) = ops
+    return -v, (-g if want_grad else None)
+
+
+def _rbin_step(pts, ops, c, want_grad):
+    (v1, g1), (v2, g2) = ops
+    return _r_binary_vg(v1, g1, v2, g2, c[0], c[1], want_grad)
+
+
+def _trim_step(pts, ops, c, want_grad):
+    (f, gf), (t, gt) = ops
+    return _trim_vg(f, gf, t, gt, want_grad)
+
+
+def _equiv_step(pts, ops, m, want_grad):
+    # one node per step: its (k, n) operand is the children's stack, with
+    # the node's own shape, so the sums over k run in the same order
+    ((v, g),) = ops
+    # d|phi| with sign(0) = 0, the corner convention.
+    G = np.sign(v)[..., None] * g if want_grad else None
+    v, g = _equiv_vg(np.abs(v), G, m)
+    return v[None], (g[None] if want_grad else None)
+
+
+def _per_row(xs):
+    """Per-row constants as a (k, 1) column, or one row's as a float, which
+    numpy broadcasts with less overhead."""
+    return float(xs[0]) if len(xs) == 1 else np.array(xs, dtype=float)[:, None]
+
+
+def _ball_consts(params):
+    centers = np.array([c for c, _ in params])[:, None, :]
+    radii = _per_row([r for _, r in params])
+    return centers, radii * radii, 2.0 * radii, _lift(-radii)
+
+
+_STEPS = {
+    "ball": (_ball_step, _ball_consts),
+    "quadric": (_quadric_step, _ball_consts),
+    "plane": (_plane_step, lambda params: (
+        np.array([o for o, _ in params])[:, None, :],
+        np.array([n for _, n in params]),
+    )),
+    "neg": (_neg_step, lambda params: None),
+    "rbin": (_rbin_step, lambda params: (
+        _per_row([s for s, _ in params]),
+        _per_row([sign for _, sign in params]),
+    )),
+    "trim": (_trim_step, lambda params: None),
+    "equiv": (_equiv_step, lambda params: params[0][0]),
+}
+
+
+def _gather(refs):
+    """Operand rows ``refs`` [(step, row), ...] as runs [step, start, stop]
+    of consecutive rows of one step, read as slices."""
+    runs: list[list[int]] = []
+    for step, row in refs:
+        if runs and runs[-1][0] == step and runs[-1][2] == row:
+            runs[-1][2] += 1
+        else:
+            runs.append([step, row, row + 1])
+    return [(step, slice(start, stop)) for step, start, stop in runs]
+
+
+def _take(stacks, runs):
+    if len(runs) == 1:
+        step, rows = runs[0]
+        return stacks[step][rows]
+    return np.concatenate([stacks[step][rows] for step, rows in runs])
+
+
+class _Plan:
+    """One or more trees compiled into a forward-mode tape of stacked steps.
+
+    Equal subtrees are evaluated once (hash-consing on kind, exact
+    parameters and operands), a ``Segment`` is its ``Trim`` tree, and the
+    nodes of one kind at one height form one step.  An equivalence is a
+    step of its own.  Calling the plan returns the roots' values as an
+    (r, n) stack and their gradients as an (r, n, d) stack (None without
+    ``want_grad``), freshly allocated on every call.
+    """
+
+    def __init__(self, roots):
+        nodes: list[tuple] = []  # (kind, params, operand ids, height)
+        ids: dict[tuple, int] = {}
+        seen: dict[int, int] = {}
+
+        def visit(expr) -> int:
+            if id(expr) in seen:
+                return seen[id(expr)]
+            kind, params, kids = expr._emit()
+            ops = tuple(visit(k) for k in kids)
+            # repr keeps -0.0 apart from 0.0, which give different gradients
+            key = (kind, repr(params), ops)
+            if key not in ids:
+                height = 1 + max(nodes[o][3] for o in ops) if ops else 0
+                ids[key] = len(nodes)
+                nodes.append((kind, params, ops, height))
+            seen[id(expr)] = ids[key]
+            return ids[key]
+
+        root_ids = [visit(r) for r in roots]
+        groups: dict[tuple, list[int]] = {}
+        for i, (kind, _, _, height) in enumerate(nodes):
+            groups.setdefault((height, kind, i if kind == "equiv" else -1), []).append(i)
+        where: dict[int, tuple[int, int]] = {}
+        steps = []
+        last_use: dict[int, int] = {}
+        for k, key in enumerate(sorted(groups)):
+            members = groups[key]
+            kind = key[1]
+            run, consts = _STEPS[kind]
+            op_ids = [nodes[i][2] for i in members]
+            if kind == "equiv":
+                gathers = [_gather([where[o] for o in op_ids[0]])]
+            else:
+                gathers = [_gather([where[ops[p]] for ops in op_ids])
+                           for p in range(len(op_ids[0]))]
+            for runs in gathers:
+                for src, _ in runs:
+                    last_use[src] = k
+            steps.append((run, consts([nodes[i][1] for i in members]), gathers))
+            for row, i in enumerate(members):
+                where[i] = (k, row)
+        refs = [where[i] for i in root_ids]
+        keep = {step for step, _ in refs}
+        # a single tree's root is its one node of greatest height, so it is
+        # the whole of the last step, and the plan returns that step as is
+        whole = refs == [(len(steps) - 1, 0)] and len(groups[max(groups)]) == 1
+        self._roots = None if whole else _gather(refs)
+        self._steps = [
+            (run, consts, gathers,
+             [s for s, last in last_use.items() if last == k and s not in keep])
+            for k, (run, consts, gathers) in enumerate(steps)
+        ]
+
+    def __call__(self, pts: np.ndarray, want_grad: bool):
+        vals: list = []
+        grads: list = []
+        for run, consts, gathers, done in self._steps:
+            ops = ()
+            if gathers:
+                ops = [
+                    (_take(vals, g), _take(grads, g) if want_grad else None)
+                    for g in gathers
+                ]
+                for s in done:  # drop stacks no later step reads
+                    vals[s] = grads[s] = None
+            v, g = run(pts, ops, consts, want_grad)
+            vals.append(v)
+            grads.append(g)
+        if self._roots is None:
+            return v, g
+        return _take(vals, self._roots), _take(grads, self._roots) if want_grad else None
 
 
 # ---------------------------------------------------------------------------

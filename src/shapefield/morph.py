@@ -14,6 +14,11 @@ the partition of unity holds exactly in floating point.
 Since ``f`` never quite reaches 1, a schedule is *complete* once
 ``f(t) >= 1 - MORPH_COMPLETE_EPS``; from then on the final field is
 evaluated directly.
+
+The initial and final fields are compiled into one plan on first use, so
+nodes they share (such as equal circles) are evaluated once, and the two
+R-conjunctions of the blend run as one stacked operation whose constant
+operands are broadcast columns with gradient 0.0.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .fields import (
     GradientSample,
     _as_batch,
     _check_s,
+    _Plan,
     _r_binary_vg,
 )
 from .tolerances import BLEND_DEGENERACY_EPS, MORPH_COMPLETE_EPS
@@ -72,7 +79,7 @@ def ramp(t, p: float):
     if not p > 0.0:
         raise ValueError(f"ramp rate p must be positive, got {p}")
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
+    if (tt < 0.0).any():
         warnings.warn("ramp time clamped to 0 for negative t", RuntimeWarning, stacklevel=2)
         tt = np.maximum(tt, 0.0)
     out = np.tanh(0.5 * p * tt)
@@ -112,50 +119,65 @@ class MorphSchedule:
 
     def is_complete(self, t: float) -> bool:
         """True once f(t) is within MORPH_COMPLETE_EPS of 1."""
-        return self.ramp_value(t) >= 1.0 - MORPH_COMPLETE_EPS
+        return _complete(self.ramp_value(t))
 
     # -- batch evaluation -------------------------------------------------
 
-    def _blend_vg(self, pts: np.ndarray, t: float, want_grad: bool):
-        fval = self.ramp_value(t)
-        vi, gi = self.initial._vg(pts, want_grad)
-        vf, gf = self.final._vg(pts, want_grad)
-        zeros = np.zeros_like(gi) if want_grad else None
-        c1 = np.full_like(vi, -fval)
-        c2 = np.full_like(vi, fval - 1.0)
-        g1, dg1 = _r_binary_vg(vi, gi, c1, zeros, self.s, -1.0, want_grad)
-        g2, dg2 = _r_binary_vg(vf, gf, c2, zeros, self.s, -1.0, want_grad)
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan((self.initial, self.final))
+
+    def _blend_vg(self, pts: np.ndarray, t: float, want_grad: bool, fval=None):
+        # fval: the ramp at t, when the caller has already evaluated it
+        if fval is None:
+            fval = self.ramp_value(t)
+        V, G = self._plan(pts, want_grad)
+        vi, vf = V
+        # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
+        # on the (2, n) stack against a constant column
+        (g1, g2), dg = _r_binary_vg(
+            V, G, np.array([[-fval], [fval - 1.0]]), 0.0, self.s, -1.0, want_grad
+        )
         total = g1 + g2
         bad = np.abs(total) < BLEND_DEGENERACY_EPS
-        if np.any(bad):
+        if bad.any():
             raise DegenerateBlendError(pts[bad], t, bad)
         w1 = g2 / total
         # phi = vf + w1 * (vi - vf): algebraically w1*vi + (1-w1)*vf, but this
         # form is exact at both endpoints (w1 = 1 gives vi, w1 = 0 gives vf).
-        v = vf + w1 * (vi - vf)
+        dv = vi - vf
+        v = vf + w1 * dv
         if not want_grad:
             return v, None, (w1, g1, g2)
+        gi, gf = G
+        dg1, dg2 = dg
         dtotal = dg1 + dg2
         dw1 = (dg2 * total[:, None] - g2[:, None] * dtotal) / (total * total)[:, None]
-        g = gf + dw1 * (vi - vf)[:, None] + w1[:, None] * (gi - gf)
+        g = gf + dw1 * dv[:, None] + w1[:, None] * (gi - gf)
         return v, g, (w1, g1, g2)
 
     def values(self, pts, t: float) -> np.ndarray:
         """phi(x, t) at each row of ``pts``."""
         pts, _ = _as_batch(pts, self.dimension)
-        if self.is_complete(t):
-            v, _ = self.final._vg(pts, want_grad=False)
-            return v
-        v, _, _ = self._blend_vg(pts, t, want_grad=False)
+        fval = self.ramp_value(t)
+        if _complete(fval):
+            return self.final._plan(pts, want_grad=False)[0][0]
+        v, _, _ = self._blend_vg(pts, t, want_grad=False, fval=fval)
         return v
 
     def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
         """phi(x, t) and its spatial gradient at each row of ``pts``."""
         pts, _ = _as_batch(pts, self.dimension)
-        if self.is_complete(t):
-            return self.final._vg(pts, want_grad=True)
-        v, g, _ = self._blend_vg(pts, t, want_grad=True)
+        fval = self.ramp_value(t)
+        if _complete(fval):
+            V, G = self.final._plan(pts, want_grad=True)
+            return V[0], G[0]
+        v, g, _ = self._blend_vg(pts, t, want_grad=True, fval=fval)
         return v, g
+
+
+def _complete(fval: float) -> bool:
+    return fval >= 1.0 - MORPH_COMPLETE_EPS
 
 
 def blend_weights(x, t: float, sched: MorphSchedule):

@@ -238,13 +238,13 @@ class FieldDriver:
     def values(self, pts: np.ndarray, t: float) -> np.ndarray:
         if self._morph:
             return self.source.values(pts, t)
-        v, _ = self.source._vg(np.asarray(pts, dtype=float), want_grad=False)
-        return v
+        return self.source._plan(np.asarray(pts, dtype=float), want_grad=False)[0][0]
 
     def values_grads(self, pts: np.ndarray, t: float):
         if self._morph:
             return self.source.values_grads(pts, t)
-        return self.source._vg(np.asarray(pts, dtype=float), want_grad=True)
+        V, G = self.source._plan(np.asarray(pts, dtype=float), want_grad=True)
+        return V[0], G[0]
 
 
 def as_field_driver(program) -> FieldDriver:

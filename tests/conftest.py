@@ -4,6 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from shapefield.fields import (
+    Circle,
+    Conjunction,
+    Disjunction,
+    Equivalence,
+    Negation,
+    Plane,
+    Segment,
+    Sphere,
+    Trim,
+)
 
 
 def fd_gradient(evalfn, x, h=1e-5):
@@ -56,6 +69,82 @@ def segment_interior(p1, p2, n, margin=0.05):
     return np.asarray(p1) + u * (np.asarray(p2) - np.asarray(p1))
 
 
+def same_bits(a, b):
+    """Byte equality of two arrays: stricter than ``np.array_equal``, it also
+    tells -0.0 from 0.0."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20220624)
+
+
+# ---------------------------------------------------------------------------
+# Random field trees (hypothesis)
+# ---------------------------------------------------------------------------
+
+_coord = st.floats(-1.0, 1.0, allow_nan=False)
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+def _unit2(theta):
+    return (math.cos(theta), math.sin(theta))
+
+
+def _unit3(theta, z):
+    r = math.sqrt(1.0 - z * z)
+    return (r * math.cos(theta), r * math.sin(theta), z)
+
+
+# fixed leaves drawn often, so equal subtrees recur in one tree; the signed
+# zeros in the plane normals must stay apart from the unsigned ones
+_POOL_2D = (
+    Circle((0.0, 0.0), 0.75),
+    Segment((0.0, 0.0), (0.6, 0.4)),
+    Plane((0.3, 0.0), (-1.0, 0.0)),
+    Plane((0.3, 0.0), (-1.0, -0.0)),
+)
+_POOL_3D = (
+    Sphere((0.0, 0.0, 0.0), 0.7),
+    Plane((0.0, 0.0, 0.4), (0.0, -0.0, -1.0)),
+    Plane((0.0, 0.0, 0.4), (0.0, 0.0, -1.0)),
+)
+
+
+def _leaves(dim):
+    if dim == 2:
+        return st.one_of(
+            st.sampled_from(_POOL_2D),
+            st.builds(Circle, st.tuples(_coord, _coord), st.floats(0.1, 1.5)),
+            st.builds(Segment, st.tuples(_coord, _coord), st.tuples(_coord, _coord)).filter(
+                lambda seg: seg.length > 0.05
+            ),
+            st.builds(Plane, st.tuples(_coord, _coord), _angle.map(_unit2)),
+        )
+    return st.one_of(
+        st.sampled_from(_POOL_3D),
+        st.builds(Sphere, st.tuples(_coord, _coord, _coord), st.floats(0.1, 1.5), st.booleans()),
+        st.builds(
+            Plane, st.tuples(_coord, _coord, _coord),
+            st.builds(_unit3, _angle, st.floats(-1.0, 1.0)),
+        ),
+    )
+
+
+def _combine(kids):
+    s = st.floats(0.0, 1.5)
+    return st.one_of(
+        st.builds(Negation, kids),
+        st.builds(Disjunction, kids, kids, s),
+        st.builds(Conjunction, kids, kids, s),
+        st.builds(Trim, kids, kids),
+        st.builds(Equivalence, st.lists(kids, min_size=2, max_size=9), st.integers(1, 3)),
+    )
+
+
+def field_trees(dim: int = 2):
+    """Random expression trees over every node kind of one dimension, with
+    R-operation s up to 1.5 (so the radicand clamp fires) and equivalences
+    of 2 to 9 pieces."""
+    return st.recursive(_leaves(dim), _combine, max_leaves=10)

@@ -68,6 +68,22 @@ class TestGridCommand:
         code = main(["grid", str(bad), "--grid", "0,0:1:2,2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_overflowing_segment_exits_2(self, tmp_path, quick_config, capsys):
+        # the segment's length or midpoint overflows; grid and simulate both
+        # stop at parse with an error naming the endpoints
+        for k, (p1, p2) in enumerate([("-1e308, 0", "1e308, 0"), ("1.5e308, 0", "1.6e308, 0")]):
+            bad = tmp_path / f"overflow{k}.shape"
+            bad.write_text(f"field = segment(p1=({p1}), p2=({p2}));\n")
+            out = tmp_path / f"x{k}.csv"
+            assert main(["grid", str(bad), "--grid", "0,0:1:2,2", "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "p1=" in capsys.readouterr().err
+            code = main(["simulate", "--shape", str(bad), "--config", str(quick_config),
+                         "--out", str(tmp_path / f"sim{k}")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "p1=" in err and "normal" not in err and "center" not in err
+
     def test_missing_file_exits_3(self, tmp_path):
         code = main(
             ["grid", str(tmp_path / "none.shape"), "--grid", "0,0:1:2,2",

@@ -1,10 +1,12 @@
 """Field expression tree: primitives, R-operations, gradients, validation."""
 
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shapefield import tolerances as tol
@@ -21,10 +23,12 @@ from shapefield.fields import (
     Segment,
     Sphere,
     Trim,
+    _Plan,
     eval_circle,
     eval_plane,
     eval_segment,
     eval_sphere,
+    gradient,
     r_conjunction,
     r_disjunction,
     r_equivalence_n,
@@ -33,10 +37,13 @@ from shapefield.fields import (
     trim,
     validate,
 )
+from shapefield.lang import parse
 
 from conftest import (
     circle_boundary,
     fd_gradient,
+    field_trees,
+    same_bits,
     segment_interior,
     segment_oracle,
     sphere_boundary,
@@ -86,6 +93,14 @@ class TestSegment:
         seg = Segment((0.2, 0.2), (0.2, 0.2))
         with pytest.raises(DegenerateSegmentError):
             seg.eval((0.0, 0.0))
+
+    def test_overflowing_segment_rejected_at_construction(self):
+        # the endpoint difference overflows, or the midpoint does; the error
+        # names the endpoints, not the derived carrier or trimmer
+        for p1, p2 in [((-1e308, 0.0), (1e308, 0.0)), ((1.5e308, 0.0), (1.6e308, 0.0))]:
+            with pytest.raises(FieldError, match=r"p1=.*p2=.*overflows") as err:
+                Segment(p1, p2)
+            assert "normal" not in str(err.value) and "center" not in str(err.value)
 
     def test_nonnegative_everywhere(self, rng):
         seg = Segment((-0.3, 0.1), (0.7, 0.9))
@@ -590,3 +605,136 @@ class TestValidate:
         assert a == b and hash(a) == hash(b)
         with pytest.raises(Exception):
             a.radius = 2.0
+
+
+# ---------------------------------------------------------------------------
+# Compiled plans against the recursive evaluator
+# ---------------------------------------------------------------------------
+
+_BATCHES = (1, 30, 10_000)
+
+
+def _points(dim, n, seed):
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, dim))
+    pts[: max(1, n // 10), 0] = 0.0  # on-axis rows give signed-zero gradients
+    return pts
+
+
+def _assert_plan_matches_recursive(expr, seed=0):
+    for n in _BATCHES:
+        pts = _points(expr.dimension, n, seed)
+        for want_grad in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+                v_ref, g_ref = expr._vg(pts, want_grad)
+                V, G = _Plan((expr,))(pts, want_grad)
+            assert V.shape == (1, n)
+            assert same_bits(V[0], v_ref), (n, want_grad, expr)
+            if want_grad:
+                assert same_bits(G[0], g_ref), (n, expr)
+            else:
+                assert G is None
+
+
+def _shipped_trees():
+    shapes = resources.files("shapefield") / "data" / "shapes"
+    for entry in sorted(shapes.iterdir(), key=lambda e: e.name):
+        prog = parse(entry.read_text())
+        if prog.has_morph:
+            sched = prog.morph_schedule()
+            yield f"{entry.name}:initial", sched.initial
+            yield f"{entry.name}:final", sched.final
+        else:
+            yield entry.name, prog.field_expr()
+
+
+class TestCompiledPlan:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(expr=field_trees(2), seed=st.integers(0, 2**32 - 1))
+    def test_random_2d_trees_match_recursive_bit_for_bit(self, expr, seed):
+        _assert_plan_matches_recursive(expr, seed)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(expr=field_trees(3), seed=st.integers(0, 2**32 - 1))
+    def test_random_3d_trees_match_recursive_bit_for_bit(self, expr, seed):
+        _assert_plan_matches_recursive(expr, seed)
+
+    def test_shipped_shapes_match_recursive_bit_for_bit(self):
+        names = []
+        for name, expr in _shipped_trees():
+            _assert_plan_matches_recursive(expr)
+            names.append(name)
+        assert len(names) == 7  # six files; the morph has two trees
+        assert "cube.shape" in names
+
+    def test_public_entry_points_run_the_plan(self, rng):
+        expr = TestValidate()._pacman()
+        pts = rng.uniform(-1.0, 1.0, (30, 2))
+        v_ref, g_ref = expr._vg(pts, want_grad=True)
+        assert same_bits(expr.eval(pts), v_ref)
+        gs = gradient(expr, pts)
+        assert same_bits(gs.value, v_ref) and same_bits(gs.grad, g_ref)
+        point = gradient(expr, pts[3])
+        assert point.value == v_ref[3] and same_bits(point.grad, g_ref[3])
+
+    def test_equal_subtrees_are_evaluated_once(self):
+        rim = Circle((0.0, 0.0), 0.75)
+        seg = Segment((0.0, 0.0), (0.6, 0.4))
+        expr = Equivalence((seg, Segment((0.0, 0.0), (0.6, 0.4)), Trim(rim, seg._tree.base)), m=2)
+        plan = _Plan((expr, Negation(Circle((0.0, 0.0), 0.75))))
+        (ball, balls, _), (plane, planes, _) = [step[:3] for step in plan._steps[:2]]
+        # two ball rows (the rim and the segment's circle) and one plane row
+        # serve both segments, the trim and the second root
+        assert (ball.__name__, plane.__name__) == ("_ball_step", "_plane_step")
+        assert balls[0].shape[0] == 2 and planes[0].shape[0] == 1
+        _assert_plan_matches_recursive(expr)
+
+    def test_signed_zero_parameters_stay_apart(self):
+        # equal under ==, but their gradients differ in the sign of zero
+        p0 = Plane((0.0, 0.0), (1.0, 0.0))
+        p1 = Plane((0.0, 0.0), (1.0, -0.0))
+        assert p0 == p1
+        V, G = _Plan((p0, p1))(np.array([[0.5, 0.5]]), want_grad=True)
+        assert np.signbit(G[:, 0, 1]).tolist() == [False, True]
+
+    def test_gradient_is_fresh_writeable_array_for_every_node_kind(self, rng):
+        plane2 = Plane((0.3, 0.0), (0.8, 0.6))
+        exprs = [expr for expr, _ in _node_zoo()] + [plane2, Plane((0.0, 0.0), (1.0, 0.0))]
+        for expr in exprs:
+            d = expr.dimension
+            pts = rng.uniform(-1.0, 1.0, (7, d))
+            first, second = gradient(expr, pts), gradient(expr, pts)
+            for gs in (first, second):
+                assert gs.grad.shape == (7, d)
+                assert gs.grad.flags.writeable, type(expr).__name__
+                assert gs.grad.strides == (8 * d, 8), type(expr).__name__
+            assert not np.shares_memory(first.grad, second.grad)
+            assert not np.shares_memory(first.value, second.value)
+            keep = second.grad.copy()
+            first.grad[...] = np.nan
+            first.value[...] = np.nan
+            assert same_bits(second.grad, keep)
+            assert same_bits(gradient(expr, pts).grad, keep)
+
+    def test_degenerate_segment_raises_through_the_plan_every_time(self):
+        expr = Disjunction(Circle((0.0, 0.0), 1.0), Segment((0.2, 0.2), (0.2, 0.2)))
+        for _ in range(2):
+            with pytest.raises(DegenerateSegmentError):
+                expr.eval((0.0, 0.0))
+            with pytest.raises(DegenerateSegmentError):
+                gradient(expr, np.zeros((3, 2)))
+
+    def test_s_above_one_warns_from_a_stacked_group(self):
+        # two conjunctions at one height run as one step.  At s = 1 the
+        # radicand of two nearly equal circles rounds below 0 and is clamped
+        # without a warning; only the s = 3 row warns, and the warning names it
+        c1, c2, c3 = Circle((0.0, 0.0), 1.0), Circle((1e-9, 0.0), 1.0), Circle((0.5, 0.0), 1.0)
+        expr = Disjunction(Conjunction(c1, c2, s=1.0), Conjunction(c1, c3, s=3.0))
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 2))
+        for call in (expr.eval, lambda p: gradient(expr, p), lambda p: expr.eval(p[0])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(pts)
+            assert {str(w.message) for w in caught} == {
+                "R-function radicand clamped to 0 (s = 3.0 > 1)"
+            }

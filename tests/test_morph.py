@@ -1,12 +1,24 @@
 """Space-time transfinite interpolation: ramp, weights, endpoints, gradients."""
 
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from shapefield import morph
 from shapefield import tolerances as tol
-from shapefield.fields import Circle, DimensionMismatchError, Segment, Sphere
+from shapefield.fields import (
+    Circle,
+    DimensionMismatchError,
+    Segment,
+    Sphere,
+    _r_binary_vg,
+)
+from shapefield.lang import parse
 from shapefield.morph import (
     DegenerateBlendError,
     MorphSchedule,
@@ -16,7 +28,7 @@ from shapefield.morph import (
     ramp,
 )
 
-from conftest import circle_boundary, fd_gradient
+from conftest import circle_boundary, fd_gradient, field_trees, same_bits
 
 
 @pytest.fixture
@@ -232,3 +244,126 @@ class TestSegmentsMorph:
         t = 2.0 * math.atanh(1.0 - 1e-9)
         vf = eval_morph(sched, (0.5, 1.0), t)
         assert abs(vf) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The compiled morph against the recursive blend
+# ---------------------------------------------------------------------------
+
+def _recursive_blend(sched, pts, t, want_grad):
+    """The morph as evaluated before compilation: each member tree by its
+    recursive evaluator, the blend's constants as full arrays with zero
+    gradient arrays, and the ramp evaluated twice."""
+    if sched.is_complete(t):
+        return sched.final._vg(pts, want_grad)
+    fval = sched.ramp_value(t)
+    vi, gi = sched.initial._vg(pts, want_grad)
+    vf, gf = sched.final._vg(pts, want_grad)
+    zeros = np.zeros_like(gi) if want_grad else None
+    c1 = np.full_like(vi, -fval)
+    c2 = np.full_like(vi, fval - 1.0)
+    g1, dg1 = _r_binary_vg(vi, gi, c1, zeros, sched.s, -1.0, want_grad)
+    g2, dg2 = _r_binary_vg(vf, gf, c2, zeros, sched.s, -1.0, want_grad)
+    total = g1 + g2
+    w1 = g2 / total
+    v = vf + w1 * (vi - vf)
+    if not want_grad:
+        return v, None, total
+    dtotal = dg1 + dg2
+    dw1 = (dg2 * total[:, None] - g2[:, None] * dtotal) / (total * total)[:, None]
+    g = gf + dw1 * (vi - vf)[:, None] + w1[:, None] * (gi - gf)
+    return v, g, total
+
+
+def _assert_morph_matches(sched, pts, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+        want = _recursive_blend(sched, pts, t, want_grad=True)
+        if not sched.is_complete(t):
+            bad = np.abs(want[2]) < tol.BLEND_DEGENERACY_EPS
+            if bad.any():
+                for fn in (sched.values, sched.values_grads):
+                    with pytest.raises(DegenerateBlendError) as err:
+                        fn(pts, t)
+                    assert np.array_equal(err.value.mask, bad)
+                return
+        v, g = sched.values_grads(pts, t)
+        v_only = sched.values(pts, t)
+    assert same_bits(v, want[0]), t
+    assert same_bits(g, want[1]), t
+    assert same_bits(v_only, want[0]), t
+
+
+@pytest.fixture(scope="module")
+def wrench():
+    shape = resources.files("shapefield") / "data" / "shapes" / "wrench_morph.shape"
+    return parse(shape.read_text()).morph_schedule()
+
+
+class TestCompiledMorph:
+    def test_wrench_matches_recursive_blend_bit_for_bit(self, wrench):
+        t_done = 2.0 * math.atanh(1.0 - tol.MORPH_COMPLETE_EPS) / wrench.p
+        blending = (0.0, 0.5, 3.0, 10.0, 40.0, 69.0)
+        past = (t_done + 1.0, 200.0, 1e4)
+        assert not any(wrench.is_complete(t) for t in blending)
+        assert all(wrench.is_complete(t) for t in past)
+        for n in (1, 30, 10_000):
+            pts = np.random.default_rng(n).uniform(-1.2, 1.2, (n, 2))
+            pts[: max(1, n // 10), 1] = 0.0  # on the axis: signed-zero gradients
+            for t in blending + past:
+                _assert_morph_matches(wrench, pts, t)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        initial=field_trees(2),
+        final=field_trees(2),
+        p=st.floats(0.05, 2.0),
+        s=st.floats(0.0, 1.5),
+        t=st.floats(0.0, 80.0),
+        n=st.sampled_from((1, 30, 10_000)),
+    )
+    def test_random_morphs_match_recursive_blend_bit_for_bit(self, initial, final, p, s, t, n):
+        sched = MorphSchedule(initial, final, p=p, s=s)
+        pts = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 2))
+        _assert_morph_matches(sched, pts, t)
+
+    def test_ramp_is_evaluated_once_per_call(self, wrench, monkeypatch):
+        calls = []
+
+        def counted(t, p):
+            calls.append(t)
+            return ramp(t, p)
+
+        monkeypatch.setattr(morph, "ramp", counted)
+        pts = np.zeros((4, 2))
+        for t in (3.0, 500.0):  # blending, then complete
+            for fn in (wrench.values, wrench.values_grads):
+                calls.clear()
+                fn(pts, t)
+                assert len(calls) == 1
+
+    def test_degenerate_blend_keeps_its_mask(self, wrench, monkeypatch):
+        # |g1 + g2| never falls below the real threshold, so raise it to the
+        # median |g1 + g2| of a batch: about half the rows are degenerate
+        pts = np.random.default_rng(5).uniform(-1.2, 1.2, (64, 2))
+        t = 3.0
+        _, _, total = _recursive_blend(wrench, pts, t, want_grad=False)
+        eps = float(np.median(np.abs(total)))
+        monkeypatch.setattr(morph, "BLEND_DEGENERACY_EPS", eps)
+        want = np.abs(total) < eps
+        assert 0 < want.sum() < len(pts)
+        for fn in (wrench.values, wrench.values_grads):
+            with pytest.raises(DegenerateBlendError) as err:
+                fn(pts, t)
+            assert np.array_equal(err.value.mask, want)
+            assert same_bits(err.value.points, pts[want])
+            assert err.value.t == t
+
+    def test_s_above_one_still_warns(self):
+        # outside the initial circle phi_i and the constant -f have one
+        # sign and similar size, so the radicand is negative once s > 1
+        sched = MorphSchedule(Circle((0.0, 0.0), 0.5), Circle((0.1, 0.0), 0.5), p=0.5, s=3.0)
+        pts = np.stack([np.linspace(0.6, 1.5, 10), np.zeros(10)], axis=1)
+        for fn in (sched.values, sched.values_grads):
+            with pytest.warns(RuntimeWarning, match=r"s = 3\.0 > 1"):
+                fn(pts, 1.0)
