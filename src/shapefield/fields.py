@@ -35,9 +35,11 @@ agree bit for bit.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -171,10 +173,28 @@ class FieldExpr:
     def children(self) -> tuple["FieldExpr", ...]:
         return ()
 
+    @cached_property
+    def _leaf_dims(self) -> frozenset[int]:
+        """The dimensions of the tree's leaves, kept on each node, so a
+        shared subtree is walked once and a dropped tree frees them."""
+        kids = self.children()
+        if kids:
+            dims: frozenset[int] = frozenset()
+            for c in kids:
+                dims |= c._leaf_dims
+            return dims
+        if isinstance(self, _Ball):
+            return frozenset((self.dim,))
+        if isinstance(self, Segment):
+            return frozenset((2,))
+        if isinstance(self, Plane):
+            return frozenset((len(self.origin),))
+        raise FieldError(f"unknown leaf node {type(self).__name__}")
+
     @property
     def dimension(self) -> int:
         """Spatial dimension of the expression (2 or 3)."""
-        dims = _leaf_dims(self)
+        dims = self._leaf_dims
         if len(dims) != 1:
             raise DimensionMismatchError(
                 f"expression mixes dimensions {sorted(dims)}"
@@ -406,6 +426,20 @@ def _lift(x):
     return x[..., None] if np.ndim(x) else x
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def _caller_stacklevel() -> int:
+    """The ``warnings.warn`` stacklevel, for the function calling this one,
+    of the first frame outside the package, so a warning names the user's
+    call site however many evaluation frames lie between."""
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        level += 1
+        frame = frame.f_back
+    return level
+
+
 def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
     """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
 
@@ -422,7 +456,7 @@ def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
         for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
             warnings.warn(
                 f"R-function radicand clamped to 0 (s = {float(s_bad)} > 1)",
-                RuntimeWarning, stacklevel=4,
+                RuntimeWarning, stacklevel=_caller_stacklevel(),
             )
     root = np.sqrt(np.maximum(rad, 0.0))
     v = (v1 + v2 + sign * root) / (1.0 + s)
@@ -651,9 +685,8 @@ def _equiv_step(pts, ops, m, want_grad):
 
 
 def _per_row(xs):
-    """Per-row constants as a (k, 1) column, or one row's as a float, which
-    numpy broadcasts with less overhead."""
-    return float(xs[0]) if len(xs) == 1 else np.array(xs, dtype=float)[:, None]
+    """Per-row constants as a (k, 1) column."""
+    return np.array(xs, dtype=float)[:, None]
 
 
 def _ball_consts(params):
@@ -753,10 +786,7 @@ class _Plan:
                 where[i] = (k, row)
         refs = [where[i] for i in root_ids]
         keep = {step for step, _ in refs}
-        # a single tree's root is its one node of greatest height, so it is
-        # the whole of the last step, and the plan returns that step as is
-        whole = refs == [(len(steps) - 1, 0)] and len(groups[max(groups)]) == 1
-        self._roots = None if whole else _gather(refs)
+        self._roots = _gather(refs)
         self._steps = [
             (run, consts, gathers,
              [s for s, last in last_use.items() if last == k and s not in keep])
@@ -778,31 +808,12 @@ class _Plan:
             v, g = run(pts, ops, consts, want_grad)
             vals.append(v)
             grads.append(g)
-        if self._roots is None:
-            return v, g
         return _take(vals, self._roots), _take(grads, self._roots) if want_grad else None
 
 
 # ---------------------------------------------------------------------------
 # Tree-level operations
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _leaf_dims(expr: FieldExpr) -> frozenset[int]:
-    kids = expr.children()
-    if kids:
-        dims: frozenset[int] = frozenset()
-        for c in kids:
-            dims |= _leaf_dims(c)
-        return dims
-    if isinstance(expr, _Ball):
-        return frozenset((expr.dim,))
-    if isinstance(expr, Segment):
-        return frozenset((2,))
-    if isinstance(expr, Plane):
-        return frozenset((len(expr.origin),))
-    raise FieldError(f"unknown leaf node {type(expr).__name__}")
-
 
 def evaluate(expr: FieldExpr, x) -> float | np.ndarray:
     """Field value of ``expr`` at point or point-batch ``x``."""
@@ -861,7 +872,7 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
                     path,
                 )
             )
-    dims = _leaf_dims(expr)
+    dims = expr._leaf_dims
     if len(dims) > 1:
         diags.insert(
             0,

@@ -127,10 +127,8 @@ class MorphSchedule:
     def _plan(self) -> _Plan:
         return _Plan((self.initial, self.final))
 
-    def _blend_vg(self, pts: np.ndarray, t: float, want_grad: bool, fval=None):
-        # fval: the ramp at t, when the caller has already evaluated it
-        if fval is None:
-            fval = self.ramp_value(t)
+    def _blend_vg(self, pts: np.ndarray, t: float, fval: float, want_grad: bool):
+        # fval: the ramp at t, evaluated once by the caller
         V, G = self._plan(pts, want_grad)
         vi, vf = V
         # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
@@ -162,7 +160,7 @@ class MorphSchedule:
         fval = self.ramp_value(t)
         if _complete(fval):
             return self.final._plan(pts, want_grad=False)[0][0]
-        v, _, _ = self._blend_vg(pts, t, want_grad=False, fval=fval)
+        v, _, _ = self._blend_vg(pts, t, fval, want_grad=False)
         return v
 
     def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +170,7 @@ class MorphSchedule:
         if _complete(fval):
             V, G = self.final._plan(pts, want_grad=True)
             return V[0], G[0]
-        v, g, _ = self._blend_vg(pts, t, want_grad=True, fval=fval)
+        v, g, _ = self._blend_vg(pts, t, fval, want_grad=True)
         return v, g
 
 
@@ -186,7 +184,7 @@ def blend_weights(x, t: float, sched: MorphSchedule):
     ``w2`` is returned as ``1 - w1`` so that w1 + w2 = 1 exactly.
     """
     pts, _ = _as_batch(x, sched.dimension)
-    _, _, (w1, g1, g2) = sched._blend_vg(pts, t, want_grad=False)
+    _, _, (w1, g1, g2) = sched._blend_vg(pts, t, sched.ramp_value(t), want_grad=False)
     return float(w1[0]), float(1.0 - w1[0]), float(g1[0]), float(g2[0])
 
 

@@ -213,7 +213,9 @@ class TestCriterion5:
             pts = rng.uniform(-2.0, 2.0, (10_000, 2))
             times = rng.uniform(0.0, 30.0, 10)
             for t in times:
-                _, _, (w1, _, _) = sched._blend_vg(pts[:1000], float(t), want_grad=False)
+                _, _, (w1, _, _) = sched._blend_vg(
+                    pts[:1000], float(t), sched.ramp_value(float(t)), want_grad=False
+                )
                 assert np.all(w1 + (1.0 - w1) == 1.0)
             for x, t in zip(pts[:200], rng.uniform(0.0, 30.0, 200)):
                 w1, w2, _, _ = blend_weights(x, float(t), sched)

@@ -1,7 +1,9 @@
 """Field expression tree: primitives, R-operations, gradients, validation."""
 
+import gc
 import math
 import warnings
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -716,6 +718,17 @@ class TestCompiledPlan:
             assert same_bits(second.grad, keep)
             assert same_bits(gradient(expr, pts).grad, keep)
 
+    def test_dropped_tree_is_freed(self):
+        # the plan and the leaf dimensions live on the nodes, so nothing
+        # module-level keeps a tree alive once its caller lets it go
+        expr = Disjunction(Circle((0.0, 0.0), 1.0), Segment((0.0, 0.0), (1.0, 0.0)))
+        expr.gradient(np.zeros((3, 2)))
+        assert validate(expr) == []
+        ref = weakref.ref(expr)
+        del expr
+        gc.collect()
+        assert ref() is None
+
     def test_degenerate_segment_raises_through_the_plan_every_time(self):
         expr = Disjunction(Circle((0.0, 0.0), 1.0), Segment((0.2, 0.2), (0.2, 0.2)))
         for _ in range(2):
@@ -728,6 +741,7 @@ class TestCompiledPlan:
         # two conjunctions at one height run as one step.  At s = 1 the
         # radicand of two nearly equal circles rounds below 0 and is clamped
         # without a warning; only the s = 3 row warns, and the warning names it
+        # and is attributed to the caller, not to the evaluation frames
         c1, c2, c3 = Circle((0.0, 0.0), 1.0), Circle((1e-9, 0.0), 1.0), Circle((0.5, 0.0), 1.0)
         expr = Disjunction(Conjunction(c1, c2, s=1.0), Conjunction(c1, c3, s=3.0))
         pts = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 2))
@@ -738,3 +752,4 @@ class TestCompiledPlan:
             assert {str(w.message) for w in caught} == {
                 "R-function radicand clamped to 0 (s = 3.0 > 1)"
             }
+            assert {w.filename for w in caught} == {__file__}  # the caller's line

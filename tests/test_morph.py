@@ -146,7 +146,7 @@ class TestBlendWeights:
         # blend denominator never vanishes for t >= 0
         pts = rng.uniform(-3, 3, (2000, 2))
         for t in (0.0, 0.4, 3.0, 12.0):
-            _, _, (w1, g1, g2) = sched._blend_vg(pts, t, want_grad=False)
+            _, _, (w1, g1, g2) = sched._blend_vg(pts, t, sched.ramp_value(t), want_grad=False)
             assert np.all(g1 + g2 < 0.0)
 
 
@@ -365,5 +365,6 @@ class TestCompiledMorph:
         sched = MorphSchedule(Circle((0.0, 0.0), 0.5), Circle((0.1, 0.0), 0.5), p=0.5, s=3.0)
         pts = np.stack([np.linspace(0.6, 1.5, 10), np.zeros(10)], axis=1)
         for fn in (sched.values, sched.values_grads):
-            with pytest.warns(RuntimeWarning, match=r"s = 3\.0 > 1"):
+            with pytest.warns(RuntimeWarning, match=r"s = 3\.0 > 1") as caught:
                 fn(pts, 1.0)
+            assert {w.filename for w in caught} == {__file__}
