@@ -19,18 +19,19 @@ Evaluation accepts a single point (length-``d`` sequence) or a batch of
 points as an ``(n, d)`` array and is vectorised over the batch.
 
 Trees are evaluated through compiled plans, a forward-mode tape in the
-sense of Griewank & Walther (*Evaluating Derivatives*, ch. 3).  A tree is
-compiled on its first evaluation.  Equal subtrees are merged, each segment
-becomes its ``Trim`` tree, and the nodes of one kind at one height are
-grouped, so each group runs as one sequence of numpy operations on a
-``(k, n)`` value stack and a ``(k, n, d)`` gradient stack.  All balls are
-one group, as are all raw quadrics, all planes, the negations, the
-R-operations (with a per-row ``s``) and the trims at one height; an
-equivalence is a group of its own.  Grouping same-kind nodes follows the
-tape compilation of Keeter 2020 (SIGGRAPH).  Each group performs the same
-floating-point operations per element as the node's recursive ``_vg``,
-which is kept as the reference the plans are tested against, so the two
-agree bit for bit.
+sense of Griewank & Walther (*Evaluating Derivatives*, ch. 3).  A node
+states only its kind, parameters and operands (``_emit``); each kind's
+formula exists once, in its step kernel in ``_STEPS``.  A tree is compiled
+on its first evaluation.  Equal subtrees are merged, each segment becomes
+its ``Trim`` tree, and the nodes of one kind at one height are grouped, so
+each group runs as one call of its kernel on a ``(k, n)`` value stack and a
+``(k, n, d)`` gradient stack.  All balls are one group, as are all raw
+quadrics, all planes, the negations, the R-operations (with a per-row
+``s``) and the trims at one height; an equivalence is a group of its own.
+Grouping same-kind nodes follows the tape compilation of Keeter 2020
+(SIGGRAPH).  A kernel performs the same floating-point operations on each
+row whatever the stack's height and width, so a node's result does not
+depend on its group, and a point's result does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "validate",
-    "eval_circle",
-    "eval_segment",
-    "eval_sphere",
-    "eval_plane",
     "r_negation",
     "r_disjunction",
     "r_conjunction",
@@ -165,9 +162,8 @@ class FieldExpr:
     """Immutable base node.
 
     Subclasses implement ``_emit`` (the node's kind, parameters and
-    operands, which the plan compiler reads), ``children`` and ``_vg``, the
-    recursive evaluator kept as the reference the compiled plans are
-    checked against.
+    operands, which the plan compiler reads) and ``children``; a leaf also
+    states its spatial dimension as ``dim``.
     """
 
     def children(self) -> tuple["FieldExpr", ...]:
@@ -179,17 +175,8 @@ class FieldExpr:
         shared subtree is walked once and a dropped tree frees them."""
         kids = self.children()
         if kids:
-            dims: frozenset[int] = frozenset()
-            for c in kids:
-                dims |= c._leaf_dims
-            return dims
-        if isinstance(self, _Ball):
-            return frozenset((self.dim,))
-        if isinstance(self, Segment):
-            return frozenset((2,))
-        if isinstance(self, Plane):
-            return frozenset((len(self.origin),))
-        raise FieldError(f"unknown leaf node {type(self).__name__}")
+            return frozenset().union(*(c._leaf_dims for c in kids))
+        return frozenset((self.dim,))
 
     @property
     def dimension(self) -> int:
@@ -226,9 +213,6 @@ class FieldExpr:
     def _emit(self) -> tuple[str, tuple, tuple["FieldExpr", ...]]:
         raise FieldError(f"unknown node {type(self).__name__}")
 
-    def _vg(self, pts: np.ndarray, want_grad: bool):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class _Ball(FieldExpr):
@@ -247,19 +231,8 @@ class _Ball(FieldExpr):
         if not (self.radius > 0.0 and np.isfinite(self.radius)):
             raise FieldError(f"{self.noun} radius must be positive, got {self.radius}")
 
-    @cached_property
-    def _c(self) -> np.ndarray:
-        return np.array(self.center)
-
     def _emit(self):
         return "ball", (self.center, self.radius), ()
-
-    def _vg(self, pts, want_grad):
-        dx = pts - self._c
-        r2 = np.einsum("ij,ij->i", dx, dx)
-        v = (self.radius * self.radius - r2) / (2.0 * self.radius)
-        g = dx / (-self.radius) if want_grad else None
-        return v, g
 
 
 @dataclass(frozen=True)
@@ -281,6 +254,7 @@ class Segment(FieldExpr):
     (Biswas & Shapiro 2004).
     """
 
+    dim: ClassVar[int] = 2
     p1: tuple[float, float]
     p2: tuple[float, float]
 
@@ -323,9 +297,6 @@ class Segment(FieldExpr):
     def _emit(self):
         return self._tree._emit()
 
-    def _vg(self, pts, want_grad):
-        return self._tree._vg(pts, want_grad)
-
 
 @dataclass(frozen=True)
 class Sphere(_Ball):
@@ -349,13 +320,6 @@ class Sphere(_Ball):
         kind = "ball" if self.normalized else "quadric"
         return kind, (self.center, self.radius), ()
 
-    def _vg(self, pts, want_grad):
-        if self.normalized:
-            return super()._vg(pts, want_grad)
-        dx = pts - self._c
-        v = np.einsum("ij,ij->i", dx, dx) - self.radius * self.radius
-        return v, (2.0 * dx if want_grad else None)
-
 
 @dataclass(frozen=True)
 class Plane(FieldExpr):
@@ -377,22 +341,12 @@ class Plane(FieldExpr):
         if abs(norm - 1.0) > NORMAL_UNIT_TOL:
             raise FieldError(f"plane normal must be unit length, |n| = {norm!r}")
 
-    @cached_property
-    def _o(self) -> np.ndarray:
-        return np.array(self.origin)
-
-    @cached_property
-    def _n(self) -> np.ndarray:
-        return np.array(self.normal)
+    @property
+    def dim(self) -> int:
+        return len(self.origin)
 
     def _emit(self):
         return "plane", (self.origin, self.normal), ()
-
-    def _vg(self, pts, want_grad):
-        # einsum, not a BLAS product, so a point's value is the same in any batch
-        v = np.einsum("ij,j->i", pts - self._o, self._n)
-        g = np.broadcast_to(self._n, pts.shape) if want_grad else None
-        return v, g
 
 
 @dataclass(frozen=True)
@@ -406,10 +360,6 @@ class Negation(FieldExpr):
 
     def _emit(self):
         return "neg", (), (self.child,)
-
-    def _vg(self, pts, want_grad):
-        v, g = self.child._vg(pts, want_grad)
-        return -v, (-g if want_grad else None)
 
 
 def _check_s(s) -> float:
@@ -490,11 +440,6 @@ class _RBinary(FieldExpr):
     def _emit(self):
         return "rbin", (self.s, self.sign), (self.left, self.right)
 
-    def _vg(self, pts, want_grad):
-        v1, g1 = self.left._vg(pts, want_grad)
-        v2, g2 = self.right._vg(pts, want_grad)
-        return _r_binary_vg(v1, g1, v2, g2, self.s, self.sign, want_grad)
-
 
 @dataclass(frozen=True)
 class Disjunction(_RBinary):
@@ -508,6 +453,13 @@ class Conjunction(_RBinary):
     """R-conjunction (intersection): positive iff both children are positive."""
 
     sign: ClassVar[float] = -1.0
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in row order.  ``x.sum(axis=0)`` sums a (k, 1) stack
+    pairwise once k >= 8 but a wider one in order, so a lone point would
+    round apart from the same point in a batch."""
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
@@ -524,7 +476,7 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     every = pos.all()  # the usual case: no masking needed
     Up, ap = (U, a) if every else (U[:, pos], a[pos])
     ratios = ap / Up  # (k, np), all in (0, 1]
-    ssum = np.power(ratios, m).sum(axis=0)  # >= 1
+    ssum = _sum_rows(np.power(ratios, m))  # >= 1
     scale = np.power(ssum, -1.0 / m)
     vp = ap * scale
     gp = None
@@ -536,7 +488,7 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
         dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
             Up * Up
         )[:, :, None]
-        ds = m * (np.power(ratios, m - 1)[:, :, None] * dr).sum(axis=0)
+        ds = m * _sum_rows(np.power(ratios, m - 1)[:, :, None] * dr)
         gp = scale[:, None] * (ga - (ap / (m * ssum))[:, None] * ds)
     if every:
         return vp, gp
@@ -577,15 +529,6 @@ class Equivalence(FieldExpr):
     def _emit(self):
         return "equiv", (self.m,), self.children_
 
-    def _vg(self, pts, want_grad):
-        pairs = [c._vg(pts, want_grad) for c in self.children_]
-        U = np.stack([np.abs(v) for v, _ in pairs])  # (k, n)
-        G = None
-        if want_grad:
-            # d|phi| with sign(0) = 0, the corner convention.
-            G = np.stack([np.sign(vi)[:, None] * gi for vi, gi in pairs])  # (k, n, d)
-        return _equiv_vg(U, G, self.m)
-
 
 def _trim_vg(f, gf, t, gt, want_grad: bool):
     """Trimming rule: carrier ``f`` stays zero only where trimmer ``t >= 0``.
@@ -621,18 +564,13 @@ class Trim(FieldExpr):
     def _emit(self):
         return "trim", (), (self.base, self.trimmer)
 
-    def _vg(self, pts, want_grad):
-        f, gf = self.base._vg(pts, want_grad)
-        t, gt = self.trimmer._vg(pts, want_grad)
-        return _trim_vg(f, gf, t, gt, want_grad)
-
 
 # ---------------------------------------------------------------------------
 # Compiled plans
 # ---------------------------------------------------------------------------
-# Each step evaluates one group of nodes on a (k, n) value stack and a
-# (k, n, d) gradient stack, with the same floating-point operations per
-# element as the node's own ``_vg``, so a plan matches it bit for bit.
+# Each step evaluates one group of nodes of one kind on a (k, n) value stack
+# and a (k, n, d) gradient stack.  Every operation is elementwise or reduces
+# in a fixed order, so each row gets the bits it would get alone.
 
 def _sphere_dx(pts, c):
     dx = pts - c[0]
@@ -651,6 +589,7 @@ def _quadric_step(pts, ops, c, want_grad):
 
 def _plane_step(pts, ops, c, want_grad):
     origin, normal = c
+    # einsum, not a BLAS product, so a point's value is the same in any batch
     v = np.einsum("kij,kj->ki", pts - origin, normal)
     if not want_grad:
         return v, None
@@ -675,8 +614,8 @@ def _trim_step(pts, ops, c, want_grad):
 
 
 def _equiv_step(pts, ops, m, want_grad):
-    # one node per step: its (k, n) operand is the children's stack, with
-    # the node's own shape, so the sums over k run in the same order
+    # one node per step, as equivalences differ in their number of pieces:
+    # its one operand is the (k, n) stack of its children's rows
     ((v, g),) = ops
     # d|phi| with sign(0) = 0, the corner convention.
     G = np.sign(v)[..., None] * g if want_grad else None
@@ -891,26 +830,6 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
 
 def _scalarize(out: np.ndarray, scalar: bool):
     return float(out) if scalar else out
-
-
-def eval_circle(x, center, radius: float) -> float | np.ndarray:
-    """Circle field value at ``x``: ``(R^2 - |x - c|^2) / (2R)``."""
-    return Circle(tuple(center), radius).eval(x)
-
-
-def eval_segment(x, p1, p2) -> float | np.ndarray:
-    """Segment field value at ``x`` (unsigned; zero on the closed segment)."""
-    return Segment(tuple(p1), tuple(p2)).eval(x)
-
-
-def eval_sphere(x, center, radius: float, normalized: bool = True) -> float | np.ndarray:
-    """Sphere field value at ``x``; see :class:`Sphere` for the two forms."""
-    return Sphere(tuple(center), radius, normalized).eval(x)
-
-
-def eval_plane(x, origin, normal) -> float | np.ndarray:
-    """Plane field value at ``x``: ``(x - o) . n`` with unit ``n``."""
-    return Plane(tuple(origin), tuple(normal)).eval(x)
 
 
 def r_negation(w):

@@ -545,12 +545,12 @@ def contact_forces(
     vn = np.einsum("ij,ij->i", dv, nvec)  # separation rate along the normal
     fn = np.maximum(config.contact_stiffness * pen - config.contact_damping * vn, 0.0)
     fn = np.where(ok, fn, 0.0)
-    vt = dv - vn[:, None] * nvec
-    vt_mag = np.linalg.norm(vt, axis=1)
-    ft_mag = config.friction * fn * np.minimum(1.0, vt_mag / CONTACT_SLIP_EPS)
-    tdir = np.zeros_like(vt)
-    np.divide(vt, vt_mag[:, None], out=tdir, where=vt_mag[:, None] > 0.0)
-    pair = fn[:, None] * nvec - ft_mag[:, None] * tdir
+    # the tangent is the normal turned a quarter, so that friction has no
+    # normal component, not even a rounding one
+    tvec = np.stack([-nvec[:, 1], nvec[:, 0]], axis=1)
+    vt = np.einsum("ij,ij->i", dv, tvec)  # signed slip speed along tvec
+    ft = config.friction * fn * np.minimum(1.0, np.abs(vt) / CONTACT_SLIP_EPS)
+    pair = fn[:, None] * nvec - (np.sign(vt) * ft)[:, None] * tvec
     return _scatter_pairs(pair, i, j, world.n)
 
 

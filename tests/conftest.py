@@ -16,6 +16,7 @@ from shapefield.fields import (
     Segment,
     Sphere,
     Trim,
+    _STEPS,
 )
 
 
@@ -73,6 +74,22 @@ def same_bits(a, b):
     """Byte equality of two arrays: stricter than ``np.array_equal``, it also
     tells -0.0 from 0.0."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def one_by_one(expr, pts, want_grad):
+    """``expr`` evaluated a node at a time, children first, each node alone
+    through its own step kernel and constants: the reference the compiled
+    plans are checked against.  It shares the kernels, but none of the
+    compiler's merging of equal subtrees, grouping, gathers, stack drops or
+    root gather.  Returns the (1, n) value and (1, n, d) gradient stacks
+    (None without ``want_grad``)."""
+    kind, params, kids = expr._emit()
+    run, consts = _STEPS[kind]
+    ops = [one_by_one(k, pts, want_grad) for k in kids]
+    if kind == "equiv":  # its one operand is the stack of its children's rows
+        ops = [(np.concatenate([v for v, _ in ops]),
+                np.concatenate([g for _, g in ops]) if want_grad else None)]
+    return run(pts, ops, consts([params]), want_grad)
 
 
 @pytest.fixture(scope="session")

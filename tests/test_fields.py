@@ -26,10 +26,6 @@ from shapefield.fields import (
     Sphere,
     Trim,
     _Plan,
-    eval_circle,
-    eval_plane,
-    eval_segment,
-    eval_sphere,
     gradient,
     r_conjunction,
     r_disjunction,
@@ -45,6 +41,7 @@ from conftest import (
     circle_boundary,
     fd_gradient,
     field_trees,
+    one_by_one,
     same_bits,
     segment_interior,
     segment_oracle,
@@ -58,14 +55,14 @@ from conftest import (
 
 class TestCircle:
     def test_boundary_point(self):
-        assert eval_circle((0.75, 0.0), (0.0, 0.0), 0.75) == 0.0
+        assert Circle((0.0, 0.0), 0.75).eval((0.75, 0.0)) == 0.0
 
     def test_center_value_is_half_radius(self):
-        assert eval_circle((0.0, 0.0), (0.0, 0.0), 0.75) == 0.375
+        assert Circle((0.0, 0.0), 0.75).eval((0.0, 0.0)) == 0.375
 
     def test_outside_value(self):
         # (0.75^2 - 1.5^2) / (2 * 0.75), cross-checked by scalar substitution
-        assert eval_circle((1.5, 0.0), (0.0, 0.0), 0.75) == -1.125
+        assert Circle((0.0, 0.0), 0.75).eval((1.5, 0.0)) == -1.125
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(FieldError):
@@ -76,11 +73,11 @@ class TestCircle:
 
 class TestSegment:
     def test_point_on_segment(self):
-        assert eval_segment((0.5, 0.0), (0.0, 0.0), (1.0, 0.0)) == 0.0
+        assert Segment((0.0, 0.0), (1.0, 0.0)).eval((0.5, 0.0)) == 0.0
 
     def test_near_interior_matches_oracle(self):
         # frozen from the step-by-step oracle: f=-0.3, t=0.16, aux=sqrt(0.0337)
-        got = eval_segment((0.5, 0.3), (0.0, 0.0), (1.0, 0.0))
+        got = Segment((0.0, 0.0), (1.0, 0.0)).eval((0.5, 0.3))
         assert got == pytest.approx(0.3002314976804588, abs=0.0)
         assert got == pytest.approx(
             segment_oracle((0.5, 0.3), (0.0, 0.0), (1.0, 0.0)), abs=0.0
@@ -89,7 +86,7 @@ class TestSegment:
     def test_far_point_shows_approximation(self):
         # on the carrier line beyond the endpoint: f=0, t=-2 gives phi=2,
         # twice the exact distance of 1 -- the approximation property.
-        assert eval_segment((2.0, 0.0), (0.0, 0.0), (1.0, 0.0)) == 2.0
+        assert Segment((0.0, 0.0), (1.0, 0.0)).eval((2.0, 0.0)) == 2.0
 
     def test_degenerate_segment_rejected_at_eval(self):
         seg = Segment((0.2, 0.2), (0.2, 0.2))
@@ -132,13 +129,13 @@ class TestSegment:
 class TestSphere:
     def test_boundary_point_both_flags(self):
         for normalized in (True, False):
-            assert eval_sphere((1, 0, 0), (0, 0, 0), 1.0, normalized) == 0.0
+            assert Sphere((0, 0, 0), 1.0, normalized).eval((1, 0, 0)) == 0.0
 
     def test_raw_quadric_outside(self):
-        assert eval_sphere((2, 0, 0), (0, 0, 0), 1.0, normalized=False) == 3.0
+        assert Sphere((0, 0, 0), 1.0, normalized=False).eval((2, 0, 0)) == 3.0
 
     def test_normalized_center_value(self):
-        assert eval_sphere((0, 0, 0), (0, 0, 0), 1.0, normalized=True) == 0.5
+        assert Sphere((0, 0, 0), 1.0, normalized=True).eval((0, 0, 0)) == 0.5
 
     def test_default_is_normalized(self):
         assert Sphere((0, 0, 0), 1.0).normalized is True
@@ -162,13 +159,13 @@ class TestSphere:
 
 class TestPlane:
     def test_height_above_z0(self):
-        assert eval_plane((1, 2, 3), (0, 0, 0), (0, 0, 1)) == 3.0
+        assert Plane((0, 0, 0), (0, 0, 1)).eval((1, 2, 3)) == 3.0
 
     def test_on_plane(self):
-        assert eval_plane((4.0, -2.0, 1.0), (0, 0, 1), (0, 0, 1)) == 0.0
+        assert Plane((0, 0, 1), (0, 0, 1)).eval((4.0, -2.0, 1.0)) == 0.0
 
     def test_signed_below(self):
-        assert eval_plane((0, 0, -2), (0, 0, 1), (0, 0, 1)) == -3.0
+        assert Plane((0, 0, 1), (0, 0, 1)).eval((0, 0, -2)) == -3.0
 
     def test_non_unit_normal_rejected(self):
         with pytest.raises(FieldError):
@@ -314,6 +311,20 @@ class TestEquivalence:
         out = r_equivalence_n([1e-200, 1e-200], m=2)
         assert np.isfinite(out) and out > 0.0
 
+    def test_lone_point_matches_its_batch_row(self):
+        # numpy sums a (k, 1) stack pairwise once k >= 8 but a wider one in
+        # order; the pieces' sums must not depend on the batch size
+        local = np.random.default_rng(8)
+        pts = local.uniform(-1.5, 1.5, (200, 2))
+        for k in (8, 12):
+            ends = local.uniform(-1.0, 1.0, (k, 2, 2))
+            expr = Equivalence(tuple(Segment(*pq) for pq in ends.tolist()), m=2)
+            batch = expr.gradient(pts)
+            for i, x in enumerate(pts):
+                lone = expr.gradient(x)
+                assert lone.value == batch.value[i] and expr.eval(x) == batch.value[i], (k, i)
+                assert same_bits(lone.grad, batch.grad[i]), (k, i)
+
 
 class TestTrim:
     def test_kept_zero_stays_zero(self):
@@ -324,7 +335,7 @@ class TestTrim:
 
     def test_matches_segment_construction(self):
         # same carrier/trimmer pair as the interior-segment example
-        assert trim(0.3, 0.16) == eval_segment((0.5, 0.3), (0.0, 0.0), (1.0, 0.0))
+        assert trim(0.3, 0.16) == Segment((0.0, 0.0), (1.0, 0.0)).eval((0.5, 0.3))
         assert trim(0.3, 0.16) == pytest.approx(0.3002314976804588, abs=0.0)
 
     def test_sign_agnostic_in_carrier(self):
@@ -451,6 +462,12 @@ def _node_zoo():
             Equivalence((seg, seg2), m=2),
             lambda pts: (np.abs(seg.eval(pts)) < 1e-3)
             | (np.abs(seg2.eval(pts)) < 1e-3),
+        ),
+        # the circle is negative outside, which pins d|phi| = sign(phi) grad phi
+        (
+            Equivalence((circle, seg), m=2),
+            lambda pts: (np.abs(circle.eval(pts)) < 1e-3)
+            | (np.abs(seg.eval(pts)) < 1e-3),
         ),
         (
             Trim(circle, plane2),
@@ -610,7 +627,7 @@ class TestValidate:
 
 
 # ---------------------------------------------------------------------------
-# Compiled plans against the recursive evaluator
+# Compiled plans against the node-at-a-time walker
 # ---------------------------------------------------------------------------
 
 _BATCHES = (1, 30, 10_000)
@@ -628,12 +645,12 @@ def _assert_plan_matches_recursive(expr, seed=0):
         for want_grad in (False, True):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
-                v_ref, g_ref = expr._vg(pts, want_grad)
+                V_ref, G_ref = one_by_one(expr, pts, want_grad)
                 V, G = _Plan((expr,))(pts, want_grad)
             assert V.shape == (1, n)
-            assert same_bits(V[0], v_ref), (n, want_grad, expr)
+            assert same_bits(V, V_ref), (n, want_grad, expr)
             if want_grad:
-                assert same_bits(G[0], g_ref), (n, expr)
+                assert same_bits(G, G_ref), (n, expr)
             else:
                 assert G is None
 
@@ -672,7 +689,7 @@ class TestCompiledPlan:
     def test_public_entry_points_run_the_plan(self, rng):
         expr = TestValidate()._pacman()
         pts = rng.uniform(-1.0, 1.0, (30, 2))
-        v_ref, g_ref = expr._vg(pts, want_grad=True)
+        (v_ref,), (g_ref,) = one_by_one(expr, pts, want_grad=True)
         assert same_bits(expr.eval(pts), v_ref)
         gs = gradient(expr, pts)
         assert same_bits(gs.value, v_ref) and same_bits(gs.grad, g_ref)

@@ -28,7 +28,7 @@ from shapefield.morph import (
     ramp,
 )
 
-from conftest import circle_boundary, fd_gradient, field_trees, same_bits
+from conftest import circle_boundary, fd_gradient, field_trees, one_by_one, same_bits
 
 
 @pytest.fixture
@@ -250,15 +250,20 @@ class TestSegmentsMorph:
 # The compiled morph against the recursive blend
 # ---------------------------------------------------------------------------
 
+def _tree(expr, pts, want_grad):
+    (v,), G = one_by_one(expr, pts, want_grad)
+    return v, (G[0] if want_grad else None)
+
+
 def _recursive_blend(sched, pts, t, want_grad):
-    """The morph as evaluated before compilation: each member tree by its
-    recursive evaluator, the blend's constants as full arrays with zero
-    gradient arrays, and the ramp evaluated twice."""
+    """The morph as evaluated before compilation: each member tree a node
+    at a time, the blend's constants as full arrays with zero gradient
+    arrays, and the ramp evaluated twice."""
     if sched.is_complete(t):
-        return sched.final._vg(pts, want_grad)
+        return _tree(sched.final, pts, want_grad)
     fval = sched.ramp_value(t)
-    vi, gi = sched.initial._vg(pts, want_grad)
-    vf, gf = sched.final._vg(pts, want_grad)
+    vi, gi = _tree(sched.initial, pts, want_grad)
+    vf, gf = _tree(sched.final, pts, want_grad)
     zeros = np.zeros_like(gi) if want_grad else None
     c1 = np.full_like(vi, -fval)
     c2 = np.full_like(vi, fval - 1.0)

@@ -271,6 +271,21 @@ class TestContactForces:
             assert fn >= 0.0
             assert ft <= mu * fn + 1e-12
 
+    def test_friction_cone_holds_for_near_normal_slip(self):
+        # a near-normal slip (1.1e-4 of the relative speed): a friction
+        # direction that leans off the tangent by rounding alone leaves the
+        # cone here by more than the 1e-12 slack
+        p2 = [-0.040130276740064856, 0.03165054085887241]
+        vel = [[0.7134915329280875, -0.1297558362675435],
+               [-0.0026687994790473013, 0.43520506457457486]]
+        cfg = SimConfig()
+        F = contact_forces(free_world([[0.0, 0.0], p2], velocities=vel, radius=0.0325), cfg)
+        nvec = -np.asarray(p2) / math.hypot(*p2)
+        fn = float(F[0] @ nvec)
+        ft = float(np.linalg.norm(F[0] - fn * nvec))
+        assert fn > 0.0 and ft > 0.0
+        assert ft <= cfg.friction * fn + 1e-12
+
     def test_pairwise_forces_cancel(self, rng):
         pos = rng.uniform(-0.1, 0.1, (12, 2))
         w = free_world(pos, velocities=rng.uniform(-1, 1, (12, 2)), radius=0.04)
