@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_SAMPLE_BLOCK = 1 << 16  # grid nodes per field evaluation
+
+
 def _fmt(v: float) -> str:
     return format(v, ".17g")
 
@@ -96,6 +99,9 @@ def sample_grid(
     """Evaluate ``field`` at every node; morph fields need a frozen ``t``.
 
     Each sample equals a direct evaluation at that node (no interpolation).
+    Nodes go to the field in blocks of ``_SAMPLE_BLOCK``, which bounds the
+    memory of the evaluation's per-node stacks; values do not depend on
+    the block size.
     """
     driver = as_field_driver(field)
     if driver.dimension != grid.dimension:
@@ -105,10 +111,15 @@ def sample_grid(
     if t is None:
         t = 0.0
     pts = grid_points(grid)
+    blocks = [pts[lo:lo + _SAMPLE_BLOCK] for lo in range(0, pts.shape[0], _SAMPLE_BLOCK)]
     if include_gradmag:
-        v, g = driver.values_grads(pts, t)
-        return GridSamples(phi=v, gradmag=np.linalg.norm(g, axis=1))
-    return GridSamples(phi=driver.values(pts, t))
+        phi, gradmag = [], []
+        for block in blocks:
+            v, g = driver.values_grads(block, t)
+            phi.append(v)
+            gradmag.append(np.linalg.norm(g, axis=1))
+        return GridSamples(phi=np.concatenate(phi), gradmag=np.concatenate(gradmag))
+    return GridSamples(phi=np.concatenate([driver.values(block, t) for block in blocks]))
 
 
 # ---------------------------------------------------------------------------

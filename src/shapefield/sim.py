@@ -8,10 +8,12 @@ viscous drag.  Integration is semi-implicit Euler with a fixed body order,
 so a run is bit-reproducible from its configuration and seed alone.
 
 Contacts are found through a Verlet neighbour list built from a uniform
-cell list: the list holds the pairs within a small skin of touching, is
-reused while no body has moved more than half the skin, and each step
-tests only the listed pairs, by direct coordinate differences.  Contact
-memory is O(n + listed pairs).
+cell list, in which each body reads only the forward half of its 3 x 3
+cell neighbourhood, so each nearby pair is a candidate once.  The list
+holds the pairs within a small skin of touching, is reused while no body
+has moved more than half the skin, and each step tests only the listed
+pairs, by direct coordinate differences.  Contact memory is
+O(n + listed pairs).
 
 The 3-D mode drives independent point agents (no membrane, no grains,
 no contacts) with the same control law, which is how the cube-forming demo
@@ -418,51 +420,51 @@ def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np
 def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
     """Pairs i < j with |p_i - p_j| < r_i + r_j + skin, sorted by (i, j).
 
-    Broad phase on a uniform cell list: cells are at least as wide as the
-    largest cutoff, so a near pair sits in the same or an adjacent cell.
-    Bodies are stable-sorted by cell key and each looks up its 9 neighbour
-    cells by binary search; candidates are then kept by direct coordinate
-    differences.  A world too wide for ``_MAX_CELLS_PER_AXIS`` cells per
-    axis gets wider cells, which only adds candidates.  Bodies with
-    non-finite coordinates are left out: they touch nothing.
+    Broad phase on a uniform cell list over (n, 2) positions: cells are at
+    least as wide as the largest cutoff, so a near pair sits in the same or
+    an adjacent cell.  Bodies are sorted by row-major cell key; each reads a
+    half stencil as two runs of that order, found by binary search: the
+    members after it in its own cell plus the next cell of its row, and the
+    three cells of the next row around its column.  So each candidate pair
+    comes up once, kept by direct coordinate differences.  A world too wide
+    for ``_MAX_CELLS_PER_AXIS`` cells per axis gets wider cells, which only
+    adds candidates.  Bodies with non-finite coordinates touch nothing.
     """
     none = np.zeros(0, dtype=np.intp)
-    idx = np.flatnonzero(np.isfinite(pos).all(axis=1))
-    if idx.size < 2:
+    x, y = pos.T
+    body = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    cutoff = 2.0 * float(radius.take(body).max(initial=-np.inf)) + skin
+    if body.size < 2 or not cutoff > 0.0:
         return none, none
-    p = pos[idx]
-    cutoff = 2.0 * float(radius[idx].max()) + skin
-    if not cutoff > 0.0:
-        return none, none
+    bx, by = x.take(body), y.take(body)
     # halves keep the span finite for any finite coordinates
-    lo = 0.5 * p.min(axis=0)
-    half_span = float(np.max(0.5 * p.max(axis=0) - lo))
+    lo_x, lo_y = 0.5 * bx.min(), 0.5 * by.min()
+    half_span = max(0.5 * bx.max() - lo_x, 0.5 * by.max() - lo_y)
     half_cell = 0.5 * max(
         cutoff * (1.0 + _CELL_MARGIN), half_span * (2.0 / _MAX_CELLS_PER_AXIS)
     )
-    coord = np.floor((0.5 * p - lo) / half_cell).astype(np.int64)
-    # two spare columns per row, so a probe of column -1 or +1 stays in its row
-    width = int(coord[:, 1].max()) + 3
-    key = coord[:, 0] * width + (coord[:, 1] + 1)
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    offsets = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)[None, :]).ravel()
-    probe = key[:, None] + offsets
-    first = np.searchsorted(sorted_key, probe, side="left").ravel()
-    count = np.searchsorted(sorted_key, probe, side="right").ravel() - first
-    a = np.repeat(np.arange(idx.size).repeat(offsets.size), count)
+    row = np.floor((0.5 * bx - lo_x) / half_cell).astype(np.int64)
+    col = np.floor((0.5 * by - lo_y) / half_cell).astype(np.int64)
+    # one spare column per row takes the probes of column -1 and of the last + 1
+    width = int(col.max()) + 2
+    key = row * width + col
+    order = np.argsort(key)  # any order within a cell: the pairs are sorted last
+    key, body = key.take(order), body.take(order)
+    # a body's runs: from just after it to the first of key + 2, and from the
+    # first of key + width - 1 to that of key + width + 2 (the next row)
+    ends = np.searchsorted(key, key + np.array([[2], [width - 1], [width + 2]]))
+    first = np.concatenate([np.arange(1, body.size + 1), ends[1]])
+    count = np.concatenate([ends[0], ends[2]]) - first
+    a = np.repeat(np.tile(body, 2), count)
     run_start = np.cumsum(count) - count
-    b = order[np.arange(count.sum()) - np.repeat(run_start - first, count)]
-    keep = a < b
-    i = idx[a[keep]]
-    j = idx[b[keep]]
+    b = body.take(np.arange(a.size) - np.repeat(run_start - first, count))
     with np.errstate(over="ignore", invalid="ignore"):
-        d = pos[i] - pos[j]
-        reach = radius[i] + radius[j] + skin
-        near = np.einsum("ij,ij->i", d, d) < reach * reach
-    i, j = i[near], j[near]
-    by_pair = np.lexsort((j, i))
-    return i[by_pair], j[by_pair]
+        dx, dy = x.take(a) - x.take(b), y.take(a) - y.take(b)
+        reach = radius.take(a) + radius.take(b) + skin
+        near = dx * dx + dy * dy < reach * reach
+    i, j = np.minimum(a[near], b[near]), np.maximum(a[near], b[near])
+    by_pair = np.argsort(i * pos.shape[0] + j)
+    return i.take(by_pair), j.take(by_pair)
 
 
 class _PairCache:

@@ -1,5 +1,6 @@
 """Grid sampling and text exports: pointwise equality, round-trips, goldens."""
 
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from shapefield.fields import Circle, Plane
 from shapefield.gridio import (
+    _SAMPLE_BLOCK,
     GridSamples,
     GridSpec,
     export_grid,
@@ -17,10 +19,14 @@ from shapefield.gridio import (
     parse_trajectory_csv,
     sample_grid,
 )
+from shapefield.lang import parse
 from shapefield.morph import MorphSchedule
-from shapefield.sim import SimConfig, Trajectory, run
+from shapefield.sim import SimConfig, Trajectory, as_field_driver, run
+
+from conftest import same_bits
 
 GOLDEN = Path(__file__).parent / "golden"
+SHAPES = resources.files("shapefield") / "data" / "shapes"
 
 
 class TestGridSpec:
@@ -82,6 +88,20 @@ class TestSampleGrid:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             sample_grid(Circle((0, 0), 1.0), GridSpec((0, 0, 0), 0.1, (2, 2, 2)))
+
+    @pytest.mark.parametrize("name", ["pacman.shape", "wrench_morph.shape"])
+    def test_blocked_sampling_gives_the_bytes_of_one_driver_call(self, name):
+        program = parse((SHAPES / name).read_text(encoding="utf-8"))
+        field = program.morph_schedule() if program.has_morph else program.field_expr()
+        grid = GridSpec((-1.0, -1.0), 0.007, (301, 263))
+        assert grid.count > _SAMPLE_BLOCK and grid.count % _SAMPLE_BLOCK != 0
+        driver = as_field_driver(field)
+        pts = grid_points(grid)
+        v, g = driver.values_grads(pts, 3.0)
+        s = sample_grid(field, grid, t=3.0, include_gradmag=True)
+        assert same_bits(s.phi, v)
+        assert same_bits(s.gradmag, np.linalg.norm(g, axis=1))
+        assert same_bits(sample_grid(field, grid, t=3.0).phi, driver.values(pts, 3.0))
 
 
 class TestGridExports:

@@ -19,6 +19,7 @@ from shapefield.sim import (
     Trajectory,
     WorldState,
     _PairCache,
+    _near_pairs,
     apply_disturbance,
     as_field_driver,
     build_world,
@@ -33,6 +34,7 @@ from shapefield.sim import (
     stability_dt_bound,
     step,
 )
+from shapefield.tolerances import CONTACT_SKIN_FRACTION
 
 QUIET = {"category": RuntimeWarning, "match": "stability"}
 RADII = (0.03, 0.0325, 0.0325 * math.sqrt(2.0))
@@ -76,13 +78,20 @@ def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, 
     )
 
 
-def brute_force_hits(pos, radius):
-    """Overlapping pairs i < j in row-major order, from direct differences."""
+def brute_force_hits(pos, radius, skin=0.0):
+    """Pairs i < j with |p_i - p_j| < r_i + r_j + skin in row-major order,
+    from direct differences; with no skin, the overlapping pairs.  Rows go
+    in blocks, so that n x n arrays never exist."""
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        rsum = radius[:, None] + radius[None, :]
-        return np.nonzero(np.triu(d2 < rsum * rsum, k=1))
+        for lo in range(0, pos.shape[0], 256):
+            diff = pos[lo:lo + 256, None, :] - pos[None, :, :]
+            d2 = np.einsum("ijk,ijk->ij", diff, diff)
+            reach = radius[lo:lo + 256, None] + radius[None, :] + skin
+            i, j = np.nonzero(np.triu(d2 < reach * reach, k=lo + 1))
+            rows.append(i + lo)
+            cols.append(j)
+    return np.concatenate(rows), np.concatenate(cols)
 
 
 def listed_hits(cache, world):
@@ -92,6 +101,15 @@ def listed_hits(cache, world):
 
 def assert_same_pairs(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def assert_list_is_brute_force(pos, radius):
+    """The neighbour list at the pair cache's skin is the brute-force list:
+    each unordered pair once, as i < j, sorted by (i, j).  Returns its length."""
+    skin = CONTACT_SKIN_FRACTION * float(radius.min())
+    got = _near_pairs(pos, radius, skin)
+    assert_same_pairs(got, brute_force_hits(pos, radius, skin))
+    return got[0].size
 
 
 def squeezed_world(config, scale):
@@ -320,6 +338,7 @@ class TestNeighbourList:
     @given(packings())
     def test_hits_equal_brute_force(self, packing):
         w, rng = packing
+        assert_list_is_brute_force(w.pos, w.radius)
         cache = _PairCache(w)
         assert_same_pairs(listed_hits(cache, w), brute_force_hits(w.pos, w.radius))
         i, j = listed_hits(cache, w)
@@ -329,6 +348,29 @@ class TestNeighbourList:
         moved = dataclasses.replace(w, pos=w.pos + rng.uniform(-2.6e-3, 2.6e-3, w.pos.shape))
         assert_same_pairs(listed_hits(cache, moved), brute_force_hits(moved.pos, moved.radius))
         assert cache.builds == 1
+
+    @pytest.mark.filterwarnings("error")  # no overflow while building the grid
+    @pytest.mark.parametrize(
+        "case", ["swarm_3000", "one_cell", "row_x", "row_y", "at_1e12", "non_finite"]
+    )
+    def test_list_equals_brute_force_on_hostile_worlds(self, case, rng):
+        radius = rng.choice(RADII, 300)
+        pos = rng.uniform(-0.5, 0.5, (300, 2))
+        if case == "swarm_3000":
+            w = build_world(SimConfig(n_boundary=120, n_interior=2880))
+            pos, radius = w.pos, w.radius
+        elif case == "one_cell":
+            pos = rng.uniform(-0.01, 0.01, (300, 2))
+        elif case.startswith("row"):
+            # some neighbours within the cutoff, some second neighbours too
+            pos = np.zeros((300, 2))
+            pos[:, int(case == "row_y")] = np.cumsum(rng.uniform(0.04, 0.1, 300))
+        elif case == "at_1e12":
+            pos[7] = (1e12, 1e12)
+        else:
+            pos[5:10] = [(1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7e308, -1.7e308),
+                         (np.nan, 0.0), (np.inf, 0.0)]
+        assert assert_list_is_brute_force(pos, radius) > 0
 
     @pytest.mark.filterwarnings("error")  # no overflow while building the grid
     def test_extreme_and_non_finite_coordinates(self, rng):
