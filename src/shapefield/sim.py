@@ -147,8 +147,8 @@ class SimConfig:
             raise ValueError("2-D ring needs at least 3 boundary robots")
         if self.dimension == 3 and self.n_interior != 0:
             raise ValueError("3-D mode drives point agents only; set n_interior=0")
-        if not all(0.0 < r < math.inf for r in self.grain_radii):
-            raise ValueError("grain radii must be positive and finite")
+        if len(self.grain_radii) != 2 or not all(0.0 < r < math.inf for r in self.grain_radii):
+            raise ValueError("grain_radii must be two positive and finite radii")
         if not all(map(math.isfinite, self.target or ())):
             raise ValueError("target must be finite")
         if self.target is not None and len(self.target) != self.dimension:
@@ -382,23 +382,21 @@ def ring_radius_of(world: WorldState) -> float:
 
 def spring_forces(world: WorldState) -> np.ndarray:
     """Linear spring forces: k (|d| - rest) along the link, equal/opposite."""
-    F = np.zeros_like(world.pos)
     if world.spring_i.size == 0:
-        return F
-    dvec = world.pos[world.spring_j] - world.pos[world.spring_i]
+        return np.zeros_like(world.pos)
+    dvec = world.pos.take(world.spring_j, axis=0) - world.pos.take(world.spring_i, axis=0)
     with np.errstate(over="ignore"):
         # a diverging state may overflow here; step() reports it right after
         dist = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
     ok = dist > SPRING_COINCIDENT_EPS
-    if not np.all(ok):
+    if not ok.all():
         log.warning(
             "spring endpoints coincide for links %s; zero force applied",
             np.nonzero(~ok)[0].tolist(),
         )
     fmag = np.where(ok, world.spring_k * (dist - world.spring_rest), 0.0)
-    scale = np.zeros_like(dist)
     with np.errstate(invalid="ignore"):
-        np.divide(fmag, dist, out=scale, where=ok)
+        scale = fmag / np.where(ok, dist, 1.0)
     pair = dvec * scale[:, None]
     return _scatter_pairs(pair, world.spring_i, world.spring_j, world.n)
 
@@ -406,15 +404,14 @@ def spring_forces(world: WorldState) -> np.ndarray:
 def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """Per-body sums of +pair on bodies i and -pair on bodies j.
 
-    Each body sums its terms in the order ``np.add.at`` on i then on j
-    would, so the result is bit-identical to that.
+    One ``np.bincount`` over bins body * d + axis, fed axis by axis, adds
+    each bin's terms in the order ``np.add.at`` on i then on j would, so
+    the result is bit-identical to that.
     """
-    idx = np.concatenate([i, j])
-    terms = np.concatenate([pair, -pair])
-    return np.stack(
-        [np.bincount(idx, weights=terms[:, k], minlength=n) for k in range(pair.shape[1])],
-        axis=1,
-    )
+    d = pair.shape[1]
+    flat = (np.concatenate([i, j]) * d + np.arange(d)[:, None]).ravel()
+    terms = np.concatenate([pair, -pair]).T.ravel()
+    return np.bincount(flat, weights=terms, minlength=n * d).reshape(n, d)
 
 
 def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
@@ -493,29 +490,31 @@ class _PairCache:
         self.builds += 1
 
     def _stale(self, world: WorldState) -> bool:
-        if world.pos.shape != self.pos.shape or not np.array_equal(
-            world.radius, self.radius
-        ):
+        if world.pos.shape != self.pos.shape or not np.array_equal(world.radius, self.radius):
             return True
         moved = world.pos - self.pos
+        moved *= moved
         # NaN (a non-finite body) compares False, so it forces a rebuild too
-        return not np.einsum("ij,ij->i", moved, moved).max() <= (0.5 * self.skin) ** 2
+        return not (moved[:, 0] + moved[:, 1]).max() <= (0.5 * self.skin) ** 2
 
     def hits(self, world: WorldState):
         """Overlapping pairs of ``world``: (i, j, p_i - p_j, |p_i - p_j|^2, r_i + r_j).
 
         Pairs come sorted by (i, j), the row-major order of the upper
-        triangle, and are exactly those with |p_i - p_j|^2 < (r_i + r_j)^2
-        from direct coordinate differences.
+        triangle, and are exactly those with |p_i - p_j|^2 < (r_i + r_j)^2,
+        squared by column as dx dx + dy dy from direct coordinate
+        differences.  One index array takes the hits from the list.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging state may overflow here; step() reports it right after
             if self._stale(world):
                 self._build(world)
             d = world.pos.take(self.i, axis=0) - world.pos.take(self.j, axis=0)
-            d2 = np.einsum("ij,ij->i", d, d)
-            hit = d2 < self.rsum2
-        return self.i[hit], self.j[hit], d[hit], d2[hit], self.rsum[hit]
+            dx, dy = d.T
+            d2 = dx * dx + dy * dy
+            hit = np.flatnonzero(d2 < self.rsum2)
+        i, j, rsum = self.i, self.j, self.rsum
+        return i.take(hit), j.take(hit), d.take(hit, axis=0), d2.take(hit), rsum.take(hit)
 
 
 def contact_forces(
@@ -530,20 +529,19 @@ def contact_forces(
     Overlapping pairs come from ``cache``, a neighbour list reused across
     steps; without one a fresh list is built for this call.
     """
-    F = np.zeros_like(world.pos)
     if world.dimension == 3 or world.n < 2:
-        return F  # 3-D point agents do not collide
+        return np.zeros_like(world.pos)  # 3-D point agents do not collide
     if cache is None:
         cache = _PairCache(world)
     i, j, dph, d2, rsum = cache.hits(world)
     if i.size == 0:
-        return F
+        return np.zeros_like(world.pos)
     dist = np.sqrt(d2)
     ok = dist > CONTACT_COINCIDENT_EPS
     dist = np.where(ok, dist, 1.0)
     nvec = dph / dist[:, None]  # from j toward i
     pen = rsum - dist
-    dv = world.vel[i] - world.vel[j]
+    dv = world.vel.take(i, axis=0) - world.vel.take(j, axis=0)
     vn = np.einsum("ij,ij->i", dv, nvec)  # separation rate along the normal
     fn = np.maximum(config.contact_stiffness * pen - config.contact_damping * vn, 0.0)
     fn = np.where(ok, fn, 0.0)
@@ -629,11 +627,13 @@ def step(
     Fu, u = control_forces(
         world, driver, config.alpha, config.control_mode, world.last_control
     )
-    F = Fs + Fc + Fu - config.drag * world.vel
+    F = Fs + Fc
+    F += Fu
+    F -= config.drag * world.vel
     vel = world.vel + F * (dt / world.mass[:, None])
     pos = world.pos + vel * dt
     # a non-finite velocity always gives a non-finite position
-    if not np.all(np.isfinite(pos)):
+    if not np.isfinite(pos).all():
         bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
         term = "state"
         for name, arr in (("spring", Fs), ("contact", Fc), ("control", Fu)):

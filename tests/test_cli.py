@@ -212,6 +212,17 @@ class TestSimulateCommand:
             )
             assert code == 2, (cfg.name, extra)
 
+    def test_one_grain_radius_exits_2_naming_the_key(self, circle_shape, quick_config,
+                                                     tmp_path, capsys):
+        cfg = tmp_path / "one_radius.cfg"
+        cfg.write_text(quick_config.read_text() + "grain_radii = 0.03\n")
+        code = main(
+            ["simulate", "--shape", str(circle_shape), "--config", str(cfg),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "grain_radii" in capsys.readouterr().err
+
     def test_divergence_exits_5(self, circle_shape, tmp_path):
         cfg = tmp_path / "explode.cfg"
         cfg.write_text(

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from shapefield.sim import (
     WorldState,
     _PairCache,
     _near_pairs,
+    _scatter_pairs,
     apply_disturbance,
     as_field_driver,
     build_world,
@@ -110,6 +112,14 @@ def assert_list_is_brute_force(pos, radius):
     got = _near_pairs(pos, radius, skin)
     assert_same_pairs(got, brute_force_hits(pos, radius, skin))
     return got[0].size
+
+
+def add_at_reference(pair, i, j, n):
+    """Per-body sums of +pair on i and -pair on j by ``np.add.at``."""
+    want = np.zeros((n, pair.shape[1]))
+    np.add.at(want, i, pair)
+    np.add.at(want, j, -pair)
+    return want
 
 
 def squeezed_world(config, scale):
@@ -241,9 +251,7 @@ class TestSpringForces:
         dvec = w.pos[w.spring_j] - w.pos[w.spring_i]
         dist = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
         pair = dvec * (w.spring_k * (dist - w.spring_rest) / dist)[:, None]
-        want = np.zeros_like(pos)
-        np.add.at(want, w.spring_i, pair)
-        np.add.at(want, w.spring_j, -pair)
+        want = add_at_reference(pair, w.spring_i, w.spring_j, w.n)
         assert spring_forces(w).tobytes() == want.tobytes()
 
     def test_coincident_endpoints_zero_force(self, caplog):
@@ -252,6 +260,46 @@ class TestSpringForces:
             F = spring_forces(w)
         assert np.all(F == 0.0)
         assert any("coincide" in r.message for r in caplog.records)
+
+    def test_one_coincident_link_among_several(self, caplog):
+        # links share no body, so each body's force is its own link's force
+        pos = [[0.0, 0.0], [0.12, 0.01], [0.3, 0.0], [0.3, 0.07], [0.5, 0.5], [0.5, 0.5],
+               [-0.2, 0.1], [-0.31, -0.02]]
+        links = [(0, 1, 50.0, 0.1), (2, 3, 40.0, 0.1), (4, 5, 50.0, 0.1), (6, 7, 30.0, 0.05)]
+        w = free_world(pos, springs=links)
+        with caplog.at_level(logging.WARNING, logger="shapefield.sim"):
+            F = spring_forces(w)
+        logged = [r.getMessage() for r in caplog.records if "coincide" in r.getMessage()]
+        assert len(logged) == 1 and "links [2];" in logged[0]
+        assert np.all(F[[4, 5]] == 0.0)
+        for a, b, k, rest in (links[0], links[1], links[3]):
+            dvec = w.pos[b] - w.pos[a]
+            dist = np.sqrt(np.einsum("i,i->", dvec, dvec))
+            want = dvec * (k * (dist - rest) / dist)
+            # each body's sum starts from +0.0
+            assert F[a].tobytes() == (0.0 + want).tobytes()
+            assert F[b].tobytes() == (0.0 - want).tobytes()
+
+
+class TestScatterPairs:
+    def test_contact_shaped_input_matches_add_at(self, rng):
+        # the default world squeezed until thousands of pairs overlap, so
+        # most bodies get many terms in each component
+        w = squeezed_world(SimConfig(), 0.93)
+        i, j, d, d2, _ = _PairCache(w).hits(w)
+        assert np.bincount(np.concatenate([i, j])).max() > 4
+        pair = d * rng.uniform(-1e3, 1e3, d2.shape)[:, None]
+        got = _scatter_pairs(pair, i, j, w.n)
+        assert got.shape == (w.n, 2) and got.flags.c_contiguous
+        assert got.tobytes() == add_at_reference(pair, i, j, w.n).tobytes()
+
+    def test_three_component_rows_match_add_at(self, rng):
+        n = 11
+        i, j = rng.integers(0, n, (2, 300))
+        pair = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 7, (300, 1))
+        got = _scatter_pairs(pair, i, j, n)
+        assert got.shape == (n, 3) and got.flags.c_contiguous
+        assert got.tobytes() == add_at_reference(pair, i, j, n).tobytes()
 
 
 class TestContactForces:
@@ -529,8 +577,9 @@ class TestStep:
         period = 2 * math.pi / math.sqrt(k / (m / 2.0))
         steps = int(round(10 * period / cfg.dt))
         worst = 0.0
+        cache = _PairCache(w)
         for i in range(steps):
-            w = step(w, cfg, None, cfg.dt)
+            w = step(w, cfg, None, cfg.dt, cache)
             worst = max(worst, abs(energy(w) - e0) / e0)
         assert worst < 0.02
 
@@ -543,7 +592,9 @@ class TestStep:
         w = dataclasses.replace(w, pos=pos)
         cfg = SimConfig(n_boundary=6, n_interior=0, dt=10.0, drag=0.0)
         cache = _PairCache(w)
-        with pytest.raises(SimulationDivergenceError) as err:
+        # the guarded overflows of a diverging state warn nothing
+        with warnings.catch_warnings(), pytest.raises(SimulationDivergenceError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
             for _ in range(2000):
                 w = step(w, cfg, None, cfg.dt, cache)
         assert "body 0 has a non-finite spring force" in str(err.value)
@@ -739,6 +790,15 @@ class TestConfigFile:
     def test_non_finite_values_rejected(self, override):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(**override)
+
+    @pytest.mark.parametrize("radii", [(), (0.03,), (0.03, 0.04, 0.05)])
+    def test_grain_radii_must_be_a_pair(self, radii):
+        with pytest.raises(ValueError, match="grain_radii"):
+            SimConfig(grain_radii=radii)
+        text = "grain_radii = " + ", ".join(map(str, radii))
+        if radii:
+            with pytest.raises(ValueError, match="grain_radii"):
+                parse_sim_config(text)
 
     def test_target_dimension_checked(self):
         with pytest.raises(ValueError, match="target must have 2 coordinates"):
