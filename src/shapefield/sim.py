@@ -12,8 +12,10 @@ cell list, in which each body reads only the forward half of its 3 x 3
 cell neighbourhood, so each nearby pair is a candidate once.  The list
 holds the pairs within a small skin of touching, is reused while no body
 has moved more than half the skin, and each step tests only the listed
-pairs, by direct coordinate differences.  Contact memory is
-O(n + listed pairs).
+pairs, by direct coordinate differences.  Each build also records the
+smallest gap between listed bodies, less a rounding margin: while no body
+has moved half that far, no listed pair can touch, and a step skips the
+narrow phase.  Contact memory is O(n + listed pairs).
 
 The 3-D mode drives independent point agents (no membrane, no grains,
 no contacts) with the same control law, which is how the cube-forming demo
@@ -36,6 +38,7 @@ from .lang import ShapeProgram
 from .morph import DegenerateBlendError, MorphSchedule
 from .tolerances import (
     CONTACT_COINCIDENT_EPS,
+    CONTACT_ROOM_MARGIN,
     CONTACT_SKIN_FRACTION,
     CONTACT_SLIP_EPS,
     SPRING_COINCIDENT_EPS,
@@ -197,6 +200,9 @@ class Disturbance:
 
     ``impulse`` (N s) is applied to each target body at each time in
     ``times``; times outside [t0, t1] are dropped by the window check.
+    The window, the targets and the impulse are checked here; :func:`run`
+    checks the target range and the impulse length against its world
+    before the first step.
     """
 
     impulse: tuple[float, ...]
@@ -205,9 +211,19 @@ class Disturbance:
     targets: tuple[int, ...]
     times: tuple[float, ...]
 
+    def __post_init__(self):
+        if not self.t0 < self.t1:
+            raise ValueError(f"disturbance window must have t0 < t1, got ({self.t0}, {self.t1})")
+        if len(self.targets) == 0:
+            raise ValueError("disturbance target set is empty")
+        if not all(map(math.isfinite, self.impulse)):
+            raise ValueError(f"disturbance impulse must be finite, got {self.impulse}")
+
     @classmethod
     def evenly(cls, impulse, t0: float, t1: float, n_pulses: int, targets):
-        """n_pulses equally spaced through [t0, t1]."""
+        """n_pulses (at least one) equally spaced through [t0, t1]."""
+        if n_pulses < 1:
+            raise ValueError(f"n_pulses must be at least 1, got {n_pulses}")
         times = tuple(np.linspace(t0, t1, n_pulses)) if n_pulses > 1 else (t0,)
         return cls(tuple(impulse), float(t0), float(t1), tuple(targets), times)
 
@@ -277,15 +293,13 @@ def _hex_packing(config: SimConfig, rng: np.random.Generator):
     jj, ii = np.meshgrid(
         np.arange(-rows, rows + 1), np.arange(-cols, cols + 1), indexing="ij"
     )
-    xs = (ii + 0.5 * (jj % 2)) * pitch
-    ys = jj * (pitch * math.sqrt(3.0) / 2.0)
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    order = np.lexsort((ii.ravel(), jj.ravel(), r2))
-    pts = pts[order]
-    if pts.shape[0] < n:
-        raise PackingError(n, pts.shape[0], "hex lattice too small")
-    pts = pts[:n]
+    xs = ((ii + 0.5 * (jj % 2)) * pitch).ravel()
+    ys = (jj * (pitch * math.sqrt(3.0) / 2.0)).ravel()
+    if xs.size < n:
+        raise PackingError(n, xs.size, "hex lattice too small")
+    # nearest the centre first; a stable sort keeps ties in (row, column) order
+    order = np.argsort(xs * xs + ys * ys, kind="stable")[:n]
+    pts = np.stack([xs.take(order), ys.take(order)], axis=1)
     radii = np.where(np.arange(n) % 2 == 0, r_small, r_large)
     clearance = 0.5 * (pitch - 2.0 * r_large)
     jitter = rng.uniform(
@@ -336,9 +350,8 @@ def build_world(config: SimConfig) -> WorldState:
 
     if config.n_interior > 0:
         grain_pos, grain_radii = _hex_packing(config, rng)
-        packing_radius = float(
-            np.max(np.linalg.norm(grain_pos, axis=1) + grain_radii)
-        )
+        gx, gy = grain_pos.T
+        packing_radius = float(np.max(np.sqrt(gx * gx + gy * gy) + grain_radii))
     else:
         grain_pos = np.zeros((0, 2))
         grain_radii = np.zeros(0)
@@ -397,20 +410,20 @@ def spring_forces(world: WorldState) -> np.ndarray:
     fmag = np.where(ok, world.spring_k * (dist - world.spring_rest), 0.0)
     with np.errstate(invalid="ignore"):
         scale = fmag / np.where(ok, dist, 1.0)
-    pair = dvec * scale[:, None]
-    return _scatter_pairs(pair, world.spring_i, world.spring_j, world.n)
+    return _scatter_pairs(dvec.T * scale, world.spring_i, world.spring_j, world.n)
 
 
 def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Per-body sums of +pair on bodies i and -pair on bodies j.
+    """Per-body (n, d) sums of +pair on bodies i and -pair on bodies j.
 
-    One ``np.bincount`` over bins body * d + axis, fed axis by axis, adds
-    each bin's terms in the order ``np.add.at`` on i then on j would, so
-    the result is bit-identical to that.
+    ``pair`` holds one row per axis, (d, k).  One ``np.bincount`` over
+    bins body * d + axis, fed axis by axis, adds each bin's terms in the
+    order ``np.add.at`` on i then on j would, so the result is
+    bit-identical to that.
     """
-    d = pair.shape[1]
+    d = pair.shape[0]
     flat = (np.concatenate([i, j]) * d + np.arange(d)[:, None]).ravel()
-    terms = np.concatenate([pair, -pair]).T.ravel()
+    terms = np.concatenate([pair, -pair], axis=1).ravel()
     return np.bincount(flat, weights=terms, minlength=n * d).reshape(n, d)
 
 
@@ -458,8 +471,9 @@ def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = x.take(a) - x.take(b), y.take(a) - y.take(b)
         reach = radius.take(a) + radius.take(b) + skin
-        near = dx * dx + dy * dy < reach * reach
-    i, j = np.minimum(a[near], b[near]), np.maximum(a[near], b[near])
+        near = np.flatnonzero(dx * dx + dy * dy < reach * reach)
+    a, b = a.take(near), b.take(near)
+    i, j = np.minimum(a, b), np.maximum(a, b)
     by_pair = np.argsort(i * pos.shape[0] + j)
     return i.take(by_pair), j.take(by_pair)
 
@@ -474,6 +488,15 @@ class _PairCache:
     still on the list, so :meth:`hits` reuses it.  It rebuilds when a body
     moves farther, when the body count changes, or when the radii change.
     ``builds`` counts the builds.
+
+    Each build also records a no-contact certificate.  The room is the
+    smallest |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``) over
+    the listed pairs, from direct differences; the margin outweighs the
+    rounding of every distance and move involved.  Two bodies that each
+    moved less than half the room cannot have closed it, so while no body
+    has, :meth:`hits` returns no pairs without testing any.  A listed
+    pair that touches, or is closer than the margin, leaves no room, and
+    the certificate never holds.
     """
 
     def __init__(self, world: WorldState):
@@ -487,15 +510,24 @@ class _PairCache:
         self.i, self.j = _near_pairs(self.pos, self.radius, self.skin)
         self.rsum = self.radius[self.i] + self.radius[self.j]
         self.rsum2 = self.rsum * self.rsum
+        # listed pairs are nearer than their cutoff, so nothing here overflows
+        dx, dy = (self.pos.take(self.i, axis=0) - self.pos.take(self.j, axis=0)).T
+        gap = np.sqrt(dx * dx + dy * dy) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
+        room = float(gap.min(initial=np.inf))
+        # squared half room; no room admits no move, not even a zero one
+        self.clear2 = (0.5 * room) ** 2 if room > 0.0 else -1.0
+        empty = self.rsum[:0]
+        self.no_hits = (self.i[:0], self.j[:0], self.pos[:0], empty, empty)
         self.builds += 1
 
-    def _stale(self, world: WorldState) -> bool:
+    def _moved2(self, world: WorldState) -> float:
+        """Largest squared move of a body since the build; inf when the body
+        count or the radii changed."""
         if world.pos.shape != self.pos.shape or not np.array_equal(world.radius, self.radius):
-            return True
+            return math.inf
         moved = world.pos - self.pos
         moved *= moved
-        # NaN (a non-finite body) compares False, so it forces a rebuild too
-        return not (moved[:, 0] + moved[:, 1]).max() <= (0.5 * self.skin) ** 2
+        return (moved[:, 0] + moved[:, 1]).max()
 
     def hits(self, world: WorldState):
         """Overlapping pairs of ``world``: (i, j, p_i - p_j, |p_i - p_j|^2, r_i + r_j).
@@ -503,12 +535,19 @@ class _PairCache:
         Pairs come sorted by (i, j), the row-major order of the upper
         triangle, and are exactly those with |p_i - p_j|^2 < (r_i + r_j)^2,
         squared by column as dx dx + dy dy from direct coordinate
-        differences.  One index array takes the hits from the list.
+        differences.  One index array takes the hits from the list.  While
+        the certificate holds, the result is empty arrays of the same
+        dtypes and trailing shapes.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging state may overflow here; step() reports it right after
-            if self._stale(world):
+            moved2 = self._moved2(world)
+            # NaN (a non-finite body) compares False, so it forces a rebuild too
+            if not moved2 <= (0.5 * self.skin) ** 2:
                 self._build(world)
+                moved2 = 0.0
+            if moved2 < self.clear2:
+                return self.no_hits
             d = world.pos.take(self.i, axis=0) - world.pos.take(self.j, axis=0)
             dx, dy = d.T
             d2 = dx * dx + dy * dy
@@ -527,7 +566,8 @@ def contact_forces(
     (ramped linearly below CONTACT_SLIP_EPS to avoid chatter).
 
     Overlapping pairs come from ``cache``, a neighbour list reused across
-    steps; without one a fresh list is built for this call.
+    steps; without one a fresh list is built for this call.  The force law
+    runs on coordinate columns, one length-k array per axis.
     """
     if world.dimension == 3 or world.n < 2:
         return np.zeros_like(world.pos)  # 3-D point agents do not collide
@@ -539,18 +579,22 @@ def contact_forces(
     dist = np.sqrt(d2)
     ok = dist > CONTACT_COINCIDENT_EPS
     dist = np.where(ok, dist, 1.0)
-    nvec = dph / dist[:, None]  # from j toward i
+    nvec = dph.T / dist  # from j toward i, one row per axis
+    nx, ny = nvec
     pen = rsum - dist
-    dv = world.vel.take(i, axis=0) - world.vel.take(j, axis=0)
-    vn = np.einsum("ij,ij->i", dv, nvec)  # separation rate along the normal
+    dvx, dvy = (world.vel.take(i, axis=0) - world.vel.take(j, axis=0)).T
+    vn = dvx * nx + dvy * ny  # separation rate along the normal
     fn = np.maximum(config.contact_stiffness * pen - config.contact_damping * vn, 0.0)
     fn = np.where(ok, fn, 0.0)
-    # the tangent is the normal turned a quarter, so that friction has no
-    # normal component, not even a rounding one
-    tvec = np.stack([-nvec[:, 1], nvec[:, 0]], axis=1)
-    vt = np.einsum("ij,ij->i", dv, tvec)  # signed slip speed along tvec
+    # the tangent (-ny, nx) is the normal turned a quarter, so that friction
+    # has no normal component, not even a rounding one
+    vt = dvy * nx - dvx * ny  # signed slip speed along the tangent
     ft = config.friction * fn * np.minimum(1.0, np.abs(vt) / CONTACT_SLIP_EPS)
-    pair = fn[:, None] * nvec - (np.sign(vt) * ft)[:, None] * tvec
+    slip = np.sign(vt) * ft
+    # fn n - slip (-ny, nx), by axis
+    pair = fn * nvec
+    pair[0] += slip * ny
+    pair[1] -= slip * nx
     return _scatter_pairs(pair, i, j, world.n)
 
 
@@ -630,8 +674,15 @@ def step(
     F = Fs + Fc
     F += Fu
     F -= config.drag * world.vel
-    vel = world.vel + F * (dt / world.mass[:, None])
-    pos = world.pos + vel * dt
+    # v + F (dt / m) by column and in place: the same bits as the (n, 1)
+    # broadcast, which numpy would run row by row
+    dt_over_m = dt / world.mass
+    for col in F.T:
+        col *= dt_over_m
+    vel = F
+    vel += world.vel
+    pos = vel * dt
+    pos += world.pos
     # a non-finite velocity always gives a non-finite position
     if not np.isfinite(pos).all():
         bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
@@ -646,6 +697,21 @@ def step(
     return replace(world, pos=pos, vel=vel, time=world.time + dt, last_control=u)
 
 
+def _pulse_arrays(world: WorldState, impulse, targets):
+    """The impulse and target index arrays, checked against ``world``."""
+    targets = np.asarray(list(targets), dtype=np.intp)
+    if targets.size == 0:
+        raise ValueError("disturbance target set is empty")
+    if not np.all((targets >= 0) & (targets < world.n)):
+        raise ValueError(
+            f"disturbance targets must lie in [0, {world.n}), got {targets.tolist()}"
+        )
+    imp = np.asarray(impulse, dtype=float)
+    if imp.shape != (world.dimension,):
+        raise ValueError(f"impulse must have {world.dimension} components")
+    return imp, targets
+
+
 def apply_disturbance(
     world: WorldState, impulse, window: tuple[float, float], targets
 ) -> WorldState:
@@ -658,18 +724,9 @@ def apply_disturbance(
     t0, t1 = window
     if not t0 < t1:
         raise ValueError(f"disturbance window must have t0 < t1, got {window}")
-    targets = np.asarray(list(targets), dtype=np.intp)
-    if targets.size == 0:
-        raise ValueError("disturbance target set is empty")
-    if not np.all((targets >= 0) & (targets < world.n)):
-        raise ValueError(
-            f"disturbance targets must lie in [0, {world.n}), got {targets.tolist()}"
-        )
+    imp, targets = _pulse_arrays(world, impulse, targets)
     if not (t0 <= world.time <= t1):
         return world
-    imp = np.asarray(impulse, dtype=float)
-    if imp.shape != (world.dimension,):
-        raise ValueError(f"impulse must have {world.dimension} components")
     vel = world.vel.copy()
     vel[targets] += imp / world.mass[targets, None]
     return replace(world, vel=vel)
@@ -716,6 +773,8 @@ def run(
             f"field is {driver.dimension}-D but the simulation is {config.dimension}-D"
         )
     world = build_world(config)
+    for d in disturbances:
+        _pulse_arrays(world, d.impulse, d.targets)
     cache = _PairCache(world) if config.dimension == 2 else None
     if config.dt > stability_dt_bound(config):
         warnings.warn(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapefield.fields import Circle, Plane
+from shapefield.fields import Circle, Plane, Sphere
 from shapefield.morph import DegenerateBlendError, MorphSchedule
 from shapefield.sim import (
     Disturbance,
@@ -19,7 +19,9 @@ from shapefield.sim import (
     SimulationDivergenceError,
     Trajectory,
     WorldState,
+    _GRAIN_SPACING_MARGIN,
     _PairCache,
+    _hex_packing,
     _near_pairs,
     _scatter_pairs,
     apply_disturbance,
@@ -36,7 +38,7 @@ from shapefield.sim import (
     stability_dt_bound,
     step,
 )
-from shapefield.tolerances import CONTACT_SKIN_FRACTION
+from shapefield.tolerances import CONTACT_ROOM_MARGIN, CONTACT_SKIN_FRACTION
 
 QUIET = {"category": RuntimeWarning, "match": "stability"}
 RADII = (0.03, 0.0325, 0.0325 * math.sqrt(2.0))
@@ -146,6 +148,50 @@ def packings(draw):
     return free_world(pos, radius=radius), rng
 
 
+@st.composite
+def spaced_packings(draw):
+    """Jittered square grids of mixed radii in which no two bodies touch and
+    neighbours sit within the list's skin, so the no-contact certificate
+    can hold.  Optionally the grid sits at 1e12 m, bodies 0 and 1 touch
+    exactly, or one body is NaN."""
+    side = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = rng.choice(RADII, side * side)
+    spacing = 2.0 * max(RADII) + draw(st.floats(2e-4, 6e-3))
+    free = 0.5 * (spacing - 2.0 * max(RADII))
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+    pos = grid * spacing + rng.uniform(-0.4 * free, 0.4 * free, grid.shape)
+    case = draw(st.sampled_from(["apart", "at_1e12", "touching", "nan"]))
+    if case == "at_1e12":
+        pos += (1e12, -1e12)
+    elif case == "touching":
+        pos[1] = pos[0] + (radius[0] + radius[1], 0.0)
+    elif case == "nan":
+        pos[draw(st.integers(0, side * side - 1))] = (np.nan, 0.0)
+    return free_world(pos, radius=radius), rng, case
+
+
+def hex_reference(n, r_large):
+    """The first n points of a square-bounded hex lattice, ordered by the
+    three-key lexsort (|p|^2, row, column) with |p|^2 from ``einsum``."""
+    pitch = 2.0 * r_large * (1.0 + _GRAIN_SPACING_MARGIN)
+    k = int(2.0 * math.sqrt(n)) + 3
+    jj, ii = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1), indexing="ij")
+    pts = np.stack(
+        [((ii + 0.5 * (jj % 2)) * pitch).ravel(), (jj * (pitch * math.sqrt(3.0) / 2.0)).ravel()],
+        axis=1,
+    )
+    order = np.lexsort((ii.ravel(), jj.ravel(), np.einsum("ij,ij->i", pts, pts)))
+    return pts[order[:n]]
+
+
+class NoJitter:
+    """Stands in for the packing's random generator: every jitter is zero."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
+
+
 class TestBuildWorld:
     def test_default_counts(self):
         w = build_world(SimConfig())
@@ -209,6 +255,15 @@ class TestBuildWorld:
         with pytest.raises(PackingError) as err:
             build_world(SimConfig(max_packing_radius=0.3))
         assert err.value.achieved < err.value.requested
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 18, 19, 20, 36, 37, 38, 2880])
+    def test_hex_order_is_the_lexsort_order(self, n):
+        # n on and around full hex shells (1 + 6 + 12 + 18 points), where
+        # equal distances tie and the (row, column) order decides
+        cfg = SimConfig(n_interior=n)
+        pts, _ = _hex_packing(cfg, NoJitter())
+        want = hex_reference(n, max(cfg.grain_radii)) + np.zeros((n, 2))
+        assert pts.tobytes() == want.tobytes()
 
     def test_3d_point_agents(self):
         w = build_world(SimConfig(dimension=3, n_boundary=162, n_interior=0))
@@ -289,7 +344,7 @@ class TestScatterPairs:
         i, j, d, d2, _ = _PairCache(w).hits(w)
         assert np.bincount(np.concatenate([i, j])).max() > 4
         pair = d * rng.uniform(-1e3, 1e3, d2.shape)[:, None]
-        got = _scatter_pairs(pair, i, j, w.n)
+        got = _scatter_pairs(pair.T, i, j, w.n)
         assert got.shape == (w.n, 2) and got.flags.c_contiguous
         assert got.tobytes() == add_at_reference(pair, i, j, w.n).tobytes()
 
@@ -297,7 +352,7 @@ class TestScatterPairs:
         n = 11
         i, j = rng.integers(0, n, (2, 300))
         pair = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 7, (300, 1))
-        got = _scatter_pairs(pair, i, j, n)
+        got = _scatter_pairs(pair.T, i, j, n)
         assert got.shape == (n, 3) and got.flags.c_contiguous
         assert got.tobytes() == add_at_reference(pair, i, j, n).tobytes()
 
@@ -432,6 +487,50 @@ class TestNeighbourList:
         assert i.size > 0
         assert_same_pairs((i, j), brute_force_hits(w.pos, w.radius))
 
+    @settings(max_examples=150, deadline=None)
+    @given(spaced_packings(), st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, "random"]))
+    def test_reused_list_hits_equal_brute_force_around_the_room(self, packing, factor):
+        # the tightest listed pair closes by just under or just over the
+        # room the list recorded, or every body moves at random
+        w, rng, case = packing
+        cache = _PairCache(w)
+        i, j = cache.i, cache.j
+        d = w.pos[i] - w.pos[j]
+        gap = np.sqrt(np.einsum("ij,ij->i", d, d)) - (w.radius[i] + w.radius[j])
+        if case == "touching":
+            assert cache.clear2 < 0.0  # no room: the certificate never holds
+        pos = w.pos.copy()
+        if factor == "random":
+            pos += rng.uniform(-3e-3, 3e-3, pos.shape)
+        elif i.size and np.isfinite(gap).any():
+            k = int(np.nanargmin(gap))
+            margin = CONTACT_ROOM_MARGIN * (w.radius[i[k]] + w.radius[j[k]])
+            half_room = 0.5 * factor * (gap[k] - margin)
+            toward = d[k] / np.linalg.norm(d[k])
+            pos[i[k]] -= half_room * toward
+            pos[j[k]] += half_room * toward
+        moved = dataclasses.replace(w, pos=pos)
+        got = cache.hits(moved)
+        assert_same_pairs(got[:2], brute_force_hits(moved.pos, moved.radius))
+        assert [a.dtype for a in got] == [np.intp, np.intp, float, float, float]
+        assert got[2].shape == (got[0].size, 2)
+        if case == "apart" and factor == 1.0 - 1e-6:
+            assert got[0].size == 0 and cache.builds == 1
+
+    def test_certificate_skips_only_worlds_without_contacts(self):
+        # a built 3000-body world without overlaps leaves room, and a step
+        # that moves no body far skips the narrow phase; squeezed, thousands
+        # of pairs overlap and the certificate never holds
+        cfg = SimConfig(n_boundary=120, n_interior=2880, seed=1)
+        w = build_world(cfg)
+        cache = _PairCache(w)
+        assert cache.clear2 > 0.0 and cache.hits(w) is cache.no_hits
+        nudged = dataclasses.replace(w, pos=w.pos + 0.5 * math.sqrt(cache.clear2))
+        assert cache.hits(nudged) is cache.no_hits and cache.builds == 1
+        squeezed = squeezed_world(cfg, 0.93)
+        dense = _PairCache(squeezed)
+        assert dense.clear2 < 0.0 and dense.hits(squeezed)[0].size > 3000
+
     def test_rebuilds_when_radii_or_count_change(self, rng):
         pos = rng.uniform(-0.1, 0.1, (20, 2))
         cache = _PairCache(free_world(pos, radius=0.001))
@@ -557,6 +656,29 @@ class TestStep:
             w = step(w, cfg, drv, cfg.dt)
         assert w.vel[0, 0] == n * (1.0 / 0.25) * cfg.dt
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_velocity_is_the_broadcast_formula(self, dimension, rng):
+        # v + F * (dt / m[:, None]), byte for byte, with every force term on
+        if dimension == 2:
+            cfg = small_config(alpha=3.0, grain_mass=0.07)
+            w = squeezed_world(cfg, 0.9)
+            drv = as_field_driver(Circle((0.0, 0.0), 0.5 * ring_radius_of(w)))
+        else:
+            cfg = SimConfig(dimension=3, n_boundary=40, n_interior=0)
+            w = build_world(cfg)
+            drv = as_field_driver(Sphere((0.1, 0.0, 0.0), 0.5))
+        w = dataclasses.replace(
+            w, vel=rng.uniform(-0.5, 0.5, w.vel.shape), mass=rng.uniform(0.01, 0.3, w.n)
+        )
+        F = spring_forces(w) + contact_forces(w, cfg)
+        F += control_forces(w, drv, cfg.alpha, cfg.control_mode)[0]
+        F -= cfg.drag * w.vel
+        assert np.count_nonzero(F) > w.n
+        want = w.vel + F * (cfg.dt / w.mass[:, None])
+        got = step(w, cfg, drv)
+        assert got.vel.tobytes() == want.tobytes()
+        assert got.pos.tobytes() == (w.pos + want * cfg.dt).tobytes()
+
     def test_spring_pair_energy_conservation(self):
         # isolated oscillator at dt = 1e-4: energy within 2% over 10 periods
         k, rest, m = 50.0, 0.1, 0.2
@@ -669,6 +791,47 @@ class TestDisturbance:
         for targets in ((-1,), (0, w.n), (99,)):
             with pytest.raises(ValueError, match="targets must lie in"):
                 apply_disturbance(w, (0.1, 0.0), (0.0, 1.0), targets)
+
+    @pytest.mark.parametrize(
+        "impulse, t0, t1, n_pulses, targets",
+        [
+            ((0.02, 0.0), 0.6, 0.2, 3, (0,)),
+            ((0.02, 0.0), 0.4, 0.4, 1, (0,)),
+            ((0.02, 0.0), 0.1, float("nan"), 3, (0,)),
+            ((0.02, 0.0), 0.1, 0.2, 0, (0,)),
+            ((0.02, 0.0), 0.1, 0.2, -2, (0,)),
+            ((0.02, 0.0), 0.1, 0.2, 3, ()),
+            ((float("nan"), 0.0), 0.1, 0.2, 3, (0,)),
+            ((0.02, float("inf")), 0.1, 0.2, 3, (0,)),
+        ],
+    )
+    def test_bad_disturbance_rejected_at_construction(self, impulse, t0, t1, n_pulses, targets):
+        with pytest.raises(ValueError):
+            Disturbance.evenly(impulse, t0, t1, n_pulses, targets)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError, match="t0 < t1"):
+            Disturbance((0.02, 0.0), 0.5, 0.5, (0,), (0.5,))
+        with pytest.raises(ValueError, match="empty"):
+            Disturbance((0.02, 0.0), 0.1, 0.5, (), (0.3,))
+
+    @pytest.mark.parametrize(
+        "impulse, targets, match",
+        [
+            ((0.02, 0.0), (0, 999), "targets must lie in"),
+            ((0.02, 0.0), (-1,), "targets must lie in"),
+            ((0.02, 0.0, 0.0), (0,), "impulse must have 2 components"),
+        ],
+    )
+    def test_run_checks_disturbance_before_first_step(self, monkeypatch, impulse, targets, match):
+        # the pulse fires at t = 0.5, but the mismatch is known at t = 0
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before checking the disturbance")
+
+        monkeypatch.setattr("shapefield.sim.step", no_step)
+        dist = Disturbance.evenly(impulse, 0.5, 0.6, 2, targets)
+        with pytest.raises(ValueError, match=match):
+            run(small_config(), Circle((0.0, 0.0), 0.3), disturbances=(dist,))
 
 
 class TestMetrics:
