@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 import warnings
@@ -267,10 +268,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_morph_grid(args) -> int:
-    program = _load_program(args.shape)
-    if not program.has_morph:
-        raise SemanticError(1, 1, "shape file does not export a morph")
-    sched = program.morph_schedule()
+    sched = _load_program(args.shape).morph_schedule()
     grid = _parse_grid_flag(args.grid)
     try:
         times = [float(v) for v in args.times.split(",") if v.strip() != ""]
@@ -278,6 +276,9 @@ def cmd_morph_grid(args) -> int:
         raise _UsageError(f"bad --times {args.times!r}") from None
     if not times:
         raise _UsageError("--times is empty")
+    # checked before anything is sampled or written, so a bad time leaves no files
+    if not all(map(math.isfinite, times)):
+        raise _UsageError(f"bad --times {args.times!r}: every time must be finite")
     args.out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     for t in times:

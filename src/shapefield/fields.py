@@ -16,7 +16,9 @@ corners, creases of unsigned fields) the propagation uses the convention
 ``d sqrt(u) = 0`` when ``u = 0``, which keeps every output finite.
 
 Evaluation accepts a single point (length-``d`` sequence) or a batch of
-points as an ``(n, d)`` array and is vectorised over the batch.
+points as an ``(n, d)`` array and is vectorised over the batch.  A tree
+answers ``values(pts, t)`` and ``values_grads(pts, t)`` with ``t`` ignored,
+as a morph answers them; ``eval`` and ``gradient`` are built on that pair.
 
 Trees are evaluated through compiled plans, a forward-mode tape in the
 sense of Griewank & Walther (*Evaluating Derivatives*, ch. 3).  A node
@@ -195,18 +197,26 @@ class FieldExpr:
         failed build caches nothing."""
         return _Plan((self,))
 
+    def values(self, pts, t: float) -> np.ndarray:
+        """phi at each row of ``pts``; ``t`` is ignored, as a tree is static."""
+        pts, _ = _as_batch(pts, self.dimension)
+        return self._plan(pts, want_grad=False)[0][0]
+
+    def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """phi and its spatial gradient at each row of ``pts``; ``t`` is ignored."""
+        pts, _ = _as_batch(pts, self.dimension)
+        V, G = self._plan(pts, want_grad=True)
+        return V[0], G[0]
+
     def eval(self, x) -> float | np.ndarray:
         """Field value at point ``x`` (or at each row of a point batch)."""
-        pts, scalar = _as_batch(x, self.dimension)
-        v = self._plan(pts, want_grad=False)[0][0]
-        return float(v[0]) if scalar else v
+        v = self.values(x, 0.0)
+        return float(v[0]) if np.ndim(x) == 1 else v
 
     def gradient(self, x) -> GradientSample:
         """Value and forward-mode spatial gradient at ``x`` (point or batch)."""
-        pts, scalar = _as_batch(x, self.dimension)
-        V, G = self._plan(pts, want_grad=True)
-        v, g = V[0], G[0]
-        if scalar:
+        v, g = self.values_grads(x, 0.0)
+        if np.ndim(x) == 1:
             return GradientSample(float(v[0]), g[0].copy())
         return GradientSample(v, g)
 

@@ -11,9 +11,11 @@ monotone ramp ``f(t) = (e^{pt} - 1) / (e^{pt} + 1)``, so the zero set of
 one.  The weights always sum to one: ``w2`` is computed as ``1 - w1`` so
 the partition of unity holds exactly in floating point.
 
-Since ``f`` never quite reaches 1, a schedule is *complete* once
-``f(t) >= 1 - MORPH_COMPLETE_EPS``; from then on the final field is
-evaluated directly.
+A schedule answers the same evaluation protocol as a static field
+expression: ``values(pts, t)`` and ``values_grads(pts, t)`` on an ``(n, d)``
+point batch, the gradient spatial at frozen ``t``.  Since ``f`` never quite
+reaches 1, a schedule is *complete* once ``f(t) >= 1 - MORPH_COMPLETE_EPS``;
+from then on it forwards to the final field's ``values``/``values_grads``.
 
 The initial and final fields are compiled into one plan on first use, so
 nodes they share (such as equal circles) are evaluated once, and the two
@@ -33,8 +35,8 @@ import numpy as np
 from .fields import (
     DimensionMismatchError,
     FieldExpr,
-    GradientSample,
     _as_batch,
+    _caller_stacklevel,
     _check_s,
     _Plan,
     _r_binary_vg,
@@ -45,9 +47,6 @@ __all__ = [
     "MorphSchedule",
     "DegenerateBlendError",
     "ramp",
-    "blend_weights",
-    "eval_morph",
-    "gradient_morph",
 ]
 
 
@@ -80,7 +79,10 @@ def ramp(t, p: float):
         raise ValueError(f"ramp rate p must be positive, got {p}")
     tt = np.asarray(t, dtype=float)
     if (tt < 0.0).any():
-        warnings.warn("ramp time clamped to 0 for negative t", RuntimeWarning, stacklevel=2)
+        warnings.warn(
+            "ramp time clamped to 0 for negative t",
+            RuntimeWarning, stacklevel=_caller_stacklevel(),
+        )
         tt = np.maximum(tt, 0.0)
     out = np.tanh(0.5 * p * tt)
     return float(out) if np.ndim(t) == 0 else out
@@ -159,7 +161,7 @@ class MorphSchedule:
         pts, _ = _as_batch(pts, self.dimension)
         fval = self.ramp_value(t)
         if _complete(fval):
-            return self.final._plan(pts, want_grad=False)[0][0]
+            return self.final.values(pts, t)
         v, _, _ = self._blend_vg(pts, t, fval, want_grad=False)
         return v
 
@@ -168,37 +170,10 @@ class MorphSchedule:
         pts, _ = _as_batch(pts, self.dimension)
         fval = self.ramp_value(t)
         if _complete(fval):
-            V, G = self.final._plan(pts, want_grad=True)
-            return V[0], G[0]
+            return self.final.values_grads(pts, t)
         v, g, _ = self._blend_vg(pts, t, fval, want_grad=True)
         return v, g
 
 
 def _complete(fval: float) -> bool:
     return fval >= 1.0 - MORPH_COMPLETE_EPS
-
-
-def blend_weights(x, t: float, sched: MorphSchedule):
-    """Blend weights (w1, w2, g1, g2) at a single point and time.
-
-    ``w2`` is returned as ``1 - w1`` so that w1 + w2 = 1 exactly.
-    """
-    pts, _ = _as_batch(x, sched.dimension)
-    _, _, (w1, g1, g2) = sched._blend_vg(pts, t, sched.ramp_value(t), want_grad=False)
-    return float(w1[0]), float(1.0 - w1[0]), float(g1[0]), float(g2[0])
-
-
-def eval_morph(sched: MorphSchedule, x, t: float) -> float | np.ndarray:
-    """phi(x, t) for a point or point batch."""
-    pts, scalar = _as_batch(x, sched.dimension)
-    v = sched.values(pts, t)
-    return float(v[0]) if scalar else v
-
-
-def gradient_morph(sched: MorphSchedule, x, t: float) -> GradientSample:
-    """phi(x, t) and its spatial gradient (forward mode, frozen ``t``)."""
-    pts, scalar = _as_batch(x, sched.dimension)
-    v, g = sched.values_grads(pts, t)
-    if scalar:
-        return GradientSample(float(v[0]), g[0].copy())
-    return GradientSample(v, g)

@@ -4,8 +4,10 @@ The 2-D robot is a closed elastic ring of actively driven boundary disks
 (linked by linear springs) around a bed of passive granular disks.  Boundary
 robots feel a control force derived from a distance field's gradient; all
 bodies interact through penalty contacts with Coulomb friction and a linear
-viscous drag.  Integration is semi-implicit Euler with a fixed body order,
-so a run is bit-reproducible from its configuration and seed alone.
+viscous drag.  The field is a static tree or a morph; the simulator reads
+either only through ``values(pts, t)`` and ``values_grads(pts, t)``.
+Integration is semi-implicit Euler with a fixed body order, so a run is
+bit-reproducible from its configuration and seed alone.
 
 Contacts are found through a Verlet neighbour list built from a uniform
 cell list, in which each body reads only the forward half of its 3 x 3
@@ -246,23 +248,20 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class FieldDriver:
-    """Uniform (possibly time-varying) field interface for the simulator."""
+    """The simulator's field source, a static tree or a morph, to which each
+    method forwards.  It stays a class because every field call of a run
+    passes through it, and ``perfbench/spans.py`` times those calls by
+    wrapping its two methods by name."""
 
     def __init__(self, source: FieldExpr | MorphSchedule):
-        self._morph = isinstance(source, MorphSchedule)
         self.source = source
         self.dimension = source.dimension
 
     def values(self, pts: np.ndarray, t: float) -> np.ndarray:
-        if self._morph:
-            return self.source.values(pts, t)
-        return self.source._plan(np.asarray(pts, dtype=float), want_grad=False)[0][0]
+        return self.source.values(pts, t)
 
     def values_grads(self, pts: np.ndarray, t: float):
-        if self._morph:
-            return self.source.values_grads(pts, t)
-        V, G = self.source._plan(np.asarray(pts, dtype=float), want_grad=True)
-        return V[0], G[0]
+        return self.source.values_grads(pts, t)
 
 
 def as_field_driver(program) -> FieldDriver:

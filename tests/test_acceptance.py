@@ -27,7 +27,7 @@ from shapefield.fields import (
 )
 from shapefield.gridio import export_trajectory
 from shapefield.lang import ShapeLangError, parse, serialize
-from shapefield.morph import MorphSchedule, blend_weights, eval_morph
+from shapefield.morph import MorphSchedule
 from shapefield.sim import (
     Disturbance,
     SimConfig,
@@ -165,7 +165,7 @@ class TestCriterion3:
                 got = sched.values_grads(pts, float(t))[1]
                 for k, x in enumerate(pts):
                     want = fd_gradient(
-                        lambda q: eval_morph(sched, q, float(t)), x, h=tol.GRAD_FD_STEP
+                        lambda q: sched.values(q[None], float(t))[0], x, h=tol.GRAD_FD_STEP
                     )
                     denom = max(np.linalg.norm(want), 1e-12)
                     assert np.linalg.norm(got[k] - want) / denom < 1e-6
@@ -218,8 +218,10 @@ class TestCriterion5:
                 )
                 assert np.all(w1 + (1.0 - w1) == 1.0)
             for x, t in zip(pts[:200], rng.uniform(0.0, 30.0, 200)):
-                w1, w2, _, _ = blend_weights(x, float(t), sched)
-                assert w1 + w2 == 1.0
+                _, _, (w1, _, _) = sched._blend_vg(
+                    x[None], float(t), sched.ramp_value(float(t)), want_grad=False
+                )
+                assert w1[0] + (1.0 - w1[0]) == 1.0
 
 
 class TestCriterion6:

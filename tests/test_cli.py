@@ -289,6 +289,17 @@ class TestMorphGridCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("times", ["0,nan", "inf", "0,1,-inf"])
+    def test_non_finite_time_exits_2_before_writing(self, tmp_path, times):
+        out = tmp_path / "m"
+        out.mkdir()
+        code = main(
+            ["morph-grid", data_path("shapes/wrench_morph.shape"),
+             "--times", times, "--grid=-1,-1:0.5:5,5", "--out", str(out)]
+        )
+        assert code == 2
+        assert list(out.iterdir()) == []
+
 
 class TestShippedData:
     def test_all_shipped_shapes_parse(self):

@@ -22,9 +22,6 @@ from shapefield.lang import parse
 from shapefield.morph import (
     DegenerateBlendError,
     MorphSchedule,
-    blend_weights,
-    eval_morph,
-    gradient_morph,
     ramp,
 )
 
@@ -66,9 +63,15 @@ class TestRamp:
             t = np.sort(rng.uniform(0.0, 1000.0, 200))
             assert np.all(np.diff(ramp(t, p)) >= 0.0)
 
-    def test_negative_time_clamps_with_warning(self):
+    def test_negative_time_clamps_with_warning(self, sched):
         with pytest.warns(RuntimeWarning):
             assert ramp(-1.0, 1.0) == 0.0
+        # through a schedule the warning still names the caller's line
+        pts = np.zeros((2, 2))
+        for fn in (sched.values, sched.values_grads):
+            with pytest.warns(RuntimeWarning, match="negative t") as caught:
+                fn(pts, -1.0)
+            assert [w.filename for w in caught] == [__file__]
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -104,33 +107,42 @@ class TestSchedule:
         assert np.array_equal(g, gf.grad)
 
 
+def _weights(sched, pts, t):
+    """Blend weights (w1, w2, g1, g2) at each row of ``pts``, with ``w2``
+    formed as ``1 - w1``, as the blend forms it."""
+    _, _, (w1, g1, g2) = sched._blend_vg(
+        np.atleast_2d(np.asarray(pts, dtype=float)), t, sched.ramp_value(t), want_grad=False
+    )
+    return w1, 1.0 - w1, g1, g2
+
+
 class TestBlendWeights:
     def test_at_start_initial_dominates(self, sched):
         # any x with phi_i(x) > 0: g1 = R_conj(phi_i, 0) = 0, hence w1 = 1
-        for x in [(0.0, 0.0), (0.3, 0.2), (-0.5, 0.0)]:
-            assert sched.initial.eval(x) > 0.0
-            w1, w2, g1, g2 = blend_weights(x, 0.0, sched)
-            assert g1 == 0.0
-            assert w1 == 1.0
-            assert w2 == 0.0
+        pts = np.array([(0.0, 0.0), (0.3, 0.2), (-0.5, 0.0)])
+        assert np.all(sched.initial.eval(pts) > 0.0)
+        w1, w2, g1, g2 = _weights(sched, pts, 0.0)
+        assert np.all(g1 == 0.0)
+        assert np.all(w1 == 1.0)
+        assert np.all(w2 == 0.0)
 
     def test_partition_of_unity_exact(self, sched, rng):
         pts = rng.uniform(-2, 2, (10_000, 2))
         times = rng.uniform(0.0, 25.0, 10_000)
         for x, t in zip(pts[:200], times[:200]):
-            w1, w2, _, _ = blend_weights(x, float(t), sched)
-            assert w1 + w2 == 1.0
+            w1, w2, _, _ = _weights(sched, x, float(t))
+            assert np.all(w1 + w2 == 1.0)
 
     def test_near_completion_final_dominates(self, sched):
         # just below the completion threshold: f = 1 - 1e-5
         f_target = 1.0 - 1e-5
         t = 2.0 * math.atanh(f_target) / sched.p
         assert not sched.is_complete(t)
-        for x in [(0.4, 0.1), (0.6, 0.3)]:
-            assert sched.final.eval(x) > 0.0
-            w1, w2, g1, g2 = blend_weights(x, t, sched)
-            assert abs(g2) < 1e-4
-            assert abs(w2 - 1.0) < 1e-3
+        pts = np.array([(0.4, 0.1), (0.6, 0.3)])
+        assert np.all(sched.final.eval(pts) > 0.0)
+        w1, w2, g1, g2 = _weights(sched, pts, t)
+        assert np.all(np.abs(g2) < 1e-4)
+        assert np.all(np.abs(w2 - 1.0) < 1e-3)
 
     def test_degenerate_blend_is_reported(self, sched):
         # unreachable through the public blend (g1 + g2 < 0 for all t >= 0),
@@ -151,16 +163,18 @@ class TestBlendWeights:
 
 
 class TestEvalMorph:
+    """``MorphSchedule.values``."""
+
     def test_initial_zero_set_preserved_at_t0(self, sched):
         pts = circle_boundary(sched.initial.center, sched.initial.radius, 200)
-        v = eval_morph(sched, pts, 0.0)
+        v = sched.values(pts, 0.0)
         assert np.max(np.abs(v)) < 1e-9
 
     def test_final_zero_set_reached_once_ramp_saturates(self, sched):
         # f(t) >= 1 - 1e-12 is far past the completion threshold
         t = 2.0 * math.atanh(1.0 - 1e-12) / sched.p + 1.0
         pts = circle_boundary(sched.final.center, sched.final.radius, 200)
-        v = eval_morph(sched, pts, t)
+        v = sched.values(pts, t)
         assert np.max(np.abs(v)) < 1e-6
 
     def test_identical_shapes_blend_to_themselves(self, rng):
@@ -169,13 +183,13 @@ class TestEvalMorph:
         pts = rng.uniform(-2, 2, (100, 2))
         want = c.eval(pts)
         for t in (0.0, 0.7, 3.0, 50.0):
-            assert np.array_equal(eval_morph(sched, pts, t), want)
+            assert np.array_equal(sched.values(pts, t), want)
 
     def test_continuity_in_time(self, sched, rng):
         pts = rng.uniform(-2, 2, (100, 2))
         for t in (0.0, 0.5, 2.0, 10.0):
-            a = eval_morph(sched, pts, t)
-            b = eval_morph(sched, pts, t + 1e-6)
+            a = sched.values(pts, t)
+            b = sched.values(pts, t + 1e-6)
             assert np.max(np.abs(a - b)) < 1e-3
 
     def test_t_start_shifts_the_ramp(self):
@@ -183,26 +197,28 @@ class TestEvalMorph:
         late = MorphSchedule(
             Circle((0, 0), 0.75), Circle((0.4, 0), 0.75), p=0.5, t_start=5.0
         )
-        x = (0.2, 0.2)
-        assert eval_morph(late, x, 7.0) == eval_morph(base, x, 2.0)
+        x = [(0.2, 0.2)]
+        assert np.array_equal(late.values(x, 7.0), base.values(x, 2.0))
 
 
 class TestGradientMorph:
+    """``MorphSchedule.values_grads``."""
+
     def test_identical_shapes_gradient_matches_field(self, rng):
         c = Circle((0.1, 0.2), 0.8)
         sched = MorphSchedule(c, c, p=1.0)
         pts = rng.uniform(-2, 2, (50, 2))
-        gm = gradient_morph(sched, pts, 1.3)
+        _, g = sched.values_grads(pts, 1.3)
         gc = c.gradient(pts)
-        assert np.allclose(gm.grad, gc.grad, atol=1e-12)
+        assert np.allclose(g, gc.grad, atol=1e-12)
 
     def test_matches_finite_differences(self, sched, rng):
         pts = rng.uniform(-2, 2, (100, 2))
         for t in (0.3, 1.7, 6.0):
-            got = gradient_morph(sched, pts, t).grad
+            got = sched.values_grads(pts, t)[1]
             for k, x in enumerate(pts):
                 want = fd_gradient(
-                    lambda q: eval_morph(sched, q, t), x, h=tol.GRAD_FD_STEP
+                    lambda q: sched.values(q[None], t)[0], x, h=tol.GRAD_FD_STEP
                 )
                 denom = max(np.linalg.norm(want), 1e-12)
                 assert np.linalg.norm(got[k] - want) / denom < tol.GRAD_FD_REL_TOL
@@ -210,22 +226,20 @@ class TestGradientMorph:
     def test_value_agrees_bit_for_bit(self, sched, rng):
         pts = rng.uniform(-2, 2, (100, 2))
         for t in (0.0, 0.9, 4.2, 1e4):
-            assert np.array_equal(
-                gradient_morph(sched, pts, t).value, eval_morph(sched, pts, t)
-            )
+            assert np.array_equal(sched.values_grads(pts, t)[0], sched.values(pts, t))
 
     def test_initial_gradient_in_positive_region_at_t0(self, sched):
-        for x in [(0.0, 0.0), (0.2, -0.1), (0.5, 0.4)]:
-            assert sched.initial.eval(x) > 0.0
-            gm = gradient_morph(sched, x, 0.0)
-            gi = sched.initial.gradient(x)
-            assert np.max(np.abs(gm.grad - gi.grad)) < 1e-9
+        pts = np.array([(0.0, 0.0), (0.2, -0.1), (0.5, 0.4)])
+        assert np.all(sched.initial.eval(pts) > 0.0)
+        _, g = sched.values_grads(pts, 0.0)
+        gi = sched.initial.gradient(pts)
+        assert np.max(np.abs(g - gi.grad)) < 1e-9
 
     def test_blend_gradient_mixes_shapes_midway(self, sched):
         # sanity: mid-morph gradient differs from both endpoints
-        x = (0.2, 0.0)
+        x = [(0.2, 0.0)]
         t = 2.0
-        gm = gradient_morph(sched, x, t).grad
+        gm = sched.values_grads(x, t)[1]
         gi = sched.initial.gradient(x).grad
         gf = sched.final.gradient(x).grad
         assert not np.allclose(gm, gi, atol=1e-6)
@@ -239,11 +253,11 @@ class TestSegmentsMorph:
             Segment((0.0, 1.0), (1.0, 1.0)),
             p=1.0,
         )
-        v0 = eval_morph(sched, (0.5, 0.0), 0.0)
-        assert abs(v0) < 1e-9
+        v0 = sched.values([(0.5, 0.0)], 0.0)
+        assert abs(v0[0]) < 1e-9
         t = 2.0 * math.atanh(1.0 - 1e-9)
-        vf = eval_morph(sched, (0.5, 1.0), t)
-        assert abs(vf) < 1e-6
+        vf = sched.values([(0.5, 1.0)], t)
+        assert abs(vf[0]) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapefield.fields import Circle, Plane, Sphere
+from shapefield.fields import Circle, DimensionMismatchError, Plane, Sphere
 from shapefield.morph import DegenerateBlendError, MorphSchedule
 from shapefield.sim import (
     Disturbance,
@@ -756,6 +756,36 @@ class TestStep:
         assert w.spring_i.tobytes() == si and w.spring_j.tobytes() == sj
 
 
+class TestTranslationInvariance:
+    # Shifting the world and the target by (1e3, -1e3) changes each
+    # coordinate's rounding only, so positions (less the shift) and shape
+    # errors agree to 100 ulp of the shift's length, about 3.1e-11 m; over
+    # these 2500 steps the difference stays near 4e-12.
+    SHIFT = np.array([1e3, -1e3])
+    TOL = 100.0 * np.finfo(float).eps * float(np.hypot(*SHIFT))
+
+    @pytest.mark.parametrize("n_interior", [0, 12])
+    def test_shifted_world_follows_the_same_path(self, n_interior):
+        cfg = small_config(n_interior=n_interior)
+        # squeezed so that the grains touch: the contact layer takes part
+        w = squeezed_world(cfg, 0.9)
+        ring = ring_radius_of(w)
+        field = Circle((0.05, 0.0), 0.8 * ring)
+        moved = Circle(tuple(np.add((0.05, 0.0), self.SHIFT)), 0.8 * ring)
+        a, b = w, dataclasses.replace(w, pos=w.pos + self.SHIFT)
+        cache_a, cache_b = _PairCache(a), _PairCache(b)
+        drv_a, drv_b = as_field_driver(field), as_field_driver(moved)
+        hits = 0
+        for _ in range(round(cfg.duration / cfg.dt)):
+            a = step(a, cfg, drv_a, cfg.dt, cache_a)
+            b = step(b, cfg, drv_b, cfg.dt, cache_b)
+            hits += listed_hits(cache_a, a)[0].size
+            assert np.max(np.abs((b.pos - self.SHIFT) - a.pos)) < self.TOL
+            assert abs(shape_error(a, field) - shape_error(b, moved)) < self.TOL
+        assert a.time == pytest.approx(1.0)
+        assert hits > 0 or n_interior == 0
+
+
 class TestDisturbance:
     def test_zero_impulse_is_noop(self):
         w = build_world(small_config())
@@ -852,6 +882,24 @@ class TestMetrics:
         w = free_world([[0.0, 0.0], [2.0, 0.0]], mass=1.0)
         assert com_distance(w, (1.0, 0.0)) == 0.0
         assert com_distance(w, (1.0, 3.0)) == 3.0
+
+    def test_shape_error_rejects_a_field_of_another_dimension(self):
+        w3 = build_world(SimConfig(dimension=3, n_boundary=162, n_interior=0))
+        with pytest.raises(DimensionMismatchError):
+            shape_error(w3, Circle((0.0, 0.0), 1.0))
+        with pytest.raises(DimensionMismatchError):
+            shape_error(build_world(small_config()), Sphere((0.0, 0.0, 0.0), 1.0))
+
+
+class TestFieldDriver:
+    def test_static_and_morph_drivers_reject_wrong_point_dimension(self):
+        c = Circle((0.0, 0.0), 1.0)
+        for source in (c, MorphSchedule(c, Circle((0.1, 0.0), 1.0), p=1.0)):
+            drv = as_field_driver(source)
+            for fn in (drv.values, drv.values_grads):
+                for pts in (np.zeros((4, 1)), np.zeros((4, 3))):
+                    with pytest.raises(DimensionMismatchError):
+                        fn(pts, 0.0)
 
 
 class TestRun:
