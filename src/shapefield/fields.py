@@ -29,7 +29,9 @@ its ``Trim`` tree, and the nodes of one kind at one height are grouped, so
 each group runs as one call of its kernel on a ``(k, n)`` value stack and a
 ``(k, n, d)`` gradient stack.  All balls are one group, as are all raw
 quadrics, all planes, the negations, the R-operations (with a per-row
-``s``) and the trims at one height; an equivalence is a group of its own.
+``s``) and the trims at one height; an equivalence is a group of its own,
+and skips the ``|.|`` of its pieces when every piece is a trim or an
+equivalence, non-negative by construction.
 Grouping same-kind nodes follows the tape compilation of Keeter 2020
 (SIGGRAPH).  A kernel performs the same floating-point operations on each
 row whatever the stack's height and width, so a node's result does not
@@ -150,8 +152,9 @@ def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     ``num`` has one more (trailing) axis than ``den``: (n, d) over (n,), or
     a (k, n, d) stack over (k, n).
     """
-    out = np.zeros_like(num)
-    np.divide(num, den[..., None], out=out, where=den[..., None] != 0.0)
+    den = den[..., None]
+    out = np.zeros(num.shape)
+    np.divide(num, den, out=out, where=den != 0.0)
     return out
 
 
@@ -383,7 +386,7 @@ def _check_s(s) -> float:
 def _lift(x):
     """A per-row column (k, 1) as (k, 1, 1), to broadcast over gradients; a
     scalar as itself."""
-    return x[..., None] if np.ndim(x) else x
+    return x[..., None] if getattr(x, "ndim", 0) else x
 
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -411,7 +414,9 @@ def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
     broadcasts to the same values as a zero array.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
-    if np.greater(s, 1.0).any():
+    # s is a Python float (the morph blend, the point functions) or a plan's
+    # (k, 1) column; a float is tested without a numpy call
+    if (s > 1.0).any() if isinstance(s, np.ndarray) else s > 1.0:
         clamped = (rad < 0.0) & (s > 1.0)
         for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
             warnings.warn(
@@ -545,12 +550,16 @@ def _trim_vg(f, gf, t, gt, want_grad: bool):
 
     With ``want_grad`` also the forward-mode gradient from gf, gt.
     """
-    aux = np.sqrt(t * t + f ** 4)
+    # f^4 and f^3 as products of f2: numpy's power takes a slow per-element
+    # path for negative bases, and a carrier is signed.  A product is still
+    # elementwise, so a row's bits do not depend on its batch.
+    f2 = f * f
+    aux = np.sqrt(t * t + f2 * f2)
     w = 0.5 * (aux - t)
-    v = np.sqrt(f * f + w * w)
+    v = np.sqrt(f2 + w * w)
     if not want_grad:
         return v, None
-    gaux = _div_rows(t[..., None] * gt + (2.0 * f ** 3)[..., None] * gf, aux)
+    gaux = _div_rows(t[..., None] * gt + (2.0 * f2 * f)[..., None] * gf, aux)
     gw = 0.5 * (gaux - gt)
     g = _div_rows(f[..., None] * gf + w[..., None] * gw, v)
     return v, g
@@ -629,7 +638,17 @@ def _equiv_step(pts, ops, m, want_grad):
     ((v, g),) = ops
     # d|phi| with sign(0) = 0, the corner convention.
     G = np.sign(v)[..., None] * g if want_grad else None
-    v, g = _equiv_vg(np.abs(v), G, m)
+    return _unsigned_equiv_step(pts, [(np.abs(v), G)], m, want_grad)
+
+
+def _unsigned_equiv_step(pts, ops, m, want_grad):
+    """The equivalence step of pieces that are all non-negative by
+    construction (``_UNSIGNED_KINDS``), chosen by the plan compiler.  It
+    gives ``_equiv_step``'s bits: ``_equiv_vg`` reads a piece's gradient only
+    where every piece is > 0, where ``sign`` is 1, and such a piece is never
+    -0.0, which ``abs`` would turn into 0.0."""
+    ((v, g),) = ops
+    v, g = _equiv_vg(v, g, m)
     return v[None], (g[None] if want_grad else None)
 
 
@@ -659,6 +678,11 @@ _STEPS = {
     "trim": (_trim_step, lambda params: None),
     "equiv": (_equiv_step, lambda params: params[0][0]),
 }
+
+# Kinds whose values are >= 0 (or NaN) and never -0.0: a trim is the sqrt of
+# a sum of squares (a segment is a trim), an equivalence is +0.0 or a
+# positive quotient.
+_UNSIGNED_KINDS = frozenset(("trim", "equiv"))
 
 
 def _gather(refs):
@@ -724,6 +748,8 @@ class _Plan:
             op_ids = [nodes[i][2] for i in members]
             if kind == "equiv":
                 gathers = [_gather([where[o] for o in op_ids[0]])]
+                if all(nodes[o][0] in _UNSIGNED_KINDS for o in op_ids[0]):
+                    run = _unsigned_equiv_step
             else:
                 gathers = [_gather([where[ops[p]] for ops in op_ids])
                            for p in range(len(op_ids[0]))]

@@ -85,7 +85,7 @@ def ramp(t, p: float):
         )
         tt = np.maximum(tt, 0.0)
     out = np.tanh(0.5 * p * tt)
-    return float(out) if np.ndim(t) == 0 else out
+    return float(out) if tt.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,17 @@ class MorphSchedule:
         g = gf + dw1 * dv[:, None] + w1[:, None] * (gi - gf)
         return v, g, (w1, g1, g2)
 
+    def _ramp_at(self, t: float) -> float:
+        """The ramp for an evaluation at ``t``.  A NaN time raises: the blend
+        would return NaN at every point without a word."""
+        if t != t:  # NaN; one float comparison, as it runs on every call
+            raise ValueError(f"morph time must not be NaN, got t={t}")
+        return self.ramp_value(t)
+
     def values(self, pts, t: float) -> np.ndarray:
         """phi(x, t) at each row of ``pts``."""
         pts, _ = _as_batch(pts, self.dimension)
-        fval = self.ramp_value(t)
+        fval = self._ramp_at(t)
         if _complete(fval):
             return self.final.values(pts, t)
         v, _, _ = self._blend_vg(pts, t, fval, want_grad=False)
@@ -168,7 +175,7 @@ class MorphSchedule:
     def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
         """phi(x, t) and its spatial gradient at each row of ``pts``."""
         pts, _ = _as_batch(pts, self.dimension)
-        fval = self.ramp_value(t)
+        fval = self._ramp_at(t)
         if _complete(fval):
             return self.final.values_grads(pts, t)
         v, g, _ = self._blend_vg(pts, t, fval, want_grad=True)

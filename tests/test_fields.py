@@ -341,6 +341,100 @@ class TestTrim:
     def test_sign_agnostic_in_carrier(self):
         assert trim(-0.3, 0.16) == trim(0.3, 0.16)
 
+    # Trim(Plane x, Plane y) reads its carrier off x and its trimmer off y,
+    # exactly, with the gradients (1, 0) and (0, 1)
+    _XY = Trim(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)))
+
+    def _against_oracle(self, f, t):
+        with np.errstate(all="ignore"):  # overflow to inf is part of the check
+            v = trim(f, t)
+            gs = self._XY.gradient(np.stack([f, t], axis=1))
+        want = [_trim_oracle(a, b) for a, b in zip(f.tolist(), t.tolist())]
+        assert same_bits(gs.value, v)
+        _assert_within_4_ulp(v, np.array([w[0] for w in want]))
+        _assert_within_4_ulp(gs.grad, np.array([w[1] for w in want]))
+        return v, gs.grad
+
+    def test_matches_math_pow_oracle_from_1e_minus_100_to_1e100(self, rng):
+        n = 2000
+        f = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+        t = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+        v, _ = self._against_oracle(f, t)
+        assert np.isinf(v).any() and v.min() < 1e-90  # both ends are reached
+
+    def test_inf_and_zero_pattern_at_huge_carriers(self):
+        # 1e76 ** 4 = 1e304 is finite, 1e78 ** 4 overflows: the pattern of
+        # inf, nan and 0 must be the oracle's, not merely close to it
+        trimmers = [0.0, 1e-100, -1e-100, 1.0, -1.0, 1e100, -1e100, 1e160, -1e160]
+        f = np.repeat([1e76, -1e76, 1e78, -1e78], len(trimmers))
+        t = np.tile(trimmers, 4)
+        v, _ = self._against_oracle(f, t)
+        assert np.array_equal(np.isinf(v), (np.abs(f) > 1e77) | (np.abs(t) > 1e155))
+
+    def test_gradient_matches_finite_differences(self, rng):
+        # at moderate magnitudes, with a relative step; the bound allows the
+        # rounding of the two values over the step
+        n = 400
+        f = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        t = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        gs = self._XY.gradient(np.stack([f, t], axis=1))
+        for k, x in enumerate((f, t)):
+            h = 1e-5 * np.abs(x)
+            hi, lo = [f, t], [f, t]
+            hi[k], lo[k] = x + h, x - h
+            fd = (trim(*hi) - trim(*lo)) / (hi[k] - lo[k])
+            noise = 8.0 * np.spacing(gs.value) / h
+            err = np.abs(fd - gs.grad[:, k])
+            assert (err <= 1e-6 * np.abs(gs.grad[:, k]) + noise).all(), k
+
+    def test_exactly_symmetric_in_the_carrier_sign(self, rng):
+        # one mixed-sign batch: each row's bits must not depend on its sign
+        f = rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.uniform(-3.0, 3.0, 64)
+        t = rng.uniform(-1.0, 1.0, 64)
+        assert (f < 0.0).any() and (f > 0.0).any()
+        assert same_bits(trim(f, t), trim(-f, t))
+        g = self._XY.gradient(np.stack([f, t], axis=1)).grad
+        g_flip = self._XY.gradient(np.stack([-f, t], axis=1)).grad
+        assert same_bits(g[:, 0], -g_flip[:, 0])  # odd in the carrier
+        assert np.array_equal(g[:, 1], g_flip[:, 1])
+
+
+def _pow(x: float, k: int) -> float:
+    """``math.pow``, with an overflow as the infinity numpy gives."""
+    try:
+        return math.pow(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
+
+
+def _div0(a: float, b: float) -> float:
+    """``a / b`` with 0 where ``b`` is 0, the sqrt-corner rule."""
+    return 0.0 if b == 0.0 else a / b
+
+
+def _trim_oracle(f: float, t: float, gf=(1.0, 0.0), gt=(0.0, 1.0)):
+    """The trimming rule and its forward-mode gradient in Python floats,
+    with ``math.pow`` for the carrier's powers."""
+    aux = math.sqrt(t * t + _pow(f, 4))
+    w = 0.5 * (aux - t)
+    v = math.sqrt(f * f + w * w)
+    gaux = [_div0(t * b + 2.0 * _pow(f, 3) * a, aux) for a, b in zip(gf, gt)]
+    gw = [0.5 * (ga - b) for ga, b in zip(gaux, gt)]
+    return v, [_div0(f * a + w * c, v) for a, c in zip(gf, gw)]
+
+
+def _assert_within_4_ulp(got: np.ndarray, want: np.ndarray):
+    """Equal patterns of nan and of signed inf, and finite entries within 4
+    units in the last place of the larger."""
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got[np.isinf(got)], want[np.isinf(got)])
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    fin = np.isfinite(got)
+    a, b = got[fin], want[fin]
+    ulp = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    assert (np.abs(a - b) <= 4.0 * ulp).all(), np.max(np.abs(a - b) / ulp)
+
 
 # ---------------------------------------------------------------------------
 # Zero sets and normalization
@@ -641,18 +735,41 @@ def _points(dim, n, seed):
 
 def _assert_plan_matches_recursive(expr, seed=0):
     for n in _BATCHES:
-        pts = _points(expr.dimension, n, seed)
-        for want_grad in (False, True):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+        _assert_plan_matches_walker_at(expr, _points(expr.dimension, n, seed))
+
+
+def _assert_plan_matches_walker_at(expr, pts):
+    n = pts.shape[0]
+    for want_grad in (False, True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+            with np.errstate(invalid="ignore"):  # NaN points
                 V_ref, G_ref = one_by_one(expr, pts, want_grad)
                 V, G = _Plan((expr,))(pts, want_grad)
-            assert V.shape == (1, n)
-            assert same_bits(V, V_ref), (n, want_grad, expr)
-            if want_grad:
-                assert same_bits(G, G_ref), (n, expr)
-            else:
-                assert G is None
+        assert V.shape == (1, n)
+        assert same_bits(V, V_ref), (n, want_grad, expr)
+        if want_grad:
+            assert same_bits(G, G_ref), (n, expr)
+        else:
+            assert G is None
+
+
+def _equiv_kernels(expr):
+    return [run.__name__ for run, *_ in _Plan((expr,))._steps if "equiv" in run.__name__]
+
+
+_S1 = Segment((0.0, 0.0), (1.0, 0.0))
+_S2 = Segment((0.0, 0.0), (0.0, 1.0))
+_ARC = Trim(Circle((0.0, 0.0), 1.0), Plane((0.0, 0.0), (1.0, 0.0)))
+_RAY = Trim(Plane((0.0, 0.0), (0.0, 1.0)), Plane((0.5, 0.0), (-1.0, 0.0)))
+# exactly on the pieces' zero sets (segment interiors and their shared
+# corner, the arc and its ends, the ray), where the gradient takes the
+# sqrt-corner rule; NaN points; points 1e6 m out
+_ON_AND_OFF = np.array([
+    [0.25, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 1.0],
+    [0.0, -1.0], [-0.5, 0.0], [0.75, 0.0], [0.5, -0.3], [-0.2, 0.4],
+    [np.nan, 0.5], [np.nan, np.nan], [1e6, -1e6], [-1e6, 1e6], [1e6, 1e6],
+])
 
 
 def _shipped_trees():
@@ -685,6 +802,32 @@ class TestCompiledPlan:
             names.append(name)
         assert len(names) == 7  # six files; the morph has two trees
         assert "cube.shape" in names
+
+    def test_unsigned_equivalences_skip_the_abs_step_bit_for_bit(self, rng):
+        # pieces >= 0 by construction (segments, trims, equivalences) take
+        # the compiled shortcut; the walker takes the |.| path, so equal bits
+        # show that the shortcut changes nothing
+        exprs = [
+            Equivalence((_S1, _S2)),
+            Equivalence((_ARC, _RAY), m=3),
+            Equivalence((Equivalence((_S1, _S2)), _ARC, _S1), m=1),
+            Equivalence((Equivalence((_RAY, _ARC), m=2), Equivalence((_S2, _S1), m=3))),
+        ]
+        pts = np.concatenate([_ON_AND_OFF, rng.uniform(-2.0, 2.0, (40, 2))])
+        for expr in exprs:
+            assert set(_equiv_kernels(expr)) == {"_unsigned_equiv_step"}, expr
+            _assert_plan_matches_walker_at(expr, pts)
+        assert same_bits(exprs[3].eval(_ON_AND_OFF[:9]), np.zeros(9))  # +0.0 on the zero sets
+
+    def test_signed_pieces_keep_the_abs_step(self, rng):
+        pts = np.concatenate([_ON_AND_OFF, rng.uniform(-2.0, 2.0, (40, 2))])
+        for signed in (Circle((0.0, 0.0), 0.5), Plane((0.0, 0.0), (0.0, 1.0)), Negation(_S1)):
+            for expr in (Equivalence((_S1, signed)), Equivalence((Equivalence((_S2, _ARC)), signed))):
+                assert _equiv_kernels(expr)[-1] == "_equiv_step", expr
+                _assert_plan_matches_walker_at(expr, pts)
+                # the |.| matters here: the signed piece is < 0 somewhere
+                (v,), _ = one_by_one(signed, pts, want_grad=False)
+                assert (v < 0.0).any()
 
     def test_public_entry_points_run_the_plan(self, rng):
         expr = TestValidate()._pacman()

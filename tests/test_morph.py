@@ -18,6 +18,7 @@ from shapefield.fields import (
     Sphere,
     _r_binary_vg,
 )
+from shapefield.gridio import GridSpec, grid_points, sample_grid
 from shapefield.lang import parse
 from shapefield.morph import (
     DegenerateBlendError,
@@ -96,6 +97,34 @@ class TestSchedule:
         t_done = 2.0 * math.atanh(1.0 - tol.MORPH_COMPLETE_EPS) / sched.p
         assert not sched.is_complete(t_done - 1.0)
         assert sched.is_complete(t_done + 1.0)
+
+    def test_nan_time_raises_before_anything_is_evaluated(self, sched):
+        pts = np.zeros((3, 2))
+        grid = GridSpec((-1.0, -1.0), 0.5, (5, 5))
+        calls = [
+            lambda: sched.values(pts, math.nan),
+            lambda: sched.values_grads(pts, np.float64("nan")),
+            lambda: sample_grid(sched, grid, t=math.nan),
+            lambda: sample_grid(sched, grid, t=math.nan, include_gradmag=True),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="t=nan"):
+                call()
+        assert "_plan" not in vars(sched)  # the plan is built at the first evaluation
+
+    def test_infinite_times_keep_their_meaning(self, sched):
+        # +inf: the ramp is 1, so the final field; -inf: clamped to the start
+        pts = grid_points(GridSpec((-1.0, -1.0), 0.5, (5, 5)))
+        want = sched.final.gradient(pts)
+        v, g = sched.values_grads(pts, math.inf)
+        assert same_bits(v, want.value) and same_bits(g, want.grad)
+        assert same_bits(sched.values(pts, math.inf), want.value)
+        v0, g0 = sched.values_grads(pts, 0.0)
+        with pytest.warns(RuntimeWarning, match="negative t"):
+            v, g = sched.values_grads(pts, -math.inf)
+        assert same_bits(v, v0) and same_bits(g, g0)
+        with pytest.warns(RuntimeWarning, match="negative t"):
+            assert same_bits(sched.values(pts, -math.inf), v0)
 
     def test_complete_schedule_evaluates_final_directly(self, sched):
         t = 1e4
