@@ -27,15 +27,26 @@ formula exists once, in its step kernel in ``_STEPS``.  A tree is compiled
 on its first evaluation.  Equal subtrees are merged, each segment becomes
 its ``Trim`` tree, and the nodes of one kind at one height are grouped, so
 each group runs as one call of its kernel on a ``(k, n)`` value stack and a
-``(k, n, d)`` gradient stack.  All balls are one group, as are all raw
+``(k, d, n)`` gradient stack.  The gradient stack is axis-major: a per-node
+factor such as ``phi[:, None, :]`` broadcasts over d rows of n points,
+which numpy runs as d long inner loops, not n loops of length d.  The
+public entry points still return a fresh C-contiguous ``(n, d)`` gradient,
+transposed once at the root.  All balls are one group, as are all raw
 quadrics, all planes, the negations, the R-operations (with a per-row
 ``s``) and the trims at one height; an equivalence is a group of its own,
 and skips the ``|.|`` of its pieces when every piece is a trim or an
-equivalence, non-negative by construction.
+equivalence, non-negative by construction.  A group's rows are ordered so
+that its readers gather them in few runs.
 Grouping same-kind nodes follows the tape compilation of Keeter 2020
 (SIGGRAPH).  A kernel performs the same floating-point operations on each
 row whatever the stack's height and width, so a node's result does not
 depend on its group, and a point's result does not depend on its batch.
+
+At swarm size (tens of points) a call costs mostly its number of numpy
+calls, so the kernels take fast paths that keep every bit: a sqrt-corner
+quotient divides plainly when no denominator is zero, small masks are
+tested with ``np.count_nonzero``, and an equivalence gathers its pivot
+gradients with one flat ``take``.
 """
 
 from __future__ import annotations
@@ -147,12 +158,16 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Row-wise ``num / den`` returning 0 where ``den`` is 0 (sqrt-corner rule).
+    """Pointwise ``num / den`` returning 0 where ``den`` is 0 (sqrt-corner rule).
 
-    ``num`` has one more (trailing) axis than ``den``: (n, d) over (n,), or
-    a (k, n, d) stack over (k, n).
+    ``num`` has a gradient axis before the point axis: (d, n) over (n,), or
+    a (k, d, n) stack over (k, n).  A batch with no zero denominator takes
+    a plain divide, which gives the masked divide's bits: only +0.0 and
+    -0.0 are masked, and a NaN or infinite denominator divides in both.
     """
-    den = den[..., None]
+    den = den[..., None, :]
+    if np.count_nonzero(den) == den.size:
+        return num / den
     out = np.zeros(num.shape)
     np.divide(num, den, out=out, where=den != 0.0)
     return out
@@ -209,7 +224,7 @@ class FieldExpr:
         """phi and its spatial gradient at each row of ``pts``; ``t`` is ignored."""
         pts, _ = _as_batch(pts, self.dimension)
         V, G = self._plan(pts, want_grad=True)
-        return V[0], G[0]
+        return V[0], G[0].T.copy()
 
     def eval(self, x) -> float | np.ndarray:
         """Field value at point ``x`` (or at each row of a point batch)."""
@@ -384,8 +399,8 @@ def _check_s(s) -> float:
 
 
 def _lift(x):
-    """A per-row column (k, 1) as (k, 1, 1), to broadcast over gradients; a
-    scalar as itself."""
+    """A per-row column (k, 1) as (k, 1, 1), to broadcast over a (k, d, n)
+    gradient stack; a scalar as itself."""
     return x[..., None] if getattr(x, "ndim", 0) else x
 
 
@@ -408,15 +423,16 @@ def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
 
     Value ``(v1 + v2 + sign sqrt(v1^2 + v2^2 - 2 s v1 v2)) / (1 + s)``,
     with the radicand clamped at 0 (only s > 1 can make it negative);
-    with ``want_grad`` also the forward-mode gradient from g1, g2.  On a
-    (k, n) stack, ``s`` and ``sign`` may be (k, 1) columns.  A constant
-    operand is a column or scalar with the scalar gradient 0.0, which
-    broadcasts to the same values as a zero array.
+    with ``want_grad`` also the forward-mode gradient from g1, g2, which
+    are (k, d, n) against (k, n) values.  On a stack, ``s`` and ``sign`` may
+    be (k, 1) columns.  A constant operand is a column or scalar with the
+    scalar gradient 0.0, which broadcasts to the same values as a zero
+    array.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
     # s is a Python float (the morph blend, the point functions) or a plan's
     # (k, 1) column; a float is tested without a numpy call
-    if (s > 1.0).any() if isinstance(s, np.ndarray) else s > 1.0:
+    if np.count_nonzero(s > 1.0) if isinstance(s, np.ndarray) else s > 1.0:
         clamped = (rad < 0.0) & (s > 1.0)
         for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
             warnings.warn(
@@ -428,11 +444,8 @@ def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
     if not want_grad:
         return v, None
     s, sign = _lift(s), _lift(sign)
-    drad = (
-        2.0 * v1[..., None] * g1
-        + 2.0 * v2[..., None] * g2
-        - 2.0 * s * (v1[..., None] * g2 + v2[..., None] * g1)
-    )
+    e1, e2 = v1[..., None, :], v2[..., None, :]
+    drad = 2.0 * e1 * g1 + 2.0 * e2 * g2 - 2.0 * s * (e1 * g2 + e2 * g1)
     g = (g1 + g2 + sign * _div_rows(0.5 * drad, root)) / (1.0 + s)
     return v, g
 
@@ -483,12 +496,14 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     Evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a scaled form that cannot
     overflow: with ``a = min_i phi_i``, the result is ``a / (sum_i
     (a/phi_i)^m)^(1/m)``.  Zero whenever any input is zero (the limit).
-    With the inputs' gradients ``G`` (k, n, d) also returns the
-    forward-mode gradient, zero where the value is zero; else ``None``.
+    With the inputs' gradients ``G`` (k, d, n) also returns the
+    forward-mode gradient (d, n), zero where the value is zero; else
+    ``None``.
     """
-    a = U.min(axis=0)
+    # the ufunc and method forms, which skip the np.min/np.argmin wrappers
+    a = np.minimum.reduce(U, axis=0)
     pos = a > 0.0
-    every = pos.all()  # the usual case: no masking needed
+    every = np.count_nonzero(pos) == pos.size  # the usual case: no masking
     Up, ap = (U, a) if every else (U[:, pos], a[pos])
     ratios = ap / Up  # (k, np), all in (0, 1]
     ssum = _sum_rows(np.power(ratios, m))  # >= 1
@@ -496,15 +511,15 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     vp = ap * scale
     gp = None
     if G is not None:
-        Gp = G if every else G[:, pos, :]
-        piv = np.argmin(Up, axis=0)
-        ga = Gp[piv, np.arange(Up.shape[1])]  # (np, d)
+        Gp = G if every else G[:, :, pos]
+        k, d, n = Gp.shape
+        # the pivot's gradient, ga[x, j] = Gp[piv[j], x, j], as one flat take
+        piv = Up.argmin(axis=0)
+        ga = Gp.take(piv * (d * n) + np.arange(d * n).reshape(d, n))  # (d, np)
         # d ratio_i = (ga * u_i - a * g_i) / u_i^2
-        dr = (ga[None, :, :] * Up[:, :, None] - ap[None, :, None] * Gp) / (
-            Up * Up
-        )[:, :, None]
-        ds = m * _sum_rows(np.power(ratios, m - 1)[:, :, None] * dr)
-        gp = scale[:, None] * (ga - (ap / (m * ssum))[:, None] * ds)
+        dr = (ga * Up[:, None, :] - ap * Gp) / (Up * Up)[:, None, :]
+        ds = m * _sum_rows(np.power(ratios, m - 1)[:, None, :] * dr)
+        gp = scale * (ga - (ap / (m * ssum)) * ds)
     if every:
         return vp, gp
     v = np.zeros_like(a)
@@ -512,7 +527,7 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     g = None
     if G is not None:
         g = np.zeros(G.shape[1:])
-        g[pos] = gp
+        g[:, pos] = gp
     return v, g
 
 
@@ -559,9 +574,9 @@ def _trim_vg(f, gf, t, gt, want_grad: bool):
     v = np.sqrt(f2 + w * w)
     if not want_grad:
         return v, None
-    gaux = _div_rows(t[..., None] * gt + (2.0 * f2 * f)[..., None] * gf, aux)
+    gaux = _div_rows(t[..., None, :] * gt + (2.0 * f2 * f)[..., None, :] * gf, aux)
     gw = 0.5 * (gaux - gt)
-    g = _div_rows(f[..., None] * gf + w[..., None] * gw, v)
+    g = _div_rows(f[..., None, :] * gf + w[..., None, :] * gw, v)
     return v, g
 
 
@@ -588,32 +603,40 @@ class Trim(FieldExpr):
 # Compiled plans
 # ---------------------------------------------------------------------------
 # Each step evaluates one group of nodes of one kind on a (k, n) value stack
-# and a (k, n, d) gradient stack.  Every operation is elementwise or reduces
-# in a fixed order, so each row gets the bits it would get alone.
+# and a (k, d, n) gradient stack: axis-major, so a per-row factor broadcasts
+# over d rows of n points, not over n rows of d.  Every operation is
+# elementwise or reduces in a fixed order, so each row gets the bits it
+# would get alone.  The leaf kernels read the points as ``pts.T``.
 
-def _sphere_dx(pts, c):
-    dx = pts - c[0]
-    return dx, np.einsum("kij,kij->ki", dx, dx)
+def _axis_sum(p):
+    """A (k, d, n) stack summed over its d axis, as (k, n): x + y in 2-D,
+    (x + z) + y in 3-D, in that order whatever the layout.  numpy's einsum
+    picks its order from the strides; this is the one it used on (k, n, d)
+    stacks, which fixed the values' bits."""
+    x, y = p[:, 0], p[:, 1]
+    return x + y if p.shape[1] == 2 else (x + p[:, 2]) + y
 
 
 def _ball_step(pts, ops, c, want_grad):
-    dx, r2 = _sphere_dx(pts, c)
-    return (c[1] - r2) / c[2], (dx / c[3] if want_grad else None)
+    dx = pts.T - c[0]
+    return (c[1] - _axis_sum(dx * dx)) / c[2], (dx / c[3] if want_grad else None)
 
 
 def _quadric_step(pts, ops, c, want_grad):
-    dx, r2 = _sphere_dx(pts, c)
-    return r2 - c[1], (2.0 * dx if want_grad else None)
+    dx = pts.T - c[0]
+    return _axis_sum(dx * dx) - c[1], (2.0 * dx if want_grad else None)
 
 
 def _plane_step(pts, ops, c, want_grad):
     origin, normal = c
-    # einsum, not a BLAS product, so a point's value is the same in any batch
-    v = np.einsum("kij,kj->ki", pts - origin, normal)
+    # elementwise, not a BLAS product, so a point's value is the same in any
+    # batch; einsum's sum started from +0.0, which turns -0.0 into 0.0
+    v = _axis_sum((pts.T - origin) * normal)
+    v += 0.0
     if not want_grad:
         return v, None
-    g = np.empty(v.shape + pts.shape[1:])
-    g[...] = normal[:, None, :]
+    g = np.empty(normal.shape[:2] + v.shape[1:])
+    g[...] = normal
     return v, g
 
 
@@ -637,7 +660,7 @@ def _equiv_step(pts, ops, m, want_grad):
     # its one operand is the (k, n) stack of its children's rows
     ((v, g),) = ops
     # d|phi| with sign(0) = 0, the corner convention.
-    G = np.sign(v)[..., None] * g if want_grad else None
+    G = np.sign(v)[..., None, :] * g if want_grad else None
     return _unsigned_equiv_step(pts, [(np.abs(v), G)], m, want_grad)
 
 
@@ -658,7 +681,7 @@ def _per_row(xs):
 
 
 def _ball_consts(params):
-    centers = np.array([c for c, _ in params])[:, None, :]
+    centers = np.array([c for c, _ in params])[:, :, None]
     radii = _per_row([r for _, r in params])
     return centers, radii * radii, 2.0 * radii, _lift(-radii)
 
@@ -667,8 +690,8 @@ _STEPS = {
     "ball": (_ball_step, _ball_consts),
     "quadric": (_quadric_step, _ball_consts),
     "plane": (_plane_step, lambda params: (
-        np.array([o for o, _ in params])[:, None, :],
-        np.array([n for _, n in params]),
+        np.array([o for o, _ in params])[:, :, None],
+        np.array([n for _, n in params])[:, :, None],
     )),
     "neg": (_neg_step, lambda params: None),
     "rbin": (_rbin_step, lambda params: (
@@ -686,22 +709,27 @@ _UNSIGNED_KINDS = frozenset(("trim", "equiv"))
 
 
 def _gather(refs):
-    """Operand rows ``refs`` [(step, row), ...] as runs [step, start, stop]
-    of consecutive rows of one step, read as slices."""
+    """A reader of rows ``refs`` [(step, row), ...] of the step stacks, in
+    that order, with the set of steps it reads and the copies it makes: a
+    slice for consecutive rows of one step (0), one ``take`` for other rows
+    of one step (1), else a concatenation of slices (2)."""
     runs: list[list[int]] = []
     for step, row in refs:
         if runs and runs[-1][0] == step and runs[-1][2] == row:
             runs[-1][2] += 1
         else:
             runs.append([step, row, row + 1])
-    return [(step, slice(start, stop)) for step, start, stop in runs]
-
-
-def _take(stacks, runs):
+    steps = {step for step, _, _ in runs}
     if len(runs) == 1:
-        step, rows = runs[0]
-        return stacks[step][rows]
-    return np.concatenate([stacks[step][rows] for step, rows in runs])
+        ((step, start, stop),) = runs
+        rows = slice(start, stop)
+        return (lambda stacks: stacks[step][rows]), steps, 0
+    if len(steps) == 1:
+        (step,) = steps
+        index = np.array([row for _, row in refs], dtype=np.intp)
+        return (lambda stacks: stacks[step].take(index, axis=0)), steps, 1
+    slices = [(step, slice(start, stop)) for step, start, stop in runs]
+    return (lambda stacks: np.concatenate([stacks[s][rows] for s, rows in slices])), steps, 2
 
 
 class _Plan:
@@ -711,8 +739,15 @@ class _Plan:
     parameters and operands), a ``Segment`` is its ``Trim`` tree, and the
     nodes of one kind at one height form one step.  An equivalence is a
     step of its own.  Calling the plan returns the roots' values as an
-    (r, n) stack and their gradients as an (r, n, d) stack (None without
+    (r, n) stack and their gradients as an (r, d, n) stack (None without
     ``want_grad``), freshly allocated on every call.
+
+    A step's rows are ordered for its readers.  Going down from the roots,
+    a group sorts its nodes by the steps their operands come from, and a
+    leaf group by first use; so the trims of the wrench read their bases
+    and trimmers, planes and balls, as three runs.  A step reads each
+    operand with its own gather, or all of them with one gather that it
+    slices, whichever copies less.
     """
 
     def __init__(self, roots):
@@ -738,52 +773,80 @@ class _Plan:
         groups: dict[tuple, list[int]] = {}
         for i, (kind, _, _, height) in enumerate(nodes):
             groups.setdefault((height, kind, i if kind == "equiv" else -1), []).append(i)
+        keys = sorted(groups)
+        step_of = {i: k for k, key in enumerate(keys) for i in groups[key]}
+        # row order, from the roots down: a consumer is always higher than
+        # its operands, so its rows are placed before theirs are
+        first_use: dict[int, int] = {}
+
+        def use(operands):
+            for i in operands:
+                first_use.setdefault(i, len(first_use))
+
+        use(root_ids)
+        for key in reversed(keys):
+            members = groups[key]
+            if key[1] != "equiv":  # an equivalence sums its pieces in order
+                members.sort(key=lambda i: ([step_of[o] for o in nodes[i][2]], first_use[i]))
+            for p in range(len(nodes[members[0]][2])):
+                use([nodes[i][2][p] for i in members])
+
         where: dict[int, tuple[int, int]] = {}
         steps = []
         last_use: dict[int, int] = {}
-        for k, key in enumerate(sorted(groups)):
+        for k, key in enumerate(keys):
             members = groups[key]
             kind = key[1]
             run, consts = _STEPS[kind]
             op_ids = [nodes[i][2] for i in members]
             if kind == "equiv":
-                gathers = [_gather([where[o] for o in op_ids[0]])]
+                # its one operand: the stack of its pieces' rows
+                by_operand = [[where[o] for o in op_ids[0]]]
                 if all(nodes[o][0] in _UNSIGNED_KINDS for o in op_ids[0]):
                     run = _unsigned_equiv_step
             else:
-                gathers = [_gather([where[ops[p]] for ops in op_ids])
-                           for p in range(len(op_ids[0]))]
-            for runs in gathers:
-                for src, _ in runs:
+                by_operand = [[where[ops[p]] for ops in op_ids] for p in range(len(op_ids[0]))]
+            reads = [(_gather(refs), None) for refs in by_operand]
+            if len(reads) > 1:
+                whole = _gather([ref for refs in by_operand for ref in refs])
+                if whole[2] < sum(g[2] for g, _ in reads):
+                    m = len(members)
+                    reads = [(whole, [slice(p * m, p * m + m) for p in range(len(reads))])]
+            for (_, sources, _), _ in reads:
+                for src in sources:
                     last_use[src] = k
-            steps.append((run, consts([nodes[i][1] for i in members]), gathers))
+            steps.append((run, consts([nodes[i][1] for i in members]),
+                          [(read, parts) for (read, _, _), parts in reads]))
             for row, i in enumerate(members):
                 where[i] = (k, row)
-        refs = [where[i] for i in root_ids]
-        keep = {step for step, _ in refs}
-        self._roots = _gather(refs)
+        self._roots, keep, _ = _gather([where[i] for i in root_ids])
         self._steps = [
-            (run, consts, gathers,
+            (run, consts, reads,
              [s for s, last in last_use.items() if last == k and s not in keep])
-            for k, (run, consts, gathers) in enumerate(steps)
+            for k, (run, consts, reads) in enumerate(steps)
         ]
 
     def __call__(self, pts: np.ndarray, want_grad: bool):
+        # the leaf kernels read pts.T, which a Fortran-ordered batch makes a
+        # contiguous (d, n) array; the values do not depend on the order
+        pts = np.asfortranarray(pts)
         vals: list = []
         grads: list = []
-        for run, consts, gathers, done in self._steps:
-            ops = ()
-            if gathers:
-                ops = [
-                    (_take(vals, g), _take(grads, g) if want_grad else None)
-                    for g in gathers
-                ]
-                for s in done:  # drop stacks no later step reads
-                    vals[s] = grads[s] = None
+        for run, consts, reads, done in self._steps:
+            ops = []
+            for read, parts in reads:
+                v = read(vals)
+                g = read(grads) if want_grad else None
+                if parts is None:
+                    ops.append((v, g))
+                else:
+                    ops.extend((v[p], g[p] if want_grad else None) for p in parts)
+            for s in done:  # drop stacks no later step reads
+                vals[s] = grads[s] = None
             v, g = run(pts, ops, consts, want_grad)
             vals.append(v)
             grads.append(g)
-        return _take(vals, self._roots), _take(grads, self._roots) if want_grad else None
+        return self._roots(vals), self._roots(grads) if want_grad else None
 
 
 # ---------------------------------------------------------------------------

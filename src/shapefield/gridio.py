@@ -31,10 +31,27 @@ __all__ = [
 
 
 _SAMPLE_BLOCK = 1 << 16  # grid nodes per field evaluation
+_EXPORT_BLOCK = 1 << 14  # rows per formatting call
 
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
+
+
+def _csv_bytes(head: str, columns) -> bytes:
+    """``head``, then the rows of ``columns`` (arrays of equal length; a 2-D
+    one adds several columns) as comma-separated lines, in ASCII.  Each
+    block of rows is one ``%``-format call, and ``"%.17g" % v`` is
+    ``_fmt(v)``'s text.  Blocks bound the memory of the formatting, and
+    ``BytesIO.getvalue`` hands over its buffer without a copy."""
+    out = io.BytesIO()
+    out.write(head.encode("ascii"))
+    line = None
+    for lo in range(0, len(columns[0]), _EXPORT_BLOCK):
+        block = np.column_stack([c[lo:lo + _EXPORT_BLOCK] for c in columns])
+        line = line or ",".join(["%.17g"] * block.shape[1]) + "\n"
+        out.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii"))
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -146,11 +163,7 @@ def _grid_csv(samples: GridSamples, grid: GridSpec) -> bytes:
     if samples.gradmag is not None:
         cols.append("gradmag")
         arrays.append(samples.gradmag)
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    for row in zip(*arrays):
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue().encode("ascii")
+    return _csv_bytes(",".join(cols) + "\n", arrays)
 
 
 def parse_grid_csv(data: bytes):
@@ -188,9 +201,7 @@ def _grid_vtk(samples: GridSamples, grid: GridSpec) -> bytes:
     out.write(f"POINT_DATA {grid.count}\n")
     out.write("SCALARS phi double 1\n")
     out.write("LOOKUP_TABLE default\n")
-    for v in vtk_order:
-        out.write(_fmt(v) + "\n")
-    return out.getvalue().encode("ascii")
+    return _csv_bytes(out.getvalue(), [vtk_order])
 
 
 def parse_grid_vtk(data: bytes):
@@ -224,14 +235,11 @@ def export_trajectory(traj: Trajectory, *, include_positions: bool = False) -> b
         nbodies = traj.positions.shape[1]
         for b in range(nbodies):
             cols.extend(f"b{b}_{a}" for a in "xyz"[:d])
-    out = io.StringIO()
-    out.write(",".join(cols) + "\n")
-    for k in range(traj.times.shape[0]):
-        row = [traj.times[k], *traj.com[k], traj.shape_error[k], traj.target_distance[k]]
-        if include_positions:
-            row.extend(traj.positions[k].ravel())
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    return out.getvalue().encode("ascii")
+    columns = [traj.times, traj.com, traj.shape_error, traj.target_distance]
+    if include_positions:
+        k, nbodies, _ = traj.positions.shape
+        columns.append(traj.positions.reshape(k, nbodies * d))
+    return _csv_bytes(",".join(cols) + "\n", columns)
 
 
 def parse_trajectory_csv(data: bytes) -> Trajectory:

@@ -20,7 +20,11 @@ from then on it forwards to the final field's ``values``/``values_grads``.
 The initial and final fields are compiled into one plan on first use, so
 nodes they share (such as equal circles) are evaluated once, and the two
 R-conjunctions of the blend run as one stacked operation whose constant
-operands are broadcast columns with gradient 0.0.
+operands are broadcast columns with gradient 0.0.  The blend works on the
+plan's stacks as they come: values (2, n) and gradients (2, d, n), axis-major,
+so a per-point weight broadcasts over d rows of n points; the result is
+transposed to a fresh (n, d) array once, on return.  The ramp of a Python
+float time takes a scalar path, without arrays and with the same bits.
 """
 
 from __future__ import annotations
@@ -74,18 +78,28 @@ def ramp(t, p: float):
 
     Evaluated as ``tanh(p t / 2)``, which is the same function and does not
     overflow for large ``t``.  Negative ``t`` clamps to 0 with a warning.
+    A Python float takes a path without arrays, with the same bits.
     """
     if not p > 0.0:
         raise ValueError(f"ramp rate p must be positive, got {p}")
+    if type(t) is float:
+        if t < 0.0:
+            _warn_negative()
+            t = 0.0
+        return float(np.tanh(0.5 * p * t))
     tt = np.asarray(t, dtype=float)
-    if (tt < 0.0).any():
-        warnings.warn(
-            "ramp time clamped to 0 for negative t",
-            RuntimeWarning, stacklevel=_caller_stacklevel(),
-        )
+    if np.count_nonzero(tt < 0.0):
+        _warn_negative()
         tt = np.maximum(tt, 0.0)
     out = np.tanh(0.5 * p * tt)
     return float(out) if tt.ndim == 0 else out
+
+
+def _warn_negative():
+    warnings.warn(
+        "ramp time clamped to 0 for negative t",
+        RuntimeWarning, stacklevel=_caller_stacklevel(),
+    )
 
 
 @dataclass(frozen=True)
@@ -130,7 +144,8 @@ class MorphSchedule:
         return _Plan((self.initial, self.final))
 
     def _blend_vg(self, pts: np.ndarray, t: float, fval: float, want_grad: bool):
-        # fval: the ramp at t, evaluated once by the caller
+        # fval: the ramp at t, evaluated once by the caller.  Values are (n,)
+        # and gradients (d, n), as in the plan's stacks.
         V, G = self._plan(pts, want_grad)
         vi, vf = V
         # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
@@ -140,7 +155,7 @@ class MorphSchedule:
         )
         total = g1 + g2
         bad = np.abs(total) < BLEND_DEGENERACY_EPS
-        if bad.any():
+        if np.count_nonzero(bad):
             raise DegenerateBlendError(pts[bad], t, bad)
         w1 = g2 / total
         # phi = vf + w1 * (vi - vf): algebraically w1*vi + (1-w1)*vf, but this
@@ -152,8 +167,8 @@ class MorphSchedule:
         gi, gf = G
         dg1, dg2 = dg
         dtotal = dg1 + dg2
-        dw1 = (dg2 * total[:, None] - g2[:, None] * dtotal) / (total * total)[:, None]
-        g = gf + dw1 * dv[:, None] + w1[:, None] * (gi - gf)
+        dw1 = (dg2 * total - g2 * dtotal) / (total * total)
+        g = gf + dw1 * dv + w1 * (gi - gf)
         return v, g, (w1, g1, g2)
 
     def _ramp_at(self, t: float) -> float:
@@ -179,7 +194,7 @@ class MorphSchedule:
         if _complete(fval):
             return self.final.values_grads(pts, t)
         v, g, _ = self._blend_vg(pts, t, fval, want_grad=True)
-        return v, g
+        return v, g.T.copy()
 
 
 def _complete(fval: float) -> bool:

@@ -395,21 +395,25 @@ def ring_radius_of(world: WorldState) -> float:
 def spring_forces(world: WorldState) -> np.ndarray:
     """Linear spring forces: k (|d| - rest) along the link, equal/opposite."""
     if world.spring_i.size == 0:
-        return np.zeros_like(world.pos)
+        return np.zeros(world.pos.shape)
     dvec = world.pos.take(world.spring_j, axis=0) - world.pos.take(world.spring_i, axis=0)
-    with np.errstate(over="ignore"):
-        # a diverging state may overflow here; step() reports it right after
+    # a diverging state may overflow here; step() reports it right after
+    with np.errstate(over="ignore", invalid="ignore"):
         dist = np.sqrt(np.einsum("ij,ij->i", dvec, dvec))
-    ok = dist > SPRING_COINCIDENT_EPS
-    if not ok.all():
-        log.warning(
-            "spring endpoints coincide for links %s; zero force applied",
-            np.nonzero(~ok)[0].tolist(),
-        )
-    fmag = np.where(ok, world.spring_k * (dist - world.spring_rest), 0.0)
-    with np.errstate(invalid="ignore"):
-        scale = fmag / np.where(ok, dist, 1.0)
+        ok = dist > SPRING_COINCIDENT_EPS
+        if np.count_nonzero(ok) == ok.size:
+            scale = world.spring_k * (dist - world.spring_rest) / dist
+        else:
+            log.warning(
+                "spring endpoints coincide for links %s; zero force applied",
+                np.nonzero(~ok)[0].tolist(),
+            )
+            fmag = np.where(ok, world.spring_k * (dist - world.spring_rest), 0.0)
+            scale = fmag / np.where(ok, dist, 1.0)
     return _scatter_pairs(dvec.T * scale, world.spring_i, world.spring_j, world.n)
+
+
+_AXIS_COLUMN = np.arange(3)[:, None]  # axis offsets of the scatter's bins
 
 
 def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -421,7 +425,7 @@ def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np
     bit-identical to that.
     """
     d = pair.shape[0]
-    flat = (np.concatenate([i, j]) * d + np.arange(d)[:, None]).ravel()
+    flat = (np.concatenate([i, j]) * d + _AXIS_COLUMN[:d]).ravel()
     terms = np.concatenate([pair, -pair], axis=1).ravel()
     return np.bincount(flat, weights=terms, minlength=n * d).reshape(n, d)
 
@@ -504,6 +508,9 @@ class _PairCache:
 
     def _build(self, world: WorldState):
         self.pos = world.pos.copy()
+        # the array the list was built for, which later worlds of a run
+        # share, and a copy of its values
+        self.radius_of = world.radius
         self.radius = world.radius.copy()
         self.skin = CONTACT_SKIN_FRACTION * float(self.radius.min()) if world.n else 0.0
         self.i, self.j = _near_pairs(self.pos, self.radius, self.skin)
@@ -522,7 +529,9 @@ class _PairCache:
     def _moved2(self, world: WorldState) -> float:
         """Largest squared move of a body since the build; inf when the body
         count or the radii changed."""
-        if world.pos.shape != self.pos.shape or not np.array_equal(world.radius, self.radius):
+        if world.pos.shape != self.pos.shape or not (
+            world.radius is self.radius_of or np.array_equal(world.radius, self.radius)
+        ):
             return math.inf
         moved = world.pos - self.pos
         moved *= moved
@@ -551,6 +560,8 @@ class _PairCache:
             dx, dy = d.T
             d2 = dx * dx + dy * dy
             hit = np.flatnonzero(d2 < self.rsum2)
+        if hit.size == 0:
+            return self.no_hits
         i, j, rsum = self.i, self.j, self.rsum
         return i.take(hit), j.take(hit), d.take(hit, axis=0), d2.take(hit), rsum.take(hit)
 
@@ -569,12 +580,12 @@ def contact_forces(
     runs on coordinate columns, one length-k array per axis.
     """
     if world.dimension == 3 or world.n < 2:
-        return np.zeros_like(world.pos)  # 3-D point agents do not collide
+        return np.zeros(world.pos.shape)  # 3-D point agents do not collide
     if cache is None:
         cache = _PairCache(world)
     i, j, dph, d2, rsum = cache.hits(world)
     if i.size == 0:
-        return np.zeros_like(world.pos)
+        return np.zeros(world.pos.shape)
     dist = np.sqrt(d2)
     ok = dist > CONTACT_COINCIDENT_EPS
     dist = np.where(ok, dist, 1.0)
@@ -612,7 +623,7 @@ def control_forces(
     If a morph blend is degenerate at some robot, that robot reuses its
     previous control ``prev``, or gets zero without one (logged).
     """
-    F = np.zeros_like(world.pos)
+    F = np.zeros(world.pos.shape)
     nb = world.boundary_count
     if driver is None or alpha == 0.0 or nb == 0:
         return F, np.zeros((nb, world.dimension))
@@ -665,13 +676,16 @@ def step(
     state goes non-finite.
     """
     dt = config.dt if dt is None else dt
-    Fs = spring_forces(world)
+    F = spring_forces(world)
     Fc = contact_forces(world, config, cache)
-    Fu, u = control_forces(
+    _, u = control_forces(
         world, driver, config.alpha, config.control_mode, world.last_control
     )
-    F = Fs + Fc
-    F += Fu
+    # summed in the fresh array spring_forces returns.  No row of F is -0.0
+    # (np.bincount sums from +0.0), so the +0.0 grain rows of the full
+    # control forces would change no bit, and are not added
+    F += Fc
+    F[: world.boundary_count] += u
     F -= config.drag * world.vel
     # v + F (dt / m) by column and in place: the same bits as the (n, 1)
     # broadcast, which numpy would run row by row
@@ -683,11 +697,13 @@ def step(
     pos = vel * dt
     pos += world.pos
     # a non-finite velocity always gives a non-finite position
-    if not np.isfinite(pos).all():
-        bad = int(np.nonzero(~np.isfinite(pos).all(axis=1))[0][0])
+    finite = np.isfinite(pos)
+    if np.count_nonzero(finite) != finite.size:
+        bad = int(np.nonzero(~finite.all(axis=1))[0][0])
         term = "state"
-        for name, arr in (("spring", Fs), ("contact", Fc), ("control", Fu)):
-            if not np.all(np.isfinite(arr[bad])):
+        # the spring forces were summed in place, so they are evaluated again
+        for name, arr in (("spring", spring_forces(world)), ("contact", Fc), ("control", u)):
+            if bad < len(arr) and not np.all(np.isfinite(arr[bad])):
                 term = name
                 break
         raise SimulationDivergenceError(

@@ -1,6 +1,7 @@
 """Shared oracles and samplers for the test suite."""
 
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -82,7 +83,7 @@ def one_by_one(expr, pts, want_grad):
     through its own step kernel and constants: the reference the compiled
     plans are checked against.  It shares the kernels, but none of the
     compiler's merging of equal subtrees, grouping, gathers, stack drops or
-    root gather.  Returns the (1, n) value and (1, n, d) gradient stacks
+    root gather.  Returns the (1, n) value and (1, d, n) gradient stacks
     (None without ``want_grad``)."""
     kind, params, kids = expr._emit()
     run, consts = _STEPS[kind]
@@ -91,6 +92,21 @@ def one_by_one(expr, pts, want_grad):
         ops = [(np.concatenate([v for v, _ in ops]),
                 np.concatenate([g for _, g in ops]) if want_grad else None)]
     return run(pts, ops, consts([params]), want_grad)
+
+
+def assert_rows_stand_alone(source, pts, t):
+    """Each row of a batch evaluation of ``source`` (a tree or a morph) at
+    time ``t`` has the bits of its point evaluated alone: value, gradient,
+    and ``values``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+        v, g = source.values_grads(pts, t)
+        only = source.values(pts, t)
+        assert same_bits(only, v)
+        for i in range(pts.shape[0]):
+            lone_v, lone_g = source.values_grads(pts[i:i + 1], t)
+            assert same_bits(lone_v, v[i:i + 1]) and same_bits(lone_g, g[i:i + 1]), i
+            assert same_bits(source.values(pts[i:i + 1], t), only[i:i + 1]), i
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shapefield import fields as fields_module
 from shapefield import tolerances as tol
 from shapefield.fields import (
     Circle,
@@ -25,6 +26,7 @@ from shapefield.fields import (
     Segment,
     Sphere,
     Trim,
+    _div_rows,
     _Plan,
     gradient,
     r_conjunction,
@@ -38,6 +40,7 @@ from shapefield.fields import (
 from shapefield.lang import parse
 
 from conftest import (
+    assert_rows_stand_alone,
     circle_boundary,
     fd_gradient,
     field_trees,
@@ -772,6 +775,57 @@ _ON_AND_OFF = np.array([
 ])
 
 
+def _masked_divide(num, den):
+    """``_div_rows``'s rule a value at a time: 0 where the point's
+    denominator is +0.0 or -0.0, else the quotient."""
+    out = np.zeros(num.shape)
+    for idx in np.ndindex(num.shape):
+        q = den[idx[:-2] + idx[-1:]]
+        if q != 0.0:
+            out[idx] = num[idx] / q
+    return out
+
+
+class TestDivRows:
+    SPECIAL = np.array([np.nan, np.inf, -np.inf, 1e-300, -1e300, 2.5, -3.0])
+
+    def _stacks(self, rng, zeros):
+        num = rng.standard_normal((3, 2, 40))
+        num.flat[::7] = np.resize(self.SPECIAL, num.flat[::7].shape)
+        num.flat[3::11] = np.resize([0.0, -0.0], num.flat[3::11].shape)
+        den = rng.standard_normal((3, 40))
+        den.flat[::5] = np.resize(self.SPECIAL, den.flat[::5].shape)
+        if zeros:
+            den.flat[2::6] = np.resize([0.0, -0.0], den.flat[2::6].shape)
+        return num, den
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["plain", "masked"])
+    def test_both_branches_give_the_masked_divides_bits(self, rng, zeros):
+        num, den = self._stacks(rng, zeros)
+        assert (np.count_nonzero(den) < den.size) == zeros
+        with np.errstate(all="ignore"):
+            for k in range(3):  # a (d, n) gradient over (n,) values too
+                assert same_bits(_div_rows(num[k], den[k]), _masked_divide(num[k], den[k]))
+            assert same_bits(_div_rows(num, den), _masked_divide(num, den))
+
+    def test_plan_matches_walker_at_exact_sqrt_corners(self, monkeypatch, rng):
+        # segment ends and interiors, arc ends and R-operation corners zero
+        # a denominator; random points do not.  Both branches must run
+        masked = []
+
+        def spy(num, den):
+            masked.append(np.count_nonzero(den) < den.size)
+            return _div_rows(num, den)
+
+        monkeypatch.setattr(fields_module, "_div_rows", spy)
+        corner = Conjunction(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)))
+        ridge = Disjunction(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)), s=1.0)
+        for expr in (_S1, Equivalence((_S1, _S2)), _ARC, Trim(_ARC, _RAY), corner, ridge):
+            _assert_plan_matches_walker_at(expr, _ON_AND_OFF)
+            _assert_plan_matches_walker_at(expr, rng.uniform(-2.0, 2.0, (30, 2)))
+        assert set(masked) == {False, True}
+
+
 def _shipped_trees():
     shapes = resources.files("shapefield") / "data" / "shapes"
     for entry in sorted(shapes.iterdir(), key=lambda e: e.name):
@@ -794,6 +848,14 @@ class TestCompiledPlan:
     @given(expr=field_trees(3), seed=st.integers(0, 2**32 - 1))
     def test_random_3d_trees_match_recursive_bit_for_bit(self, expr, seed):
         _assert_plan_matches_recursive(expr, seed)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(expr=st.one_of(field_trees(2), field_trees(3)), seed=st.integers(0, 2**32 - 1))
+    def test_each_row_has_the_bits_of_its_point_alone(self, expr, seed):
+        # stacking many worlds' robots into one call, as a seed ensemble
+        # would, is sound only if no row depends on its batch
+        for n in (1, 2, 7, 30, 301):
+            assert_rows_stand_alone(expr, _points(expr.dimension, n, seed), 0.0)
 
     def test_shipped_shapes_match_recursive_bit_for_bit(self):
         names = []
@@ -835,9 +897,9 @@ class TestCompiledPlan:
         (v_ref,), (g_ref,) = one_by_one(expr, pts, want_grad=True)
         assert same_bits(expr.eval(pts), v_ref)
         gs = gradient(expr, pts)
-        assert same_bits(gs.value, v_ref) and same_bits(gs.grad, g_ref)
+        assert same_bits(gs.value, v_ref) and same_bits(gs.grad, g_ref.T)
         point = gradient(expr, pts[3])
-        assert point.value == v_ref[3] and same_bits(point.grad, g_ref[3])
+        assert point.value == v_ref[3] and same_bits(point.grad, g_ref[:, 3])
 
     def test_equal_subtrees_are_evaluated_once(self):
         rim = Circle((0.0, 0.0), 0.75)
@@ -857,7 +919,7 @@ class TestCompiledPlan:
         p1 = Plane((0.0, 0.0), (1.0, -0.0))
         assert p0 == p1
         V, G = _Plan((p0, p1))(np.array([[0.5, 0.5]]), want_grad=True)
-        assert np.signbit(G[:, 0, 1]).tolist() == [False, True]
+        assert np.signbit(G[:, 1, 0]).tolist() == [False, True]
 
     def test_gradient_is_fresh_writeable_array_for_every_node_kind(self, rng):
         plane2 = Plane((0.3, 0.0), (0.8, 0.6))

@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from shapefield import morph
@@ -26,7 +26,14 @@ from shapefield.morph import (
     ramp,
 )
 
-from conftest import circle_boundary, fd_gradient, field_trees, one_by_one, same_bits
+from conftest import (
+    assert_rows_stand_alone,
+    circle_boundary,
+    fd_gradient,
+    field_trees,
+    one_by_one,
+    same_bits,
+)
 
 
 @pytest.fixture
@@ -303,7 +310,8 @@ def _recursive_blend(sched, pts, t, want_grad):
     at a time, the blend's constants as full arrays with zero gradient
     arrays, and the ramp evaluated twice."""
     if sched.is_complete(t):
-        return _tree(sched.final, pts, want_grad)
+        v, g = _tree(sched.final, pts, want_grad)
+        return v, (g.T if want_grad else None)
     fval = sched.ramp_value(t)
     vi, gi = _tree(sched.initial, pts, want_grad)
     vf, gf = _tree(sched.final, pts, want_grad)
@@ -318,9 +326,9 @@ def _recursive_blend(sched, pts, t, want_grad):
     if not want_grad:
         return v, None, total
     dtotal = dg1 + dg2
-    dw1 = (dg2 * total[:, None] - g2[:, None] * dtotal) / (total * total)[:, None]
-    g = gf + dw1 * (vi - vf)[:, None] + w1[:, None] * (gi - gf)
-    return v, g, total
+    dw1 = (dg2 * total - g2 * dtotal) / (total * total)
+    g = gf + dw1 * (vi - vf) + w1 * (gi - gf)
+    return v, g.T, total
 
 
 def _assert_morph_matches(sched, pts, t):
@@ -374,6 +382,41 @@ class TestCompiledMorph:
         sched = MorphSchedule(initial, final, p=p, s=s)
         pts = np.random.default_rng(n).uniform(-2.0, 2.0, (n, 2))
         _assert_morph_matches(sched, pts, t)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        coords=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        radii=st.tuples(st.floats(0.1, 1.5), st.floats(0.1, 1.5)),
+        segments=st.booleans(),
+        p=st.floats(0.05, 2.0),
+        s=st.floats(0.0, 1.5),
+        into_ramp=st.floats(0.0, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_has_the_bits_of_its_point_alone(
+        self, coords, radii, segments, p, s, into_ramp, seed
+    ):
+        x1, y1, x2, y2, x3, y3, x4, y4 = coords
+        if segments:
+            pair = (Segment((x1, y1), (x2, y2)), Segment((x3, y3), (x4, y4)))
+            assume(min(seg.length for seg in pair) > 0.05)
+        else:
+            pair = (Circle((x1, y1), radii[0]), Circle((x2, y2), radii[1]))
+        sched = MorphSchedule(*pair, p=p, s=s)
+        # a time inside the ramp, where the blend runs
+        t = into_ramp * 2.0 * math.atanh(1.0 - tol.MORPH_COMPLETE_EPS) / p
+        assert not sched.is_complete(t)
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 7, 30, 301):
+            pts = rng.uniform(-2.0, 2.0, (n, 2))
+            pts[: max(1, n // 10), 1] = 0.0  # on the axis: signed-zero gradients
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # s > 1 clamps
+                try:
+                    sched.values(pts, t)
+                except DegenerateBlendError as err:  # keep the rows that blend
+                    pts = pts[~err.mask]
+            assert_rows_stand_alone(sched, pts, t)
 
     def test_ramp_is_evaluated_once_per_call(self, wrench, monkeypatch):
         calls = []

@@ -786,6 +786,46 @@ class TestTranslationInvariance:
         assert hits > 0 or n_interior == 0
 
 
+class TestRotationInvariance:
+    # A quarter turn, (x, y) -> (-y, x), is exact in floating point.  Under
+    # it every sum of a step keeps its operands or swaps them, and every
+    # difference keeps or negates them, so the turned world follows the
+    # turned path to the bit, and == holds (it takes -0.0 for 0.0).  The
+    # field is centred on the origin, so the turn maps it onto itself.
+
+    @staticmethod
+    def turn(a):
+        return np.stack([-a[:, 1], a[:, 0]], axis=1)
+
+    @staticmethod
+    def turn_back(a):
+        return np.stack([a[:, 1], -a[:, 0]], axis=1)
+
+    @pytest.mark.parametrize("n_interior", [0, 12])
+    def test_turned_world_follows_the_turned_path(self, n_interior, rng):
+        cfg = small_config(n_interior=n_interior)
+        # squeezed so that the grains touch: the contact layer takes part;
+        # random velocities give friction a slip to work on
+        w = squeezed_world(cfg, 0.9)
+        w = dataclasses.replace(w, vel=rng.uniform(-0.2, 0.2, w.vel.shape))
+        field = Circle((0.0, 0.0), 0.8 * ring_radius_of(w))
+        a = w
+        b = dataclasses.replace(w, pos=self.turn(w.pos), vel=self.turn(w.vel))
+        cache_a, cache_b = _PairCache(a), _PairCache(b)
+        drv = as_field_driver(field)
+        hits = 0
+        for _ in range(round(cfg.duration / cfg.dt)):
+            a = step(a, cfg, drv, cfg.dt, cache_a)
+            b = step(b, cfg, drv, cfg.dt, cache_b)
+            hits += listed_hits(cache_a, a)[0].size
+            assert np.array_equal(self.turn_back(b.pos), a.pos)
+            assert np.array_equal(self.turn_back(b.vel), a.vel)
+            assert shape_error(a, field) == shape_error(b, field)
+        assert a.time == pytest.approx(1.0)
+        assert hits > 0 or n_interior == 0
+        assert cache_a.builds == cache_b.builds
+
+
 class TestDisturbance:
     def test_zero_impulse_is_noop(self):
         w = build_world(small_config())
