@@ -9,10 +9,13 @@ convention is inside-positive for the signed primitives; unsigned
 primitives (segments, trimmed carriers, equivalence joins) are
 non-negative everywhere.
 
-Gradients are exact: they are propagated forward through the tree
-alongside values (dual-number style), never by finite differences.  At the
+Gradients are exact, never finite differences.  An R-operation, an
+equivalence and the morph blend each compute their local partials per
+point, on values, and contract them with their operands' gradients once:
+one product per operand and a sum.  A trim still carries the gradients of
+its intermediates through its rule.  At the
 measure-zero points where an expression is not differentiable (R-operation
-corners, creases of unsigned fields) the propagation uses the convention
+corners, creases of unsigned fields) a partial uses the convention
 ``d sqrt(u) = 0`` when ``u = 0``, which keeps every output finite.
 
 Evaluation accepts a single point (length-``d`` sequence) or a batch of
@@ -44,9 +47,8 @@ depend on its group, and a point's result does not depend on its batch.
 
 At swarm size (tens of points) a call costs mostly its number of numpy
 calls, so the kernels take fast paths that keep every bit: a sqrt-corner
-quotient divides plainly when no denominator is zero, small masks are
-tested with ``np.count_nonzero``, and an equivalence gathers its pivot
-gradients with one flat ``take``.
+quotient divides plainly when no denominator is zero, and small masks are
+tested with ``np.count_nonzero``.
 """
 
 from __future__ import annotations
@@ -157,20 +159,25 @@ def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
     raise DimensionMismatchError(f"points must be 1-D or 2-D, got shape {pts.shape}")
 
 
-def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Pointwise ``num / den`` returning 0 where ``den`` is 0 (sqrt-corner rule).
-
-    ``num`` has a gradient axis before the point axis: (d, n) over (n,), or
-    a (k, d, n) stack over (k, n).  A batch with no zero denominator takes
-    a plain divide, which gives the masked divide's bits: only +0.0 and
-    -0.0 are masked, and a NaN or infinite denominator divides in both.
+def _corner_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Pointwise ``num / den`` returning 0 where ``den`` is 0 (the sqrt-corner
+    rule); ``den`` broadcasts against ``num``.  A batch with no zero
+    denominator takes a plain divide, which gives the masked divide's bits:
+    only +0.0 and -0.0 are masked, and a NaN or infinite denominator divides
+    in both.
     """
-    den = den[..., None, :]
     if np.count_nonzero(den) == den.size:
         return num / den
-    out = np.zeros(num.shape)
+    out = np.zeros(np.broadcast_shapes(np.shape(num), den.shape))
     np.divide(num, den, out=out, where=den != 0.0)
     return out
+
+
+def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``_corner_div`` of a gradient stack by its values: ``num`` has a
+    gradient axis before the point axis, (d, n) over (n,), or a (k, d, n)
+    stack over (k, n)."""
+    return _corner_div(num, den[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +405,6 @@ def _check_s(s) -> float:
     return s
 
 
-def _lift(x):
-    """A per-row column (k, 1) as (k, 1, 1), to broadcast over a (k, d, n)
-    gradient stack; a scalar as itself."""
-    return x[..., None] if getattr(x, "ndim", 0) else x
-
-
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -418,16 +419,19 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
+def _r_binary(v1, v2, s, sign, want_partials: bool):
     """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
 
-    Value ``(v1 + v2 + sign sqrt(v1^2 + v2^2 - 2 s v1 v2)) / (1 + s)``,
-    with the radicand clamped at 0 (only s > 1 can make it negative);
-    with ``want_grad`` also the forward-mode gradient from g1, g2, which
-    are (k, d, n) against (k, n) values.  On a stack, ``s`` and ``sign`` may
-    be (k, 1) columns.  A constant operand is a column or scalar with the
-    scalar gradient 0.0, which broadcasts to the same values as a zero
-    array.
+    Value ``r = (v1 + v2 + sign sqrt(rad)) / (1 + s)`` with ``rad = v1^2 +
+    v2^2 - 2 s v1 v2`` clamped at 0 (only s > 1 can make it negative); with
+    ``want_partials`` also the per-point partials
+
+        dr/dv1 = (1 + sign (v1 - s v2) / sqrt(rad)) / (1 + s),
+        dr/dv2 = (1 + sign (v2 - s v1) / sqrt(rad)) / (1 + s),
+
+    whose quotients are 0 where ``sqrt(rad)`` is 0, else ``(v, None, None)``.
+    Values are (k, n) stacks, ``s`` and ``sign`` scalars or (k, 1) columns,
+    and an operand may be a constant column.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
     # s is a Python float (the morph blend, the point functions) or a plan's
@@ -440,14 +444,15 @@ def _r_binary_vg(v1, g1, v2, g2, s, sign, want_grad: bool):
                 RuntimeWarning, stacklevel=_caller_stacklevel(),
             )
     root = np.sqrt(np.maximum(rad, 0.0))
-    v = (v1 + v2 + sign * root) / (1.0 + s)
-    if not want_grad:
-        return v, None
-    s, sign = _lift(s), _lift(sign)
-    e1, e2 = v1[..., None, :], v2[..., None, :]
-    drad = 2.0 * e1 * g1 + 2.0 * e2 * g2 - 2.0 * s * (e1 * g2 + e2 * g1)
-    g = (g1 + g2 + sign * _div_rows(0.5 * drad, root)) / (1.0 + s)
-    return v, g
+    den = 1.0 + s
+    v = (v1 + v2 + sign * root) / den
+    if not want_partials:
+        return v, None, None
+    # the quotients' common factor sign / ((1 + s) sqrt(rad)): at most
+    # 1 / sqrt(smallest subnormal), so it cannot overflow
+    q = _corner_div(sign / den, root)
+    mean = 1.0 / den  # each partial where sqrt(rad) = 0
+    return v, mean + q * (v1 - s * v2), mean + q * (v2 - s * v1)
 
 
 @dataclass(frozen=True)
@@ -496,30 +501,28 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
     Evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a scaled form that cannot
     overflow: with ``a = min_i phi_i``, the result is ``a / (sum_i
     (a/phi_i)^m)^(1/m)``.  Zero whenever any input is zero (the limit).
-    With the inputs' gradients ``G`` (k, d, n) also returns the
-    forward-mode gradient (d, n), zero where the value is zero; else
-    ``None``.
+    With the inputs' gradients ``G`` (k, d, n) also returns the gradient
+    (d, n), zero where the value is zero; else ``None``.
     """
-    # the ufunc and method forms, which skip the np.min/np.argmin wrappers
+    # the ufunc form, which skips the np.min wrapper
     a = np.minimum.reduce(U, axis=0)
     pos = a > 0.0
     every = np.count_nonzero(pos) == pos.size  # the usual case: no masking
     Up, ap = (U, a) if every else (U[:, pos], a[pos])
     ratios = ap / Up  # (k, np), all in (0, 1]
-    ssum = _sum_rows(np.power(ratios, m))  # >= 1
-    scale = np.power(ssum, -1.0 / m)
-    vp = ap * scale
+    powers = np.power(ratios, m)
+    ssum = _sum_rows(powers)  # >= 1
+    vp = ap * np.power(ssum, -1.0 / m)
     gp = None
     if G is not None:
         Gp = G if every else G[:, :, pos]
-        k, d, n = Gp.shape
-        # the pivot's gradient, ga[x, j] = Gp[piv[j], x, j], as one flat take
-        piv = Up.argmin(axis=0)
-        ga = Gp.take(piv * (d * n) + np.arange(d * n).reshape(d, n))  # (d, np)
-        # d ratio_i = (ga * u_i - a * g_i) / u_i^2
-        dr = (ga * Up[:, None, :] - ap * Gp) / (Up * Up)[:, None, :]
-        ds = m * _sum_rows(np.power(ratios, m - 1)[:, None, :] * dr)
-        gp = scale * (ga - (ap / (m * ssum)) * ds)
+        # d phi / d phi_i = (phi / phi_i)^(m + 1), in (0, 1] as phi <= a, so
+        # no term can overflow and none cancels another.  It is formed as
+        # ratio^(m + 1) ssum^(-(m + 1)/m): the power m + 1 multiplies its
+        # base's rounding error by m + 1, and ratio = a / phi_i carries one
+        # rounding where phi / phi_i would also carry phi's
+        c = powers * ratios * np.power(ssum, -(m + 1.0) / m)
+        gp = _sum_rows(c[:, None, :] * Gp)
     if every:
         return vp, gp
     v = np.zeros_like(a)
@@ -647,7 +650,8 @@ def _neg_step(pts, ops, c, want_grad):
 
 def _rbin_step(pts, ops, c, want_grad):
     (v1, g1), (v2, g2) = ops
-    return _r_binary_vg(v1, g1, v2, g2, c[0], c[1], want_grad)
+    v, p1, p2 = _r_binary(v1, v2, c[0], c[1], want_grad)
+    return v, (p1[:, None] * g1 + p2[:, None] * g2 if want_grad else None)
 
 
 def _trim_step(pts, ops, c, want_grad):
@@ -683,7 +687,7 @@ def _per_row(xs):
 def _ball_consts(params):
     centers = np.array([c for c, _ in params])[:, :, None]
     radii = _per_row([r for _, r in params])
-    return centers, radii * radii, 2.0 * radii, _lift(-radii)
+    return centers, radii * radii, 2.0 * radii, -radii[:, :, None]
 
 
 _STEPS = {
@@ -940,7 +944,7 @@ def r_negation(w):
 def _r_binary_point(w1, w2, s: float, sign: float):
     a = np.asarray(w1, dtype=float)
     b = np.asarray(w2, dtype=float)
-    out, _ = _r_binary_vg(a, None, b, None, _check_s(s), sign, want_grad=False)
+    out, _, _ = _r_binary(a, b, _check_s(s), sign, want_partials=False)
     return _scalarize(out, a.ndim == 0 and b.ndim == 0)
 
 

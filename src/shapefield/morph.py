@@ -19,11 +19,12 @@ from then on it forwards to the final field's ``values``/``values_grads``.
 
 The initial and final fields are compiled into one plan on first use, so
 nodes they share (such as equal circles) are evaluated once, and the two
-R-conjunctions of the blend run as one stacked operation whose constant
-operands are broadcast columns with gradient 0.0.  The blend works on the
-plan's stacks as they come: values (2, n) and gradients (2, d, n), axis-major,
-so a per-point weight broadcasts over d rows of n points; the result is
-transposed to a fresh (n, d) array once, on return.  The ramp of a Python
+R-conjunctions of the blend run as one stacked call of the R-operation
+helper against a constant column.  The gradient follows the field
+module's rule: the blend forms phi's partials in ``phi_i`` and ``phi_f`` per
+point, on values, from the conjunctions' member partials, and contracts
+them with the members' (d, n) gradients once.  The result is transposed
+to a fresh (n, d) array on return.  The ramp of a Python
 float time takes a scalar path, without arrays and with the same bits.
 """
 
@@ -43,7 +44,7 @@ from .fields import (
     _caller_stacklevel,
     _check_s,
     _Plan,
-    _r_binary_vg,
+    _r_binary,
 )
 from .tolerances import BLEND_DEGENERACY_EPS, MORPH_COMPLETE_EPS
 
@@ -149,9 +150,10 @@ class MorphSchedule:
         V, G = self._plan(pts, want_grad)
         vi, vf = V
         # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
-        # on the (2, n) stack against a constant column
-        (g1, g2), dg = _r_binary_vg(
-            V, G, np.array([[-fval], [fval - 1.0]]), 0.0, self.s, -1.0, want_grad
+        # on the (2, n) stack against a constant column; P holds their
+        # partials in the members, d g1 / d phi_i and d g2 / d phi_f
+        (g1, g2), P, _ = _r_binary(
+            V, np.array([[-fval], [fval - 1.0]]), self.s, -1.0, want_grad
         )
         total = g1 + g2
         bad = np.abs(total) < BLEND_DEGENERACY_EPS
@@ -164,11 +166,15 @@ class MorphSchedule:
         v = vf + w1 * dv
         if not want_grad:
             return v, None, (w1, g1, g2)
+        # d w1 = (g1 p2 d phi_f - g2 p1 d phi_i) / total^2, with g2 / total =
+        # w1 and g1 / total = 1 - w1, so phi's partials are
+        #   d phi / d phi_i = w1 (1 - p1 r),  d phi / d phi_f = (1 - w1) (1 + p2 r)
+        # with r = (vi - vf) / total; both are (n,), and each meets its
+        # member's gradient once
+        r = dv / total
+        p1, p2 = P
         gi, gf = G
-        dg1, dg2 = dg
-        dtotal = dg1 + dg2
-        dw1 = (dg2 * total - g2 * dtotal) / (total * total)
-        g = gf + dw1 * dv + w1 * (gi - gf)
+        g = (w1 * (1.0 - p1 * r)) * gi + ((1.0 - w1) * (1.0 + p2 * r)) * gf
         return v, g, (w1, g1, g2)
 
     def _ramp_at(self, t: float) -> float:

@@ -709,7 +709,13 @@ def step(
         raise SimulationDivergenceError(
             f"body {bad} has a non-finite {term} force/state at t={world.time:.6f}"
         )
-    return replace(world, pos=pos, vel=vel, time=world.time + dt, last_control=u)
+    # built directly, not with dataclasses.replace, which costs about three
+    # times as much; the shared radius array keeps _PairCache's identity check
+    return WorldState(
+        pos, vel, world.radius, world.mass, world.boundary_count,
+        world.spring_i, world.spring_j, world.spring_k, world.spring_rest,
+        world.time + dt, u,
+    )
 
 
 def _pulse_arrays(world: WorldState, impulse, targets):

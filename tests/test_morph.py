@@ -16,7 +16,7 @@ from shapefield.fields import (
     DimensionMismatchError,
     Segment,
     Sphere,
-    _r_binary_vg,
+    _r_binary,
 )
 from shapefield.gridio import GridSpec, grid_points, sample_grid
 from shapefield.lang import parse
@@ -306,28 +306,27 @@ def _tree(expr, pts, want_grad):
 
 
 def _recursive_blend(sched, pts, t, want_grad):
-    """The morph as evaluated before compilation: each member tree a node
-    at a time, the blend's constants as full arrays with zero gradient
-    arrays, and the ramp evaluated twice."""
+    """The morph evaluated without the plan: each member tree a node at a
+    time, each weight conjunction on its own with its constant as a full
+    array, and the ramp evaluated twice.  The gradient composes the
+    conjunctions' member partials as the blend does."""
     if sched.is_complete(t):
         v, g = _tree(sched.final, pts, want_grad)
         return v, (g.T if want_grad else None)
     fval = sched.ramp_value(t)
     vi, gi = _tree(sched.initial, pts, want_grad)
     vf, gf = _tree(sched.final, pts, want_grad)
-    zeros = np.zeros_like(gi) if want_grad else None
     c1 = np.full_like(vi, -fval)
     c2 = np.full_like(vi, fval - 1.0)
-    g1, dg1 = _r_binary_vg(vi, gi, c1, zeros, sched.s, -1.0, want_grad)
-    g2, dg2 = _r_binary_vg(vf, gf, c2, zeros, sched.s, -1.0, want_grad)
+    g1, p1, _ = _r_binary(vi, c1, sched.s, -1.0, want_grad)
+    g2, p2, _ = _r_binary(vf, c2, sched.s, -1.0, want_grad)
     total = g1 + g2
     w1 = g2 / total
     v = vf + w1 * (vi - vf)
     if not want_grad:
         return v, None, total
-    dtotal = dg1 + dg2
-    dw1 = (dg2 * total - g2 * dtotal) / (total * total)
-    g = gf + dw1 * (vi - vf) + w1 * (gi - gf)
+    r = (vi - vf) / total
+    g = (w1 * (1.0 - p1 * r)) * gi + ((1.0 - w1) * (1.0 + p2 * r)) * gf
     return v, g.T, total
 
 

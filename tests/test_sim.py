@@ -755,6 +755,23 @@ class TestStep:
             w = step(w, cfg, None)
         assert w.spring_i.tobytes() == si and w.spring_j.tobytes() == sj
 
+    def test_stepped_world_shares_the_arrays_it_never_updates(self):
+        # the identity, not just equal values: _PairCache checks the radius
+        # array by identity before comparing it, on every step of a run
+        cfg = small_config()
+        w = build_world(cfg)
+        cache = _PairCache(w)
+        drv = as_field_driver(Circle((0.0, 0.0), 0.5))
+        for _ in range(3):
+            w1 = step(w, cfg, drv, cfg.dt, cache)
+            updated = {"pos", "vel", "time", "last_control"}
+            for field in dataclasses.fields(WorldState):
+                if field.name not in updated:
+                    assert getattr(w1, field.name) is getattr(w, field.name), field.name
+            assert w1.time == w.time + cfg.dt and w1.last_control.shape == (cfg.n_boundary, 2)
+            assert cache.radius_of is w1.radius
+            w = w1
+
 
 class TestTranslationInvariance:
     # Shifting the world and the target by (1e3, -1e3) changes each
