@@ -9,11 +9,10 @@ convention is inside-positive for the signed primitives; unsigned
 primitives (segments, trimmed carriers, equivalence joins) are
 non-negative everywhere.
 
-Gradients are exact, never finite differences.  An R-operation, an
-equivalence and the morph blend each compute their local partials per
-point, on values, and contract them with their operands' gradients once:
-one product per operand and a sum.  A trim still carries the gradients of
-its intermediates through its rule.  At the
+Gradients are exact, never finite differences.  Every combining step (an
+R-operation, a trim, an equivalence and the morph blend) computes its
+local partials per point, on values, and contracts them with its
+operands' gradients once: one product per operand and a sum.  At the
 measure-zero points where an expression is not differentiable (R-operation
 corners, creases of unsigned fields) a partial uses the convention
 ``d sqrt(u) = 0`` when ``u = 0``, which keeps every output finite.
@@ -36,10 +35,8 @@ which numpy runs as d long inner loops, not n loops of length d.  The
 public entry points still return a fresh C-contiguous ``(n, d)`` gradient,
 transposed once at the root.  All balls are one group, as are all raw
 quadrics, all planes, the negations, the R-operations (with a per-row
-``s``) and the trims at one height; an equivalence is a group of its own,
-and skips the ``|.|`` of its pieces when every piece is a trim or an
-equivalence, non-negative by construction.  A group's rows are ordered so
-that its readers gather them in few runs.
+``s``) and the trims at one height; an equivalence is a group of its own.
+A group's rows are ordered so that its readers gather them in few runs.
 Grouping same-kind nodes follows the tape compilation of Keeter 2020
 (SIGGRAPH).  A kernel performs the same floating-point operations on each
 row whatever the stack's height and width, so a node's result does not
@@ -89,7 +86,6 @@ __all__ = [
     "r_negation",
     "r_disjunction",
     "r_conjunction",
-    "r_equivalence_pair",
     "r_equivalence_n",
     "trim",
 ]
@@ -173,11 +169,11 @@ def _corner_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``_corner_div`` of a gradient stack by its values: ``num`` has a
-    gradient axis before the point axis, (d, n) over (n,), or a (k, d, n)
-    stack over (k, n)."""
-    return _corner_div(num, den[..., None, :])
+def _contract(p1: np.ndarray, g1: np.ndarray, p2: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """The chain rule of a two-operand step: per-point partials ``p1``,
+    ``p2`` ((k, n) or (n,)) times their operands' gradients ((k, d, n) or
+    (d, n)), each broadcast over the d axis, and summed."""
+    return p1[..., None, :] * g1 + p2[..., None, :] * g2
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +491,24 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=0)[-1]
 
 
-def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
-    """Order-``m`` equivalence of non-negative values ``U`` of shape (k, n).
+def _equiv_vg(V: np.ndarray, G: np.ndarray | None, m: int):
+    """Order-``m`` equivalence of the absolute values of ``V``, (k, n).
 
-    Evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a scaled form that cannot
-    overflow: with ``a = min_i phi_i``, the result is ``a / (sum_i
-    (a/phi_i)^m)^(1/m)``.  Zero whenever any input is zero (the limit).
-    With the inputs' gradients ``G`` (k, d, n) also returns the gradient
-    (d, n), zero where the value is zero; else ``None``.
+    With ``phi_i = |V_i|``, evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a
+    scaled form that cannot overflow: with ``a = min_i phi_i``, the result
+    is ``a / (sum_i (a/phi_i)^m)^(1/m)``.  Zero wherever a piece is zero
+    (the limit) and NaN wherever a piece is NaN, which ``np.minimum``
+    carries into ``a``.  With the pieces' gradients ``G`` (k, d, n) also
+    returns the gradient (d, n), zero where the value is zero; else
+    ``None``.
     """
+    U = np.abs(V)
     # the ufunc form, which skips the np.min wrapper
     a = np.minimum.reduce(U, axis=0)
-    pos = a > 0.0
+    pos = a != 0.0  # a NaN point is computed, and stays NaN
     every = np.count_nonzero(pos) == pos.size  # the usual case: no masking
     Up, ap = (U, a) if every else (U[:, pos], a[pos])
-    ratios = ap / Up  # (k, np), all in (0, 1]
+    ratios = ap / Up  # (k, np), all in (0, 1] off NaN points
     powers = np.power(ratios, m)
     ssum = _sum_rows(powers)  # >= 1
     vp = ap * np.power(ssum, -1.0 / m)
@@ -520,8 +519,11 @@ def _equiv_vg(U: np.ndarray, G: np.ndarray | None, m: int):
         # no term can overflow and none cancels another.  It is formed as
         # ratio^(m + 1) ssum^(-(m + 1)/m): the power m + 1 multiplies its
         # base's rounding error by m + 1, and ratio = a / phi_i carries one
-        # rounding where phi / phi_i would also carry phi's
-        c = powers * ratios * np.power(ssum, -(m + 1.0) / m)
+        # rounding where phi / phi_i would also carry phi's.  The chain rule
+        # of |V_i|, d phi_i = sign(V_i) d V_i, moves onto the coefficient:
+        # no V_i is 0 here, and a NaN one leaves the coefficient NaN
+        c = np.copysign(powers * ratios * np.power(ssum, -(m + 1.0) / m),
+                        V if every else V[:, pos])
         gp = _sum_rows(c[:, None, :] * Gp)
     if every:
         return vp, gp
@@ -563,10 +565,17 @@ class Equivalence(FieldExpr):
         return "equiv", (self.m,), self.children_
 
 
-def _trim_vg(f, gf, t, gt, want_grad: bool):
+def _trim(f, t, want_partials: bool):
     """Trimming rule: carrier ``f`` stays zero only where trimmer ``t >= 0``.
 
-    With ``want_grad`` also the forward-mode gradient from gf, gt.
+    Value ``v = sqrt(f^2 + w^2)`` with ``w = (aux - t) / 2`` and ``aux =
+    sqrt(t^2 + f^4)``; with ``want_partials`` also the per-point partials
+
+        dv/df = (f + w w_f) / v,  dv/dt = w w_t / v,
+        w_f = f^3 / aux,  w_t = (t / aux - 1) / 2,
+
+    whose quotients are 0 where their denominator is 0, else ``(v, None,
+    None)``.  Values are (k, n) stacks.
     """
     # f^4 and f^3 as products of f2: numpy's power takes a slow per-element
     # path for negative bases, and a carrier is signed.  A product is still
@@ -575,12 +584,14 @@ def _trim_vg(f, gf, t, gt, want_grad: bool):
     aux = np.sqrt(t * t + f2 * f2)
     w = 0.5 * (aux - t)
     v = np.sqrt(f2 + w * w)
-    if not want_grad:
-        return v, None
-    gaux = _div_rows(t[..., None, :] * gt + (2.0 * f2 * f)[..., None, :] * gf, aux)
-    gw = 0.5 * (gaux - gt)
-    g = _div_rows(f[..., None, :] * gf + w[..., None, :] * gw, v)
-    return v, g
+    if not want_partials:
+        return v, None, None
+    # w_t as (t / aux - 1) / 2, not the equal -w / aux: both cancel where
+    # t > 0 and t^2 >> f^4, and only this one stays within 4 ulp of the
+    # chain rule through aux and w there
+    w_f = _corner_div(f2 * f, aux)
+    w_t = 0.5 * (_corner_div(t, aux) - 1.0)
+    return v, _corner_div(f + w * w_f, v), _corner_div(w * w_t, v)
 
 
 @dataclass(frozen=True)
@@ -651,29 +662,18 @@ def _neg_step(pts, ops, c, want_grad):
 def _rbin_step(pts, ops, c, want_grad):
     (v1, g1), (v2, g2) = ops
     v, p1, p2 = _r_binary(v1, v2, c[0], c[1], want_grad)
-    return v, (p1[:, None] * g1 + p2[:, None] * g2 if want_grad else None)
+    return v, (_contract(p1, g1, p2, g2) if want_grad else None)
 
 
 def _trim_step(pts, ops, c, want_grad):
     (f, gf), (t, gt) = ops
-    return _trim_vg(f, gf, t, gt, want_grad)
+    v, pf, pt = _trim(f, t, want_grad)
+    return v, (_contract(pf, gf, pt, gt) if want_grad else None)
 
 
 def _equiv_step(pts, ops, m, want_grad):
     # one node per step, as equivalences differ in their number of pieces:
     # its one operand is the (k, n) stack of its children's rows
-    ((v, g),) = ops
-    # d|phi| with sign(0) = 0, the corner convention.
-    G = np.sign(v)[..., None, :] * g if want_grad else None
-    return _unsigned_equiv_step(pts, [(np.abs(v), G)], m, want_grad)
-
-
-def _unsigned_equiv_step(pts, ops, m, want_grad):
-    """The equivalence step of pieces that are all non-negative by
-    construction (``_UNSIGNED_KINDS``), chosen by the plan compiler.  It
-    gives ``_equiv_step``'s bits: ``_equiv_vg`` reads a piece's gradient only
-    where every piece is > 0, where ``sign`` is 1, and such a piece is never
-    -0.0, which ``abs`` would turn into 0.0."""
     ((v, g),) = ops
     v, g = _equiv_vg(v, g, m)
     return v[None], (g[None] if want_grad else None)
@@ -705,11 +705,6 @@ _STEPS = {
     "trim": (_trim_step, lambda params: None),
     "equiv": (_equiv_step, lambda params: params[0][0]),
 }
-
-# Kinds whose values are >= 0 (or NaN) and never -0.0: a trim is the sqrt of
-# a sum of squares (a segment is a trim), an equivalence is +0.0 or a
-# positive quotient.
-_UNSIGNED_KINDS = frozenset(("trim", "equiv"))
 
 
 def _gather(refs):
@@ -806,8 +801,6 @@ class _Plan:
             if kind == "equiv":
                 # its one operand: the stack of its pieces' rows
                 by_operand = [[where[o] for o in op_ids[0]]]
-                if all(nodes[o][0] in _UNSIGNED_KINDS for o in op_ids[0]):
-                    run = _unsigned_equiv_step
             else:
                 by_operand = [[where[ops[p]] for ops in op_ids] for p in range(len(op_ids[0]))]
             reads = [(_gather(refs), None) for refs in by_operand]
@@ -958,30 +951,12 @@ def r_conjunction(w1, w2, s: float = 0.0):
     return _r_binary_point(w1, w2, s, -1.0)
 
 
-def r_equivalence_pair(phi1, phi2, m: int = 2):
-    """Order-``m`` equivalence of two non-negative values (zero if either is zero)."""
-    if int(m) < 1:
-        raise FieldError(f"m must be >= 1, got {m}")
-    a = np.asarray(phi1, dtype=float)
-    b = np.asarray(phi2, dtype=float)
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise FieldError("equivalence inputs must be non-negative")
-    scalar = a.ndim == 0 and b.ndim == 0
-    a, b = np.broadcast_arrays(a, b)
-    out = np.zeros(a.shape)
-    both = (a > 0.0) & (b > 0.0)
-    m = int(m)
-    out[both] = a[both] * b[both] / np.power(
-        np.power(a[both], m) + np.power(b[both], m), 1.0 / m
-    )
-    return _scalarize(out, scalar)
-
-
 def r_equivalence_n(values, m: int = 2):
     """Order-``m`` equivalence of two or more non-negative values.
 
     ``values`` may be a sequence of scalars or of broadcastable arrays.
-    Returns ``1 / (sum_i phi_i^-m)^(1/m)``, or 0 when any input is zero.
+    Returns ``1 / (sum_i phi_i^-m)^(1/m)``, 0 when any input is zero, and
+    NaN when any input is NaN.
     """
     if int(m) < 1:
         raise FieldError(f"m must be >= 1, got {m}")
@@ -1006,5 +981,5 @@ def trim(f, t):
     """
     a = np.asarray(f, dtype=float)
     b = np.asarray(t, dtype=float)
-    out, _ = _trim_vg(a, None, b, None, want_grad=False)
+    out, _, _ = _trim(a, b, want_partials=False)
     return _scalarize(out, a.ndim == 0 and b.ndim == 0)

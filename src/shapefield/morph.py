@@ -43,6 +43,7 @@ from .fields import (
     _as_batch,
     _caller_stacklevel,
     _check_s,
+    _contract,
     _Plan,
     _r_binary,
 )
@@ -174,7 +175,7 @@ class MorphSchedule:
         r = dv / total
         p1, p2 = P
         gi, gf = G
-        g = (w1 * (1.0 - p1 * r)) * gi + ((1.0 - w1) * (1.0 + p2 * r)) * gf
+        g = _contract(w1 * (1.0 - p1 * r), gi, (1.0 - w1) * (1.0 + p2 * r), gf)
         return v, g, (w1, g1, g2)
 
     def _ramp_at(self, t: float) -> float:

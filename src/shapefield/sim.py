@@ -615,18 +615,18 @@ def control_forces(
     mode: str,
     prev: np.ndarray | None = None,
 ):
-    """Gradient control on boundary robots; grains get zero.
+    """Gradient control on the boundary robots: their (nb, d) control rows.
 
     ``paper`` mode is the literal law -alpha grad(phi); ``squared`` mode is
     -alpha phi grad(phi), the descent direction of phi^2/2, which attracts
-    to the zero set from both sides.  Returns (full forces, control rows).
+    to the zero set from both sides.  Grains get no control, so they have
+    no rows; a robot's row is the force on ``world.pos[i]``, i < nb.
     If a morph blend is degenerate at some robot, that robot reuses its
     previous control ``prev``, or gets zero without one (logged).
     """
-    F = np.zeros(world.pos.shape)
     nb = world.boundary_count
     if driver is None or alpha == 0.0 or nb == 0:
-        return F, np.zeros((nb, world.dimension))
+        return np.zeros((nb, world.dimension))
     if mode not in ("squared", "paper"):
         raise ValueError(f"unknown control mode {mode!r}")
     q = world.pos[:nb]
@@ -647,8 +647,7 @@ def control_forces(
             world.time,
             np.nonzero(bad)[0].tolist(),
         )
-    F[:nb] = u
-    return F, u
+    return u
 
 
 def stability_dt_bound(config: SimConfig) -> float:
@@ -678,12 +677,11 @@ def step(
     dt = config.dt if dt is None else dt
     F = spring_forces(world)
     Fc = contact_forces(world, config, cache)
-    _, u = control_forces(
+    u = control_forces(
         world, driver, config.alpha, config.control_mode, world.last_control
     )
-    # summed in the fresh array spring_forces returns.  No row of F is -0.0
-    # (np.bincount sums from +0.0), so the +0.0 grain rows of the full
-    # control forces would change no bit, and are not added
+    # summed in the fresh array spring_forces returns; the grains have no
+    # control rows
     F += Fc
     F[: world.boundary_count] += u
     F -= config.drag * world.vel

@@ -48,6 +48,19 @@ def segment_oracle(x, p1, p2):
     return math.sqrt(f * f + ((aux - t) / 2.0) ** 2)
 
 
+def equiv_pair(a, b, m):
+    """Order-``m`` equivalence of two non-negative values in the closed
+    pairwise form ``a b / (a^m + b^m)^(1/m)``, 0 where either is 0: an
+    oracle written apart from the library's scaled n-ary kernel."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.zeros(a.shape)
+    both = (a > 0.0) & (b > 0.0)
+    out[both] = a[both] * b[both] / np.power(
+        np.power(a[both], m) + np.power(b[both], m), 1.0 / m
+    )
+    return float(out) if out.ndim == 0 else out
+
+
 def circle_boundary(center, radius, n):
     """n points exactly on a circle."""
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

@@ -23,7 +23,6 @@ from shapefield.fields import (
     Sphere,
     r_disjunction,
     r_equivalence_n,
-    r_equivalence_pair,
 )
 from shapefield.gridio import export_trajectory
 from shapefield.lang import ShapeLangError, parse, serialize
@@ -36,7 +35,13 @@ from shapefield.sim import (
     run,
 )
 
-from conftest import circle_boundary, fd_gradient, segment_interior, sphere_boundary
+from conftest import (
+    circle_boundary,
+    equiv_pair,
+    fd_gradient,
+    segment_interior,
+    sphere_boundary,
+)
 from test_fields import _node_zoo, _smooth_points
 from test_lang import _ProgramFuzzer
 
@@ -180,13 +185,15 @@ class TestCriterion4:
             a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
             for m in (1, 2, 3):
                 nary = r_equivalence_n([a, b, c], m)
+                # the closed pairwise form, nested, against the library's
+                # n-ary kernel: two independent formulas
                 nestings = [
-                    r_equivalence_pair(r_equivalence_pair(a, b, m), c, m),
-                    r_equivalence_pair(r_equivalence_pair(a, c, m), b, m),
-                    r_equivalence_pair(r_equivalence_pair(b, c, m), a, m),
-                    r_equivalence_pair(a, r_equivalence_pair(b, c, m), m),
-                    r_equivalence_pair(b, r_equivalence_pair(a, c, m), m),
-                    r_equivalence_pair(c, r_equivalence_pair(a, b, m), m),
+                    equiv_pair(equiv_pair(a, b, m), c, m),
+                    equiv_pair(equiv_pair(a, c, m), b, m),
+                    equiv_pair(equiv_pair(b, c, m), a, m),
+                    equiv_pair(a, equiv_pair(b, c, m), m),
+                    equiv_pair(b, equiv_pair(a, c, m), m),
+                    equiv_pair(c, equiv_pair(a, b, m), m),
                 ]
                 for nested in nestings:
                     assert np.max(np.abs(nested - nary)) < 1e-12

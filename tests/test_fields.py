@@ -26,13 +26,12 @@ from shapefield.fields import (
     Segment,
     Sphere,
     Trim,
-    _div_rows,
+    _corner_div,
     _Plan,
     gradient,
     r_conjunction,
     r_disjunction,
     r_equivalence_n,
-    r_equivalence_pair,
     r_negation,
     trim,
     validate,
@@ -42,6 +41,7 @@ from shapefield.lang import parse
 from conftest import (
     assert_rows_stand_alone,
     circle_boundary,
+    equiv_pair,
     fd_gradient,
     field_trees,
     one_by_one,
@@ -257,15 +257,19 @@ class TestROps:
 
 
 class TestEquivalence:
+    # ``equiv_pair`` (conftest) is the closed pairwise form, an oracle apart
+    # from the library's scaled n-ary kernel
     def test_pair_values(self):
-        assert r_equivalence_pair(1.0, 1.0, m=2) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=0.0
-        )
-        assert r_equivalence_pair(0.0, 7.0, m=2) == 0.0
-        assert r_equivalence_pair(2.0, 3.0, m=1) == pytest.approx(1.2, abs=1e-15)
+        assert equiv_pair(1.0, 1.0, 2) == pytest.approx(1.0 / math.sqrt(2.0), abs=0.0)
+        assert equiv_pair(0.0, 7.0, 2) == 0.0
+        assert equiv_pair(2.0, 3.0, 1) == pytest.approx(1.2, abs=1e-15)
+        assert r_equivalence_n([1.0, 1.0], m=2) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert r_equivalence_n([0.0, 7.0], m=2) == 0.0
+        assert r_equivalence_n([2.0, 3.0], m=1) == pytest.approx(1.2, abs=1e-15)
 
     def test_pair_both_zero_is_zero(self):
-        assert r_equivalence_pair(0.0, 0.0, m=3) == 0.0
+        assert equiv_pair(0.0, 0.0, 3) == 0.0
+        assert r_equivalence_n([0.0, 0.0], m=3) == 0.0
 
     def test_n_values(self):
         assert r_equivalence_n([1.0, 1.0, 1.0], m=2) == pytest.approx(
@@ -282,7 +286,7 @@ class TestEquivalence:
         with pytest.raises(FieldError):
             r_equivalence_n([1.0, -0.5], m=2)
         with pytest.raises(FieldError):
-            r_equivalence_pair(1.0, 1.0, m=0)
+            r_equivalence_n([1.0, 1.0], m=0)
 
     def test_all_nestings_match_nary(self, rng):
         # associativity of the pairwise rule: every nesting order of three
@@ -292,9 +296,9 @@ class TestEquivalence:
             nary = r_equivalence_n([triples[:, 0], triples[:, 1], triples[:, 2]], m)
             for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 a, b, c = (triples[:, k] for k in order)
-                nested = r_equivalence_pair(r_equivalence_pair(a, b, m), c, m)
+                nested = equiv_pair(equiv_pair(a, b, m), c, m)
                 assert np.max(np.abs(nested - nary)) < tol.EQUIV_ASSOC_TOL
-                nested = r_equivalence_pair(a, r_equivalence_pair(b, c, m), m)
+                nested = equiv_pair(a, equiv_pair(b, c, m), m)
                 assert np.max(np.abs(nested - nary)) < tol.EQUIV_ASSOC_TOL
 
     @settings(max_examples=200, deadline=None)
@@ -304,9 +308,20 @@ class TestEquivalence:
         m=st.integers(1, 5),
     )
     def test_pair_matches_reciprocal_form(self, a, b, m):
-        got = r_equivalence_pair(a, b, m)
         want = 1.0 / (1.0 / a ** m + 1.0 / b ** m) ** (1.0 / m)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert equiv_pair(a, b, m) == pytest.approx(want, rel=1e-12)
+        assert r_equivalence_n([a, b], m) == pytest.approx(want, rel=1e-12)
+
+    def test_a_nan_value_gives_nan_and_a_zero_value_zero(self):
+        # a NaN value must not read as a point on the zero set: np.minimum
+        # carries it into the pivot, and the point is not masked to 0
+        assert math.isnan(r_equivalence_n([np.nan, 1.0], m=2))
+        assert math.isnan(r_equivalence_n([0.5, 2.0, np.nan], m=1))
+        got = r_equivalence_n(
+            [np.array([np.nan, 0.0, np.nan, 0.5]), np.array([1.0, 1.0, 0.0, 0.5])], m=3
+        )
+        assert np.isnan(got[[0, 2]]).all()  # NaN wins over a zero piece
+        assert same_bits(got[1:2], np.zeros(1)) and got[3] > 0.0
 
     def test_tiny_values_do_not_overflow(self):
         # the scaled n-ary form must survive values whose reciprocal powers
@@ -648,7 +663,7 @@ class TestComposition:
         # the tree is the n-ary rule bit-for-bit; the pairwise rule agrees
         # to rounding
         assert expr.eval(x) == r_equivalence_n([v1, v2], m=2)
-        assert expr.eval(x) == pytest.approx(r_equivalence_pair(v1, v2, m=2), rel=1e-13)
+        assert expr.eval(x) == pytest.approx(equiv_pair(v1, v2, 2), rel=1e-13)
         assert expr.eval(x) == pytest.approx(v1 / math.sqrt(2.0), rel=1e-12)
 
     def test_equivalence_takes_abs_of_signed_children(self):
@@ -757,10 +772,6 @@ def _assert_plan_matches_walker_at(expr, pts):
             assert G is None
 
 
-def _equiv_kernels(expr):
-    return [run.__name__ for run, *_ in _Plan((expr,))._steps if "equiv" in run.__name__]
-
-
 _S1 = Segment((0.0, 0.0), (1.0, 0.0))
 _S2 = Segment((0.0, 0.0), (0.0, 1.0))
 _ARC = Trim(Circle((0.0, 0.0), 1.0), Plane((0.0, 0.0), (1.0, 0.0)))
@@ -776,17 +787,20 @@ _ON_AND_OFF = np.array([
 
 
 def _masked_divide(num, den):
-    """``_div_rows``'s rule a value at a time: 0 where the point's
-    denominator is +0.0 or -0.0, else the quotient."""
+    """``_corner_div``'s rule a value at a time: 0 where the denominator is
+    +0.0 or -0.0, else the quotient; ``num`` and ``den`` broadcast."""
+    num, den = np.broadcast_arrays(num, den)
     out = np.zeros(num.shape)
     for idx in np.ndindex(num.shape):
-        q = den[idx[:-2] + idx[-1:]]
-        if q != 0.0:
-            out[idx] = num[idx] / q
+        if den[idx] != 0.0:
+            out[idx] = num[idx] / den[idx]
     return out
 
 
 class TestDivRows:
+    """The sqrt-corner quotient ``_corner_div``, which every combining
+    kernel's partials divide through."""
+
     SPECIAL = np.array([np.nan, np.inf, -np.inf, 1e-300, -1e300, 2.5, -3.0])
 
     def _stacks(self, rng, zeros):
@@ -804,9 +818,11 @@ class TestDivRows:
         num, den = self._stacks(rng, zeros)
         assert (np.count_nonzero(den) < den.size) == zeros
         with np.errstate(all="ignore"):
-            for k in range(3):  # a (d, n) gradient over (n,) values too
-                assert same_bits(_div_rows(num[k], den[k]), _masked_divide(num[k], den[k]))
-            assert same_bits(_div_rows(num, den), _masked_divide(num, den))
+            # (k, n) partials over (k, n) values, as the kernels divide; a
+            # (k, 1) column over them; a (k, d, n) stack over its values
+            for part in (num[:, 0], num[:, 1, :1], num):
+                over = den if part.ndim == 2 else den[:, None, :]
+                assert same_bits(_corner_div(part, over), _masked_divide(part, over))
 
     def test_plan_matches_walker_at_exact_sqrt_corners(self, monkeypatch, rng):
         # segment ends and interiors, arc ends and R-operation corners zero
@@ -815,9 +831,9 @@ class TestDivRows:
 
         def spy(num, den):
             masked.append(np.count_nonzero(den) < den.size)
-            return _div_rows(num, den)
+            return _corner_div(num, den)
 
-        monkeypatch.setattr(fields_module, "_div_rows", spy)
+        monkeypatch.setattr(fields_module, "_corner_div", spy)
         corner = Conjunction(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)))
         ridge = Disjunction(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)), s=1.0)
         for expr in (_S1, Equivalence((_S1, _S2)), _ARC, Trim(_ARC, _RAY), corner, ridge):
@@ -866,9 +882,9 @@ class TestCompiledPlan:
         assert "cube.shape" in names
 
     def test_unsigned_equivalences_skip_the_abs_step_bit_for_bit(self, rng):
-        # pieces >= 0 by construction (segments, trims, equivalences) take
-        # the compiled shortcut; the walker takes the |.| path, so equal bits
-        # show that the shortcut changes nothing
+        # pieces >= 0 by construction (segments, trims, equivalences), on
+        # and off their zero sets: the plan gives the walker's bits, and a
+        # zero set reads +0.0, never the -0.0 a sign flip could leave
         exprs = [
             Equivalence((_S1, _S2)),
             Equivalence((_ARC, _RAY), m=3),
@@ -877,15 +893,35 @@ class TestCompiledPlan:
         ]
         pts = np.concatenate([_ON_AND_OFF, rng.uniform(-2.0, 2.0, (40, 2))])
         for expr in exprs:
-            assert set(_equiv_kernels(expr)) == {"_unsigned_equiv_step"}, expr
             _assert_plan_matches_walker_at(expr, pts)
         assert same_bits(exprs[3].eval(_ON_AND_OFF[:9]), np.zeros(9))  # +0.0 on the zero sets
+
+    def test_nan_points_give_nan_value_and_gradient(self, rng):
+        # a NaN point makes its pieces NaN; the equivalence used to mask it
+        # like a point on the zero set, to value 0 and gradient 0
+        pacman = TestValidate()._pacman()
+        for x in ([np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+            assert math.isnan(pacman.eval(x))
+            gs = pacman.gradient(x)
+            assert math.isnan(gs.value) and np.isnan(gs.grad).all()
+        # in a batch: NaN rows, rows on a piece's zero set (+0.0, gradient
+        # +0.0) and ordinary rows, with the walker's bits
+        expr = Equivalence((_S1, _S2, Circle((0.0, 0.0), 0.5)))
+        pts = np.concatenate([_ON_AND_OFF, rng.uniform(-2.0, 2.0, (20, 2))])
+        with np.errstate(invalid="ignore"):
+            v, g = expr.values_grads(pts, 0.0)
+        nan = np.isnan(pts).any(axis=1)
+        assert np.isnan(v[nan]).all() and np.isnan(g[nan]).all()
+        on = np.array([0, 1, 2, 3, 4, 5])  # on _S1 or _S2
+        assert same_bits(v[on], np.zeros(on.size)) and same_bits(g[on], np.zeros((on.size, 2)))
+        assert np.isfinite(v[~nan]).all() and np.isfinite(g[~nan]).all()
+        for tree in (expr, pacman, Equivalence((pacman, _ARC), m=3)):
+            _assert_plan_matches_walker_at(tree, pts)
 
     def test_signed_pieces_keep_the_abs_step(self, rng):
         pts = np.concatenate([_ON_AND_OFF, rng.uniform(-2.0, 2.0, (40, 2))])
         for signed in (Circle((0.0, 0.0), 0.5), Plane((0.0, 0.0), (0.0, 1.0)), Negation(_S1)):
             for expr in (Equivalence((_S1, signed)), Equivalence((Equivalence((_S2, _ARC)), signed))):
-                assert _equiv_kernels(expr)[-1] == "_equiv_step", expr
                 _assert_plan_matches_walker_at(expr, pts)
                 # the |.| matters here: the signed piece is < 0 somewhere
                 (v,), _ = one_by_one(signed, pts, want_grad=False)

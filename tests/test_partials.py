@@ -1,26 +1,29 @@
 """Per-point partials against the chain rule they replaced.
 
-R-operations, equivalences and the morph blend form their gradients from
-per-point partials on values, contracted once with their operands'
-gradients.  The chain-rule forms kept here push every intermediate through
-gradient arithmetic instead, as the library did before, and serve as an
-independent reference.  Both forms share the value formulas, so values
-must match bit for bit; gradients agree to rounding.
+R-operations, trims, equivalences and the morph blend form their
+gradients from per-point partials on values, contracted once with their
+operands' gradients.  The chain-rule forms kept here push every
+intermediate through gradient arithmetic instead, as the library did
+before, and serve as an independent reference.  Both forms share the
+value formulas, so values must match bit for bit; gradients agree to
+rounding.
 
 The gradient bound is stated in units of ``np.spacing(max(|g|, 1))``:
 - On the shipped wrench morph, |g| is the gradient itself, and the bound
   is ``_WRENCH_ULPS``: twice the worst difference seen at 2e4 points at the
-  times the tests use (8 units).
+  times the tests use (8 units, when trims shared one form; 7 since).
 - On random trees and morphs, |g| is a per-point error scale ``E`` that the
   chain walker carries up the tree, a first-order model of how far either
   form may round.  A combining step adds its operands' gradient sizes,
-  times the condition number of its radicand for an R-operation and of its
-  weight quotient for the blend, and passes its operands' scales on through
-  bounds of its partials.  An R-operation at s >= 1 cancels in its
-  radicand near v1 = s v2, where both forms round far from the true
-  gradient and from each other; the scale grows there, the bound does not.
+  times the condition number of its radicand for an R-operation, of its
+  ``w`` for a trim and of its weight quotient for the blend, and passes its
+  operands' scales on through bounds of its partials.  An R-operation at
+  s >= 1 cancels in its radicand near v1 = s v2, where both forms round far
+  from the true gradient and from each other; the scale grows there, the
+  bound does not.
   The bound is ``_SCALED_ULPS``, three times the worst seen (5 units) over
-  13 500 random trees and 3000 random morphs of 300 points each.
+  13 500 random trees and 3000 random morphs of 300 points each; with the
+  chain-rule trim, 6000 more random trees differed by at most 2 units.
 """
 
 import math
@@ -43,7 +46,7 @@ from shapefield.fields import (
     _STEPS,
     _equiv_vg,
     _r_binary,
-    _trim_vg,
+    _trim,
 )
 from shapefield.lang import parse
 from shapefield.morph import DegenerateBlendError, MorphSchedule
@@ -74,6 +77,19 @@ def _chain_r_binary(v1, g1, v2, g2, s, sign):
     e1, e2 = v1[..., None, :], v2[..., None, :]
     drad = 2.0 * e1 * g1 + 2.0 * e2 * g2 - 2.0 * s * (e1 * g2 + e2 * g1)
     g = (g1 + g2 + sign * _masked_div(0.5 * drad, root[..., None, :])) / (1.0 + s)
+    return v, g
+
+
+def _chain_trim(f, gf, t, gt):
+    """Trim value and gradient: ``aux``, ``w`` and ``v`` differentiated in
+    turn on (k, d, n) stacks, each quotient 0 where its denominator is 0."""
+    f2 = f * f
+    aux = np.sqrt(t * t + f2 * f2)
+    w = 0.5 * (aux - t)
+    v = np.sqrt(f2 + w * w)
+    gaux = _masked_div(t[..., None, :] * gt + (2.0 * f2 * f)[..., None, :] * gf, aux[..., None, :])
+    gw = 0.5 * (gaux - gt)
+    g = _masked_div(f[..., None, :] * gf + w[..., None, :] * gw, v[..., None, :])
     return v, g
 
 
@@ -114,10 +130,19 @@ def _conj_scale(v1, v2, s):
     return q1, q2, kappa
 
 
+def _trim_scale(f, t):
+    """A trim's |dv/df| and |dv/dt|, from the library's partials, and the
+    condition number of its ``w = (aux - t) / 2``, ``(aux + |t|) / (aux -
+    t)`` (0 where w = 0), which is large where t > 0 and t^2 >> f^4."""
+    _, pf, pt = _trim(f, t, True)
+    aux = np.sqrt(t * t + (f * f) * (f * f))
+    return np.abs(pf), np.abs(pt), _masked_div(aux + np.abs(t), aux - t)
+
+
 def _chain_walk(expr, pts):
     """``expr`` a node at a time, children first, with the chain-rule forms
-    for R-operations and equivalences and the library's kernels for every
-    other kind, which did not change.  Returns the (1, n) value and
+    for R-operations, trims and equivalences and the library's kernels for
+    every other kind.  Returns the (1, n) value and
     (1, d, n) gradient stacks and the (1, n) error scale ``E``."""
     kind, params, kids = expr._emit()
     ops = [_chain_walk(k, pts) for k in kids]
@@ -136,15 +161,15 @@ def _chain_walk(expr, pts):
         # each partial lies in (0, 1]
         E = (params[0] + len(ops)) * _size(G).sum(axis=0) + sum(E for _, _, E in ops)
         return v[None], g[None], E
+    if kind == "trim":
+        (f, gf, Ef), (t, gt, Et) = ops
+        v, g = _chain_trim(f, gf, t, gt)
+        pf, pt, kappa = _trim_scale(f, t)
+        E = (1.0 + kappa) * (pf * _size(gf) + pt * _size(gt)) + pf * Ef + pt * Et
+        return v, g, E
     run, consts = _STEPS[kind]
     v, g = run(pts, [(v, g) for v, g, _ in ops], consts([params]), True)
-    if kind == "trim":
-        # |dv/df| and |dv/dt|, from the trim rule on unit operand gradients
-        (f, _, Ef), (t, _, Et) = ops
-        one, zero = np.ones((1, 1, f.shape[1])), np.zeros((1, 1, f.shape[1]))
-        E = (np.abs(_trim_vg(f, one, t, zero, True)[1][:, 0]) * Ef
-             + np.abs(_trim_vg(f, zero, t, one, True)[1][:, 0]) * Et)
-    elif kind == "neg":
+    if kind == "neg":
         E = ops[0][2]
     else:  # a leaf: the same kernel in both forms
         E = np.zeros(v.shape)

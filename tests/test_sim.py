@@ -567,38 +567,44 @@ class TestControlForces:
     def test_zero_on_zero_set_in_squared_mode(self):
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.75, 0.0]])
-        F, u = control_forces(w, field, alpha=1.0, mode="squared")
-        assert np.allclose(F, 0.0, atol=1e-15)
+        u = control_forces(w, field, alpha=1.0, mode="squared")
+        assert np.allclose(u, 0.0, atol=1e-15)
 
     def test_zero_gradient_at_center_in_paper_mode(self):
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.0, 0.0]])
-        F, u = control_forces(w, field, alpha=1.0, mode="paper")
-        assert np.allclose(F, 0.0)
+        u = control_forces(w, field, alpha=1.0, mode="paper")
+        assert np.allclose(u, 0.0)
 
     def test_squared_mode_pushes_toward_boundary(self):
         # phi = 0.2083..., grad = (-2/3, 0): u = -phi*grad = (+0.1389, 0) N
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.5, 0.0]])
-        F, u = control_forces(w, field, alpha=1.0, mode="squared")
-        assert F[0, 0] == pytest.approx(0.1388888888888889, rel=1e-12)
-        assert F[0, 1] == 0.0
+        u = control_forces(w, field, alpha=1.0, mode="squared")
+        assert u[0, 0] == pytest.approx(0.1388888888888889, rel=1e-12)
+        assert u[0, 1] == 0.0
 
     def test_interior_grains_get_zero(self):
+        # grains get no control: only the robots have rows, and step adds
+        # nothing to the grains' forces
         cfg = small_config()
         w = build_world(cfg)
+        assert w.n > w.boundary_count
         field = as_field_driver(Circle((0.0, 0.0), ring_radius_of(w)))
-        F, u = control_forces(w, field, alpha=1.0, mode="squared")
-        assert np.all(F[w.boundary_count:] == 0.0)
+        u = control_forces(w, field, alpha=1.0, mode="squared")
         assert u.shape == (w.boundary_count, 2)
+        with_control = step(w, small_config(alpha=1.0), field)
+        without = step(w, small_config(alpha=0.0), field)
+        grains = slice(w.boundary_count, None)
+        assert with_control.vel[grains].tobytes() == without.vel[grains].tobytes()
 
     def test_paper_mode_descends_phi(self):
         # paper-literal control pushes down-gradient: outward for an
         # inside-positive field
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.5, 0.0]])
-        F, _ = control_forces(w, field, alpha=1.0, mode="paper")
-        assert F[0, 0] > 0.0
+        u = control_forces(w, field, alpha=1.0, mode="paper")
+        assert u[0, 0] > 0.0
 
     @pytest.mark.parametrize("mode", ["squared", "paper"])
     def test_degenerate_blend_falls_back_per_robot(self, mode, caplog):
@@ -613,15 +619,15 @@ class TestControlForces:
                 return circle.values_grads(q, t)
 
         w = free_world([[0.2, 0.1], [-0.2, 0.1], [0.1, -0.3], [-0.1, -0.2]])
-        want, _ = control_forces(w, circle, alpha=1.5, mode=mode)
+        want = control_forces(w, circle, alpha=1.5, mode=mode)
         prev = np.arange(8.0).reshape(4, 2)
         bad = w.pos[:, 0] > 0.0
         with caplog.at_level(logging.WARNING, logger="shapefield.sim"):
-            F, u = control_forces(w, HalfDegenerate(), 1.5, mode, prev)
-            F0, _ = control_forces(w, HalfDegenerate(), 1.5, mode)
-        assert np.array_equal(F[~bad], want[~bad]) and np.array_equal(u, F)
-        assert np.array_equal(F[bad], prev[bad])
-        assert np.array_equal(F0[~bad], want[~bad]) and np.all(F0[bad] == 0.0)
+            u = control_forces(w, HalfDegenerate(), 1.5, mode, prev)
+            u0 = control_forces(w, HalfDegenerate(), 1.5, mode)
+        assert np.array_equal(u[~bad], want[~bad])
+        assert np.array_equal(u[bad], prev[bad])
+        assert np.array_equal(u0[~bad], want[~bad]) and np.all(u0[bad] == 0.0)
         assert any("robots [0, 2]" in r.message for r in caplog.records)
 
 
@@ -671,7 +677,7 @@ class TestStep:
             w, vel=rng.uniform(-0.5, 0.5, w.vel.shape), mass=rng.uniform(0.01, 0.3, w.n)
         )
         F = spring_forces(w) + contact_forces(w, cfg)
-        F += control_forces(w, drv, cfg.alpha, cfg.control_mode)[0]
+        F[: w.boundary_count] += control_forces(w, drv, cfg.alpha, cfg.control_mode)
         F -= cfg.drag * w.vel
         assert np.count_nonzero(F) > w.n
         want = w.vel + F * (cfg.dt / w.mass[:, None])
