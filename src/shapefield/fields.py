@@ -83,11 +83,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "validate",
-    "r_negation",
-    "r_disjunction",
-    "r_conjunction",
-    "r_equivalence_n",
-    "trim",
 ]
 
 
@@ -430,8 +425,8 @@ def _r_binary(v1, v2, s, sign, want_partials: bool):
     and an operand may be a constant column.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
-    # s is a Python float (the morph blend, the point functions) or a plan's
-    # (k, 1) column; a float is tested without a numpy call
+    # s is a Python float (the morph blend) or a plan's (k, 1) column; a
+    # float is tested without a numpy call
     if np.count_nonzero(s > 1.0) if isinstance(s, np.ndarray) else s > 1.0:
         clamped = (rad < 0.0) & (s > 1.0)
         for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
@@ -918,68 +913,3 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
             ),
         )
     return diags
-
-
-# ---------------------------------------------------------------------------
-# Point-wise operations (the algebra behind the nodes)
-# ---------------------------------------------------------------------------
-
-def _scalarize(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
-
-
-def r_negation(w):
-    """R-negation of a field value."""
-    out = -np.asarray(w, dtype=float)
-    return _scalarize(out, np.isscalar(w) or np.ndim(w) == 0)
-
-
-def _r_binary_point(w1, w2, s: float, sign: float):
-    a = np.asarray(w1, dtype=float)
-    b = np.asarray(w2, dtype=float)
-    out, _, _ = _r_binary(a, b, _check_s(s), sign, want_partials=False)
-    return _scalarize(out, a.ndim == 0 and b.ndim == 0)
-
-
-def r_disjunction(w1, w2, s: float = 0.0):
-    """R-disjunction of two field values; positive iff either is positive."""
-    return _r_binary_point(w1, w2, s, +1.0)
-
-
-def r_conjunction(w1, w2, s: float = 0.0):
-    """R-conjunction of two field values; positive iff both are positive."""
-    return _r_binary_point(w1, w2, s, -1.0)
-
-
-def r_equivalence_n(values, m: int = 2):
-    """Order-``m`` equivalence of two or more non-negative values.
-
-    ``values`` may be a sequence of scalars or of broadcastable arrays.
-    Returns ``1 / (sum_i phi_i^-m)^(1/m)``, 0 when any input is zero, and
-    NaN when any input is NaN.
-    """
-    if int(m) < 1:
-        raise FieldError(f"m must be >= 1, got {m}")
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    if len(arrays) < 2:
-        raise FieldError("equivalence needs at least 2 values")
-    if any(np.any(a < 0.0) for a in arrays):
-        raise FieldError("equivalence inputs must be non-negative")
-    scalar = all(a.ndim == 0 for a in arrays)
-    stacked = np.stack(np.broadcast_arrays(*arrays)).reshape(len(arrays), -1)
-    out, _ = _equiv_vg(stacked, None, int(m))
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.broadcast_shapes(*(a.shape for a in arrays)))
-
-
-def trim(f, t):
-    """Trimming of a carrier value ``f`` by a trimmer value ``t``.
-
-    Zero exactly where ``f = 0`` and ``t >= 0``; portions with ``t < 0``
-    are lifted to |t|.  Non-negative everywhere.
-    """
-    a = np.asarray(f, dtype=float)
-    b = np.asarray(t, dtype=float)
-    out, _, _ = _trim(a, b, want_partials=False)
-    return _scalarize(out, a.ndim == 0 and b.ndim == 0)

@@ -10,6 +10,7 @@ a compatibility contract covered by golden-file tests.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class GridSpec:
 
     @property
     def count(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)  # exact: np.prod wraps in int64
 
 
 @dataclass(frozen=True)
@@ -152,6 +153,8 @@ def export_grid(samples: GridSamples, grid: GridSpec, format: str = "csv") -> by
     if format == "csv":
         return _grid_csv(samples, grid)
     if format == "vtk":
+        if samples.gradmag is not None:
+            raise ValueError("the vtk grid format holds phi only; export gradmag as csv")
         return _grid_vtk(samples, grid)
     raise ValueError(f"unknown grid format {format!r}")
 

@@ -22,6 +22,16 @@ from shapefield.fields import (
 )
 
 
+# axis planes: each one's value at a point is one of its coordinates, exact
+# while all of them are finite, so a node over them applies its operation to
+# the coordinates.  A NaN coordinate makes every plane NaN (NaN * 0 = NaN).
+X = Plane((0.0, 0.0), (1.0, 0.0))
+Y = Plane((0.0, 0.0), (0.0, 1.0))
+X3 = Plane((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+Y3 = Plane((0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+Z3 = Plane((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+
+
 def fd_gradient(evalfn, x, h=1e-5):
     """Central finite-difference gradient of a scalar field at point ``x``."""
     x = np.asarray(x, dtype=float)

@@ -17,12 +17,11 @@ from shapefield import tolerances as tol
 from shapefield.fields import (
     Circle,
     Conjunction,
+    Disjunction,
     Equivalence,
     Plane,
     Segment,
     Sphere,
-    r_disjunction,
-    r_equivalence_n,
 )
 from shapefield.gridio import export_trajectory
 from shapefield.lang import ShapeLangError, parse, serialize
@@ -36,6 +35,9 @@ from shapefield.sim import (
 )
 
 from conftest import (
+    X3,
+    Y3,
+    Z3,
     circle_boundary,
     equiv_pair,
     fd_gradient,
@@ -184,7 +186,7 @@ class TestCriterion4:
             triples = rng.uniform(0.01, 10.0, (10_000, 3))
             a, b, c = triples[:, 0], triples[:, 1], triples[:, 2]
             for m in (1, 2, 3):
-                nary = r_equivalence_n([a, b, c], m)
+                nary = Equivalence((X3, Y3, Z3), m).eval(triples)
                 # the closed pairwise form, nested, against the library's
                 # n-ary kernel: two independent formulas
                 nestings = [
@@ -198,8 +200,8 @@ class TestCriterion4:
                 for nested in nestings:
                     assert np.max(np.abs(nested - nary)) < 1e-12
 
-            left = r_disjunction(r_disjunction(1.0, -2.0), 3.0)
-            right = r_disjunction(1.0, r_disjunction(-2.0, 3.0))
+            left = Disjunction(Disjunction(X3, Y3), Z3).eval((1.0, -2.0, 3.0))
+            right = Disjunction(X3, Disjunction(Y3, Z3)).eval((1.0, -2.0, 3.0))
             assert abs(left - right) > 1e-6
 
 

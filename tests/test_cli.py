@@ -55,6 +55,16 @@ class TestGridCommand:
         info, phi = parse_grid_vtk(out.read_bytes())
         assert info["dims"] == (5, 5)
 
+    def test_vtk_with_gradmag_exits_2(self, circle_shape, tmp_path, capsys):
+        out = tmp_path / "grid.vtk"
+        code = main(
+            ["grid", str(circle_shape), "--grid=-1,-1:1:2,2", "--out", str(out),
+             "--format", "vtk", "--gradmag"]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "gradmag" in capsys.readouterr().err
+
     def test_malformed_shape_exits_1_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.shape"
         bad.write_text("field = circle(c=(0,0), r=0.75\n")  # missing );

@@ -27,18 +27,19 @@ from shapefield.fields import (
     Sphere,
     Trim,
     _corner_div,
+    _equiv_vg,
     _Plan,
     gradient,
-    r_conjunction,
-    r_disjunction,
-    r_equivalence_n,
-    r_negation,
-    trim,
     validate,
 )
 from shapefield.lang import parse
 
 from conftest import (
+    X,
+    X3,
+    Y,
+    Y3,
+    Z3,
     assert_rows_stand_alone,
     circle_boundary,
     equiv_pair,
@@ -190,39 +191,39 @@ class TestPlane:
 
 
 # ---------------------------------------------------------------------------
-# R-operations (point-wise)
+# R-operations on values (over the axis planes X, Y, Z)
 # ---------------------------------------------------------------------------
 
 class TestROps:
     def test_negation(self):
-        assert r_negation(0.0) == 0.0
-        assert r_negation(1.5) == -1.5
-        assert r_negation(-2.0) == 2.0
+        assert Negation(X).eval((0.0, 0.0)) == 0.0
+        assert Negation(X).eval((1.5, 0.0)) == -1.5
+        assert Negation(X).eval((-2.0, 0.0)) == 2.0
 
     def test_disjunction_values(self):
-        assert r_disjunction(3.0, 4.0, s=0.0) == 12.0  # 3+4+sqrt(25)
-        assert r_disjunction(0.0, 0.0, s=0.7) == 0.0
-        assert r_disjunction(-1.0, 5.0, s=0.0) == pytest.approx(
+        assert Disjunction(X, Y, s=0.0).eval((3.0, 4.0)) == 12.0  # 3+4+sqrt(25)
+        assert Disjunction(X, Y, s=0.7).eval((0.0, 0.0)) == 0.0
+        assert Disjunction(X, Y, s=0.0).eval((-1.0, 5.0)) == pytest.approx(
             4.0 + math.sqrt(26.0), abs=0.0
         )
 
     def test_conjunction_values(self):
-        assert r_conjunction(3.0, 4.0, s=0.0) == 2.0  # 3+4-sqrt(25)
-        assert r_conjunction(0.0, 0.0, s=0.3) == 0.0
-        assert r_conjunction(-1.0, 5.0, s=0.0) == pytest.approx(
+        assert Conjunction(X, Y, s=0.0).eval((3.0, 4.0)) == 2.0  # 3+4-sqrt(25)
+        assert Conjunction(X, Y, s=0.3).eval((0.0, 0.0)) == 0.0
+        assert Conjunction(X, Y, s=0.0).eval((-1.0, 5.0)) == pytest.approx(
             4.0 - math.sqrt(26.0), abs=0.0
         )
 
     def test_negative_s_rejected(self):
         for s in (-0.1, math.inf, math.nan):
-            for op in (r_disjunction, r_conjunction):
+            for op in (Disjunction, Conjunction):
                 with pytest.raises(FieldError):
-                    op(1.0, 2.0, s=s)
+                    op(X, Y, s=s)
 
     def test_s_above_one_clamps_with_warning(self):
         # like-signed large arguments make the radicand negative for s > 1
         with pytest.warns(RuntimeWarning):
-            out = r_conjunction(2.0, 2.0, s=3.0)
+            out = Conjunction(X, Y, s=3.0).eval((2.0, 2.0))
         assert np.isfinite(out)
 
     @settings(max_examples=200, deadline=None)
@@ -234,8 +235,8 @@ class TestROps:
     def test_sign_semantics(self, w1, w2, s):
         # magnitudes bounded away from zero: at ~1e-300 scale ratios the
         # smaller argument is absorbed by rounding and the sign can flip
-        d = r_disjunction(w1, w2, s)
-        c = r_conjunction(w1, w2, s)
+        d = Disjunction(X, Y, s=s).eval((w1, w2))
+        c = Conjunction(X, Y, s=s).eval((w1, w2))
         hi = max(w1, w2)
         lo = min(w1, w2)
         assert (d > 0) == (hi > 0)
@@ -244,15 +245,15 @@ class TestROps:
     def test_sign_property_over_grid(self, rng):
         w = rng.uniform(-10, 10, (10_000, 2))
         for s in (0.0, 0.5, 1.0):
-            d = r_disjunction(w[:, 0], w[:, 1], s)
-            c = r_conjunction(w[:, 0], w[:, 1], s)
+            d = Disjunction(X, Y, s=s).eval(w)
+            c = Conjunction(X, Y, s=s).eval(w)
             assert np.array_equal(np.sign(d), np.sign(np.max(w, axis=1)))
             assert np.array_equal(np.sign(c), np.sign(np.min(w, axis=1)))
 
     def test_disjunction_not_associative_witness(self):
-        a, b, c = 1.0, -2.0, 3.0
-        left = r_disjunction(r_disjunction(a, b), c)
-        right = r_disjunction(a, r_disjunction(b, c))
+        abc = (1.0, -2.0, 3.0)
+        left = Disjunction(Disjunction(X3, Y3), Z3).eval(abc)
+        right = Disjunction(X3, Disjunction(Y3, Z3)).eval(abc)
         assert abs(left - right) > 1e-6
 
 
@@ -263,37 +264,35 @@ class TestEquivalence:
         assert equiv_pair(1.0, 1.0, 2) == pytest.approx(1.0 / math.sqrt(2.0), abs=0.0)
         assert equiv_pair(0.0, 7.0, 2) == 0.0
         assert equiv_pair(2.0, 3.0, 1) == pytest.approx(1.2, abs=1e-15)
-        assert r_equivalence_n([1.0, 1.0], m=2) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
-        assert r_equivalence_n([0.0, 7.0], m=2) == 0.0
-        assert r_equivalence_n([2.0, 3.0], m=1) == pytest.approx(1.2, abs=1e-15)
+        pair = Equivalence((X, Y), m=2)
+        assert pair.eval((1.0, 1.0)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
+        assert pair.eval((0.0, 7.0)) == 0.0
+        assert Equivalence((X, Y), m=1).eval((2.0, 3.0)) == pytest.approx(1.2, abs=1e-15)
 
     def test_pair_both_zero_is_zero(self):
         assert equiv_pair(0.0, 0.0, 3) == 0.0
-        assert r_equivalence_n([0.0, 0.0], m=3) == 0.0
+        assert Equivalence((X, Y), m=3).eval((0.0, 0.0)) == 0.0
 
     def test_n_values(self):
-        assert r_equivalence_n([1.0, 1.0, 1.0], m=2) == pytest.approx(
-            1.0 / math.sqrt(3.0), rel=1e-14
-        )
-        assert r_equivalence_n([0.0, 1.0, 1.0], m=2) == 0.0
-        assert r_equivalence_n([2.0, 2.0], m=1) == 1.0
+        triple = Equivalence((X3, Y3, Z3), m=2)
+        assert triple.eval((1.0, 1.0, 1.0)) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
+        assert triple.eval((0.0, 1.0, 1.0)) == 0.0
+        assert Equivalence((X, Y), m=1).eval((2.0, 2.0)) == 1.0
 
-    def test_n_rejects_short_or_negative(self):
+    def test_n_rejects_fewer_than_two_pieces_or_m_below_one(self):
         with pytest.raises(FieldError):
-            r_equivalence_n([], m=2)
+            Equivalence((), m=2)
         with pytest.raises(FieldError):
-            r_equivalence_n([1.0], m=2)
+            Equivalence((X,), m=2)
         with pytest.raises(FieldError):
-            r_equivalence_n([1.0, -0.5], m=2)
-        with pytest.raises(FieldError):
-            r_equivalence_n([1.0, 1.0], m=0)
+            Equivalence((X, Y), m=0)
 
     def test_all_nestings_match_nary(self, rng):
         # associativity of the pairwise rule: every nesting order of three
         # values must agree with the n-ary formula
         triples = rng.uniform(0.01, 10.0, (10_000, 3))
         for m in (1, 2, 3):
-            nary = r_equivalence_n([triples[:, 0], triples[:, 1], triples[:, 2]], m)
+            nary = Equivalence((X3, Y3, Z3), m).eval(triples)
             for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 a, b, c = (triples[:, k] for k in order)
                 nested = equiv_pair(equiv_pair(a, b, m), c, m)
@@ -310,15 +309,17 @@ class TestEquivalence:
     def test_pair_matches_reciprocal_form(self, a, b, m):
         want = 1.0 / (1.0 / a ** m + 1.0 / b ** m) ** (1.0 / m)
         assert equiv_pair(a, b, m) == pytest.approx(want, rel=1e-12)
-        assert r_equivalence_n([a, b], m) == pytest.approx(want, rel=1e-12)
+        assert Equivalence((X, Y), m).eval((a, b)) == pytest.approx(want, rel=1e-12)
 
     def test_a_nan_value_gives_nan_and_a_zero_value_zero(self):
         # a NaN value must not read as a point on the zero set: np.minimum
-        # carries it into the pivot, and the point is not masked to 0
-        assert math.isnan(r_equivalence_n([np.nan, 1.0], m=2))
-        assert math.isnan(r_equivalence_n([0.5, 2.0, np.nan], m=1))
-        got = r_equivalence_n(
-            [np.array([np.nan, 0.0, np.nan, 0.5]), np.array([1.0, 1.0, 0.0, 0.5])], m=3
+        # carries it into the pivot, and the point is not masked to 0.  A
+        # NaN coordinate makes every axis plane NaN, so the kernel is fed
+        # its (k, n) value stack directly
+        assert np.isnan(_equiv_vg(np.array([[np.nan], [1.0]]), None, 2)[0]).all()
+        assert np.isnan(_equiv_vg(np.array([[0.5], [2.0], [np.nan]]), None, 1)[0]).all()
+        got, _ = _equiv_vg(
+            np.array([[np.nan, 0.0, np.nan, 0.5], [1.0, 1.0, 0.0, 0.5]]), None, 3
         )
         assert np.isnan(got[[0, 2]]).all()  # NaN wins over a zero piece
         assert same_bits(got[1:2], np.zeros(1)) and got[3] > 0.0
@@ -326,7 +327,7 @@ class TestEquivalence:
     def test_tiny_values_do_not_overflow(self):
         # the scaled n-ary form must survive values whose reciprocal powers
         # would overflow the naive formula
-        out = r_equivalence_n([1e-200, 1e-200], m=2)
+        out = Equivalence((X, Y), m=2).eval((1e-200, 1e-200))
         assert np.isfinite(out) and out > 0.0
 
     def test_lone_point_matches_its_batch_row(self):
@@ -345,28 +346,30 @@ class TestEquivalence:
 
 
 class TestTrim:
+    # Trim(X, Y) reads its carrier off x and its trimmer off y, exactly,
+    # with the gradients (1, 0) and (0, 1)
+    _XY = Trim(X, Y)
+
     def test_kept_zero_stays_zero(self):
-        assert trim(0.0, 1.0) == 0.0
+        assert self._XY.eval((0.0, 1.0)) == 0.0
 
     def test_removed_zero_lifted_by_trimmer(self):
-        assert trim(0.0, -1.0) == 1.0
+        assert self._XY.eval((0.0, -1.0)) == 1.0
 
     def test_matches_segment_construction(self):
         # same carrier/trimmer pair as the interior-segment example
-        assert trim(0.3, 0.16) == Segment((0.0, 0.0), (1.0, 0.0)).eval((0.5, 0.3))
-        assert trim(0.3, 0.16) == pytest.approx(0.3002314976804588, abs=0.0)
+        v = self._XY.eval((0.3, 0.16))
+        assert v == Segment((0.0, 0.0), (1.0, 0.0)).eval((0.5, 0.3))
+        assert v == pytest.approx(0.3002314976804588, abs=0.0)
 
     def test_sign_agnostic_in_carrier(self):
-        assert trim(-0.3, 0.16) == trim(0.3, 0.16)
-
-    # Trim(Plane x, Plane y) reads its carrier off x and its trimmer off y,
-    # exactly, with the gradients (1, 0) and (0, 1)
-    _XY = Trim(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)))
+        assert self._XY.eval((-0.3, 0.16)) == self._XY.eval((0.3, 0.16))
 
     def _against_oracle(self, f, t):
+        pts = np.stack([f, t], axis=1)
         with np.errstate(all="ignore"):  # overflow to inf is part of the check
-            v = trim(f, t)
-            gs = self._XY.gradient(np.stack([f, t], axis=1))
+            v = self._XY.eval(pts)
+            gs = self._XY.gradient(pts)
         want = [_trim_oracle(a, b) for a, b in zip(f.tolist(), t.tolist())]
         assert same_bits(gs.value, v)
         _assert_within_4_ulp(v, np.array([w[0] for w in want]))
@@ -400,7 +403,8 @@ class TestTrim:
             h = 1e-5 * np.abs(x)
             hi, lo = [f, t], [f, t]
             hi[k], lo[k] = x + h, x - h
-            fd = (trim(*hi) - trim(*lo)) / (hi[k] - lo[k])
+            fd = (self._XY.eval(np.stack(hi, axis=1))
+                  - self._XY.eval(np.stack(lo, axis=1))) / (hi[k] - lo[k])
             noise = 8.0 * np.spacing(gs.value) / h
             err = np.abs(fd - gs.grad[:, k])
             assert (err <= 1e-6 * np.abs(gs.grad[:, k]) + noise).all(), k
@@ -410,9 +414,10 @@ class TestTrim:
         f = rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.uniform(-3.0, 3.0, 64)
         t = rng.uniform(-1.0, 1.0, 64)
         assert (f < 0.0).any() and (f > 0.0).any()
-        assert same_bits(trim(f, t), trim(-f, t))
-        g = self._XY.gradient(np.stack([f, t], axis=1)).grad
-        g_flip = self._XY.gradient(np.stack([-f, t], axis=1)).grad
+        pts, flip = np.stack([f, t], axis=1), np.stack([-f, t], axis=1)
+        assert same_bits(self._XY.eval(pts), self._XY.eval(flip))
+        g = self._XY.gradient(pts).grad
+        g_flip = self._XY.gradient(flip).grad
         assert same_bits(g[:, 0], -g_flip[:, 0])  # odd in the carrier
         assert np.array_equal(g[:, 1], g_flip[:, 1])
 
@@ -628,28 +633,29 @@ class TestGradients:
 
 class TestComposition:
     def test_disjunction_matches_scalar_composition(self, rng):
-        # the two-circle union evaluated as a tree must equal the scalar
-        # R-disjunction of the member circle values
+        # the two-circle union evaluated as a tree must equal the
+        # R-disjunction of the member circle values, taken over X and Y
         c1 = Circle((0.0, 0.5), 0.75)
         c2 = Circle((0.0, -0.5), 0.75)
         expr = Disjunction(c1, c2, s=0.0)
         for x in [(0.0, 0.5), (0.3, -0.2), (1.0, 1.0), (0.0, 1.25)]:
-            assert expr.eval(x) == r_disjunction(c1.eval(x), c2.eval(x), s=0.0)
+            assert expr.eval(x) == Disjunction(X, Y, s=0.0).eval((c1.eval(x), c2.eval(x)))
         pts = rng.uniform(-2.0, 2.0, (500, 2))
         for s in (0.0, 0.4, 1.0):
-            want = r_disjunction(c1.eval(pts), c2.eval(pts), s=s)
+            want = Disjunction(X, Y, s=s).eval(np.stack([c1.eval(pts), c2.eval(pts)], axis=1))
             assert Disjunction(c1, c2, s=s).eval(pts).tobytes() == want.tobytes()
 
     def test_conjunction_and_trim_match_scalar_composition(self, rng):
-        # one rule serves the nodes and the point-wise API, bit for bit
+        # a node over its children has the bits of the same node over X
+        # and Y, fed the children's values
         c = Circle((0.2, 0.0), 0.9)
         seg = Segment((-1.0, -0.5), (1.0, 0.5))
         plane = Plane((0.0, 0.0), (0.6, 0.8))
         pts = rng.uniform(-2.0, 2.0, (500, 2))
         for s in (0.0, 0.4, 1.0):
-            want = r_conjunction(c.eval(pts), seg.eval(pts), s=s)
+            want = Conjunction(X, Y, s=s).eval(np.stack([c.eval(pts), seg.eval(pts)], axis=1))
             assert Conjunction(c, seg, s=s).eval(pts).tobytes() == want.tobytes()
-        want = trim(c.eval(pts), plane.eval(pts))
+        want = Trim(X, Y).eval(np.stack([c.eval(pts), plane.eval(pts)], axis=1))
         assert Trim(c, plane).eval(pts).tobytes() == want.tobytes()
 
     def test_equivalence_matches_pairwise_composition(self):
@@ -662,7 +668,7 @@ class TestComposition:
         assert v1 == v2
         # the tree is the n-ary rule bit-for-bit; the pairwise rule agrees
         # to rounding
-        assert expr.eval(x) == r_equivalence_n([v1, v2], m=2)
+        assert expr.eval(x) == Equivalence((X, Y), m=2).eval((v1, v2))
         assert expr.eval(x) == pytest.approx(equiv_pair(v1, v2, 2), rel=1e-13)
         assert expr.eval(x) == pytest.approx(v1 / math.sqrt(2.0), rel=1e-12)
 
@@ -671,7 +677,7 @@ class TestComposition:
         c2 = Circle((5.0, 0.0), 0.5)
         e = Equivalence((c1, c2), m=2)
         x = (2.0, 0.0)  # both circle fields are negative here
-        assert e.eval(x) == r_equivalence_n([abs(c1.eval(x)), abs(c2.eval(x))], m=2)
+        assert e.eval(x) == Equivalence((X, Y), m=2).eval((abs(c1.eval(x)), abs(c2.eval(x))))
         assert e.eval(x) > 0.0
 
     def test_trim_node_builds_arcs(self):

@@ -39,8 +39,11 @@ class TestGridSpec:
             GridSpec((0.0, 0.0, 0.0), 0.1, (2, 2))
 
     def test_node_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            GridSpec((0.0, 0.0), 0.1, (4000, 4000))
+        # the last two node counts wrap in int64, to 0 and to a negative
+        # number; only the specs are built, since sampling them would allocate
+        for n in (4000, 2**32, 3037000500):
+            with pytest.raises(ValueError, match="cap"):
+                GridSpec((0.0, 0.0), 0.1, (n, n))
 
     def test_points_row_major(self):
         grid = GridSpec((0.0, 10.0), 1.0, (2, 3))
@@ -140,6 +143,13 @@ class TestGridExports:
         assert "DIMENSIONS 3 2 1" in text
         info, phi = parse_grid_vtk(export_grid(s, grid, "vtk"))
         assert np.array_equal(phi, s.phi)
+
+    def test_vtk_rejects_gradmag(self):
+        # the VTK export holds phi only, so a |grad| column is refused, not dropped
+        grid = GridSpec((0.0, 0.0), 1.0, (2, 2))
+        s = sample_grid(Circle((0, 0), 1.0), grid, include_gradmag=True)
+        with pytest.raises(ValueError, match="gradmag"):
+            export_grid(s, grid, "vtk")
 
     def test_length_mismatch_rejected(self):
         grid = GridSpec((0.0, 0.0), 1.0, (2, 2))
