@@ -26,6 +26,7 @@ import numpy as np
 from .fields import DimensionMismatchError, FieldError
 from .gridio import (
     GridSpec,
+    _check_grid_format,
     export_grid,
     export_trajectory,
     sample_grid,
@@ -129,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_grid(args) -> int:
     program = _load_program(args.shape)
     grid = _parse_grid_flag(args.grid)
+    _check_grid_format(args.format, args.gradmag)
     samples = sample_grid(program.field_expr(), grid, include_gradmag=args.gradmag)
     data = export_grid(samples, grid, args.format)
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -132,21 +132,21 @@ def _point_tuple(p, name: str) -> tuple[float, ...]:
     return t
 
 
-def _as_batch(x, dim: int) -> tuple[np.ndarray, bool]:
-    """Coerce a point or point batch to ``(n, dim)``; flag scalar input."""
+def _as_batch(x, dim: int) -> np.ndarray:
+    """Coerce a point or point batch to ``(n, dim)``."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         if pts.shape[0] != dim:
             raise DimensionMismatchError(
                 f"point has {pts.shape[0]} coordinates, expression is {dim}-D"
             )
-        return pts[None, :], True
+        return pts[None, :]
     if pts.ndim == 2:
         if pts.shape[1] != dim:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, expression is {dim}-D"
             )
-        return pts, False
+        return pts
     raise DimensionMismatchError(f"points must be 1-D or 2-D, got shape {pts.shape}")
 
 
@@ -215,12 +215,12 @@ class FieldExpr:
 
     def values(self, pts, t: float) -> np.ndarray:
         """phi at each row of ``pts``; ``t`` is ignored, as a tree is static."""
-        pts, _ = _as_batch(pts, self.dimension)
+        pts = _as_batch(pts, self.dimension)
         return self._plan(pts, want_grad=False)[0][0]
 
     def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
         """phi and its spatial gradient at each row of ``pts``; ``t`` is ignored."""
-        pts, _ = _as_batch(pts, self.dimension)
+        pts = _as_batch(pts, self.dimension)
         V, G = self._plan(pts, want_grad=True)
         return V[0], G[0].T.copy()
 

@@ -144,19 +144,24 @@ def sample_grid(
 # Grid exports
 # ---------------------------------------------------------------------------
 
+def _check_grid_format(format: str, gradmag: bool) -> None:
+    """Reject an unknown grid format, and ``gradmag`` with ``vtk``, whose
+    export holds phi only.  Needs no samples, so a caller can check its
+    flags before it samples the grid."""
+    if format not in ("csv", "vtk"):
+        raise ValueError(f"unknown grid format {format!r}")
+    if format == "vtk" and gradmag:
+        raise ValueError("the vtk grid format holds phi only; export gradmag as csv")
+
+
 def export_grid(samples: GridSamples, grid: GridSpec, format: str = "csv") -> bytes:
     """Serialize grid samples; ``format`` is ``csv`` or ``vtk``
     (legacy structured-points ASCII)."""
     n = samples.phi.shape[0]
     if n != grid.count:
         raise ValueError(f"{n} samples for a grid of {grid.count} nodes")
-    if format == "csv":
-        return _grid_csv(samples, grid)
-    if format == "vtk":
-        if samples.gradmag is not None:
-            raise ValueError("the vtk grid format holds phi only; export gradmag as csv")
-        return _grid_vtk(samples, grid)
-    raise ValueError(f"unknown grid format {format!r}")
+    _check_grid_format(format, samples.gradmag is not None)
+    return _grid_csv(samples, grid) if format == "csv" else _grid_vtk(samples, grid)
 
 
 def _grid_csv(samples: GridSamples, grid: GridSpec) -> bytes:

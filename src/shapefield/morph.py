@@ -187,7 +187,7 @@ class MorphSchedule:
 
     def values(self, pts, t: float) -> np.ndarray:
         """phi(x, t) at each row of ``pts``."""
-        pts, _ = _as_batch(pts, self.dimension)
+        pts = _as_batch(pts, self.dimension)
         fval = self._ramp_at(t)
         if _complete(fval):
             return self.final.values(pts, t)
@@ -196,7 +196,7 @@ class MorphSchedule:
 
     def values_grads(self, pts, t: float) -> tuple[np.ndarray, np.ndarray]:
         """phi(x, t) and its spatial gradient at each row of ``pts``."""
-        pts, _ = _as_batch(pts, self.dimension)
+        pts = _as_batch(pts, self.dimension)
         fval = self._ramp_at(t)
         if _complete(fval):
             return self.final.values_grads(pts, t)

@@ -43,6 +43,7 @@ from .tolerances import (
     CONTACT_ROOM_MARGIN,
     CONTACT_SKIN_FRACTION,
     CONTACT_SLIP_EPS,
+    PULSE_STEP_TOL,
     SPRING_COINCIDENT_EPS,
     STABILITY_SAFETY,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "contact_forces",
     "control_forces",
     "step",
-    "apply_disturbance",
     "shape_error",
     "com_distance",
     "stability_dt_bound",
@@ -201,10 +201,11 @@ class Disturbance:
     """External impulse pulses confined to a time window.
 
     ``impulse`` (N s) is applied to each target body at each time in
-    ``times``; times outside [t0, t1] are dropped by the window check.
-    The window, the targets and the impulse are checked here; :func:`run`
-    checks the target range and the impulse length against its world
-    before the first step.
+    ``times`` that lies in [t0, t1]; :func:`run` leaves the other times
+    out of its schedule, so they never fire.  The window, the times, the
+    targets and the impulse are checked here; :func:`run` checks the
+    target range and the impulse length against its world before the
+    first step.
     """
 
     impulse: tuple[float, ...]
@@ -214,6 +215,11 @@ class Disturbance:
     times: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t0, self.t1, *self.times))):
+            raise ValueError(
+                f"disturbance window and times must be finite, got "
+                f"({self.t0}, {self.t1}) and {self.times}"
+            )
         if not self.t0 < self.t1:
             raise ValueError(f"disturbance window must have t0 < t1, got ({self.t0}, {self.t1})")
         if len(self.targets) == 0:
@@ -716,39 +722,29 @@ def step(
     )
 
 
-def _pulse_arrays(world: WorldState, impulse, targets):
-    """The impulse and target index arrays, checked against ``world``."""
-    targets = np.asarray(list(targets), dtype=np.intp)
-    if targets.size == 0:
-        raise ValueError("disturbance target set is empty")
-    if not np.all((targets >= 0) & (targets < world.n)):
-        raise ValueError(
-            f"disturbance targets must lie in [0, {world.n}), got {targets.tolist()}"
-        )
-    imp = np.asarray(impulse, dtype=float)
-    if imp.shape != (world.dimension,):
-        raise ValueError(f"impulse must have {world.dimension} components")
-    return imp, targets
-
-
-def apply_disturbance(
-    world: WorldState, impulse, window: tuple[float, float], targets
-) -> WorldState:
-    """Instantaneous velocity kicks impulse/m on ``targets``.
-
-    ``targets`` are body indices in [0, n); any other index is rejected.
-    A no-op when the world clock is outside [t0, t1]: disturbances stay
-    confined to their window.
-    """
-    t0, t1 = window
-    if not t0 < t1:
-        raise ValueError(f"disturbance window must have t0 < t1, got {window}")
-    imp, targets = _pulse_arrays(world, impulse, targets)
-    if not (t0 <= world.time <= t1):
-        return world
-    vel = world.vel.copy()
-    vel[targets] += imp / world.mass[targets, None]
-    return replace(world, vel=vel)
+def _pulse_kicks(world: WorldState, disturbances, dt: float) -> dict:
+    """The velocity kicks ``(targets, impulse / mass)`` of every pulse,
+    keyed by the index k of the step they fire before: the first step whose
+    nominal start k dt is at or after the pulse time, within
+    ``PULSE_STEP_TOL`` of a step.  Pulse times outside their window are
+    left out.  Kicks on one step keep the order of their times, then of
+    their disturbances.  Targets and impulses are checked against ``world``."""
+    pulses = []
+    for d in disturbances:
+        targets = np.asarray(d.targets, dtype=np.intp)
+        if not np.all((targets >= 0) & (targets < world.n)):
+            raise ValueError(
+                f"disturbance targets must lie in [0, {world.n}), got {targets.tolist()}"
+            )
+        imp = np.asarray(d.impulse, dtype=float)
+        if imp.shape != (world.dimension,):
+            raise ValueError(f"impulse must have {world.dimension} components")
+        kick = (targets, imp / world.mass[targets, None])
+        pulses += [(t, kick) for t in d.times if d.t0 <= t <= d.t1]
+    kicks = {}
+    for t, kick in sorted(pulses, key=lambda p: p[0]):
+        kicks.setdefault(max(0, math.ceil(t / dt - PULSE_STEP_TOL)), []).append(kick)
+    return kicks
 
 
 # ---------------------------------------------------------------------------
@@ -792,8 +788,7 @@ def run(
             f"field is {driver.dimension}-D but the simulation is {config.dimension}-D"
         )
     world = build_world(config)
-    for d in disturbances:
-        _pulse_arrays(world, d.impulse, d.targets)
+    kicks = _pulse_kicks(world, disturbances, config.dt)
     cache = _PairCache(world) if config.dimension == 2 else None
     if config.dt > stability_dt_bound(config):
         warnings.warn(
@@ -802,11 +797,6 @@ def run(
             RuntimeWarning,
             stacklevel=2,
         )
-
-    pulses = sorted(
-        ((t, d) for d in disturbances for t in d.times), key=lambda p: p[0]
-    )
-    pulse_idx = 0
 
     n_steps = int(round(config.duration / config.dt))
     sample_every = max(1, int(round(config.sample_interval / config.dt)))
@@ -822,10 +812,10 @@ def run(
 
     record(world)
     for k in range(n_steps):
-        while pulse_idx < len(pulses) and pulses[pulse_idx][0] <= world.time + 1e-12:
-            t_pulse, d = pulses[pulse_idx]
-            world = apply_disturbance(world, d.impulse, (d.t0, d.t1), d.targets)
-            pulse_idx += 1
+        for targets, dv in kicks.get(k, ()):
+            vel = world.vel.copy()
+            vel[targets] += dv
+            world = replace(world, vel=vel)
         world = step(world, config, driver, config.dt, cache)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(world)

@@ -65,6 +65,22 @@ class TestGridCommand:
         assert not out.exists()
         assert "gradmag" in capsys.readouterr().err
 
+    def test_vtk_with_gradmag_is_refused_before_sampling(
+        self, circle_shape, tmp_path, capsys, monkeypatch
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled the grid before refusing the flags")
+
+        monkeypatch.setattr("shapefield.cli.sample_grid", no_sampling)
+        out = tmp_path / "grid.vtk"
+        code = main(
+            ["grid", str(circle_shape), "--grid=-1,-1:1:2,2", "--out", str(out),
+             "--format", "vtk", "--gradmag"]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "gradmag" in capsys.readouterr().err
+
     def test_malformed_shape_exits_1_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.shape"
         bad.write_text("field = circle(c=(0,0), r=0.75\n")  # missing );

@@ -24,7 +24,6 @@ from shapefield.sim import (
     _hex_packing,
     _near_pairs,
     _scatter_pairs,
-    apply_disturbance,
     as_field_driver,
     build_world,
     com_distance,
@@ -553,8 +552,10 @@ class TestNeighbourList:
         hits = 0
         for k in range(150):
             if k == kick:
-                w = apply_disturbance(w, (0.05, -0.03), (0.0, 1.0), (0, 3))
-                fresh = apply_disturbance(fresh, (0.05, -0.03), (0.0, 1.0), (0, 3))
+                vel = w.vel.copy()
+                vel[[0, 3]] += np.array([0.05, -0.03]) / w.mass[[0, 3], None]
+                w = dataclasses.replace(w, vel=vel)
+                fresh = dataclasses.replace(fresh, vel=vel.copy())
             hits += listed_hits(cache, w)[0].size
             w = step(w, cfg, drv, cfg.dt, cache)
             fresh = step(fresh, cfg, drv, cfg.dt, None)
@@ -849,41 +850,117 @@ class TestRotationInvariance:
         assert cache_a.builds == cache_b.builds
 
 
+def ring_config(**kw):
+    # a spring ring with no grains, control or drag: only pulses change its
+    # momentum, and dt = 1e-3 is below its stability bound
+    base = dict(n_boundary=8, n_interior=0, alpha=0.0, drag=0.0, dt=1e-3)
+    base.update(kw)
+    return SimConfig(**base)
+
+
+def velocities_before_each_step(monkeypatch, cfg, disturbances):
+    """The velocities each step of ``run`` starts from, under a step that
+    only advances the clock, so that what changes them is a pulse's kick."""
+    seen = []
+
+    def clock_only(world, config, driver, dt, cache):
+        seen.append(world.vel.copy())
+        return dataclasses.replace(world, time=world.time + dt)
+
+    monkeypatch.setattr("shapefield.sim.step", clock_only)
+    run(cfg, Circle((0.0, 0.0), 0.3), disturbances=disturbances)
+    return np.asarray(seen)
+
+
 class TestDisturbance:
     def test_zero_impulse_is_noop(self):
-        w = build_world(small_config())
-        w2 = apply_disturbance(w, (0.0, 0.0), (0.0, 1.0), (0, 1))
-        assert np.array_equal(w2.vel, w.vel)
+        cfg = small_config(duration=0.1)
+        field = Circle((0.0, 0.0), 0.3)
+        dist = Disturbance((0.0, 0.0), 0.0, 1.0, (0, 1), (0.0, 0.04))
+        a = run(cfg, field, disturbances=(dist,))
+        b = run(cfg, field)
+        assert a.positions.tobytes() == b.positions.tobytes()
 
-    def test_velocity_increment(self):
-        # 0.1 N s on a 0.2 kg robot -> 0.5 m/s
-        w = build_world(small_config())
-        w2 = apply_disturbance(w, (0.1, 0.0), (0.0, 1.0), (0,))
-        assert w2.vel[0, 0] == pytest.approx(0.5, abs=0.0)
-        assert np.all(w2.vel[1:] == 0.0)
+    def test_velocity_increment(self, monkeypatch):
+        # 0.1 N s on a 0.2 kg robot -> 0.5 m/s, before the first step
+        dist = Disturbance((0.1, 0.0), 0.0, 1.0, (0,), (0.0,))
+        seen = velocities_before_each_step(monkeypatch, small_config(duration=0.01), (dist,))
+        assert seen[0, 0, 0] == 0.5
+        assert np.all(seen[0, 1:] == 0.0) and seen[0, 0, 1] == 0.0
 
-    def test_confined_to_window(self):
-        import dataclasses
-
-        w = dataclasses.replace(build_world(small_config()), time=20.0)
-        w2 = apply_disturbance(w, (0.1, 0.0), (10.0, 15.0), (0,))
-        assert np.array_equal(w2.vel, w.vel)
+    def test_confined_to_window(self, monkeypatch):
+        dist = Disturbance((0.1, 0.0), 0.1, 0.2, (0,), (0.05, 0.25))
+        seen = velocities_before_each_step(monkeypatch, small_config(duration=0.3), (dist,))
+        assert np.all(seen == 0.0)
 
     def test_empty_targets_rejected(self):
-        w = build_world(small_config())
-        with pytest.raises(ValueError):
-            apply_disturbance(w, (0.1, 0.0), (0.0, 1.0), ())
+        with pytest.raises(ValueError, match="empty"):
+            Disturbance((0.1, 0.0), 0.0, 1.0, (), (0.5,))
 
     def test_bad_window_rejected(self):
-        w = build_world(small_config())
-        with pytest.raises(ValueError):
-            apply_disturbance(w, (0.1, 0.0), (5.0, 5.0), (0,))
+        with pytest.raises(ValueError, match="t0 < t1"):
+            Disturbance((0.1, 0.0), 5.0, 5.0, (0,), (5.0,))
 
     def test_out_of_range_targets_rejected(self):
-        w = build_world(small_config())
-        for targets in ((-1,), (0, w.n), (99,)):
+        cfg = small_config(duration=0.01)
+        n = build_world(cfg).n
+        for targets in ((-1,), (0, n), (99,)):
+            dist = Disturbance((0.1, 0.0), 0.0, 1.0, targets, (0.0,))
             with pytest.raises(ValueError, match="targets must lie in"):
-                apply_disturbance(w, (0.1, 0.0), (0.0, 1.0), targets)
+                run(cfg, Circle((0.0, 0.0), 0.3), disturbances=(dist,))
+
+    @pytest.mark.parametrize(
+        "t0, t1, times",
+        [
+            (0.1, 0.4, (math.nan, 0.3)),
+            (0.1, 0.4, (0.3, math.inf)),
+            (-math.inf, 0.4, (0.3,)),
+        ],
+    )
+    def test_non_finite_window_or_time_rejected(self, t0, t1, times):
+        # a NaN time sorted first and, never reached, held back every later pulse
+        with pytest.raises(ValueError, match="finite"):
+            Disturbance((0.06, 0.04), t0, t1, (0,), times)
+
+    @pytest.mark.parametrize(
+        "disturbances, momentum",
+        [
+            # three pulses on two targets, the last at t1 itself
+            ((Disturbance.evenly((0.02, -0.01), 0.1, 0.2, 3, (0, 2)),), (0.12, -0.06)),
+            # the pulses before t0 and after t1 add nothing
+            ((Disturbance((0.02, -0.01), 0.1, 0.2, (0, 2), (0.05, 0.15, 0.25)),), (0.04, -0.02)),
+            # two disturbances whose pulses land on step 101
+            (
+                (
+                    Disturbance((0.02, 0.0), 0.1, 0.2, (0,), (0.1005,)),
+                    Disturbance((0.0, 0.03), 0.1, 0.2, (0, 1), (0.101,)),
+                ),
+                (0.02, 0.06),
+            ),
+        ],
+    )
+    def test_momentum_budget_counts_every_pulse(self, disturbances, momentum):
+        traj, w = run(
+            ring_config(duration=0.3), Circle((0.0, 0.0), 0.3),
+            disturbances=disturbances, return_world=True,
+        )
+        p = (w.mass[:, None] * w.vel).sum(axis=0)
+        assert p == pytest.approx(momentum, abs=1e-12)
+
+    def test_pulse_fires_before_first_step_at_or_after_its_time(self, monkeypatch):
+        # the acceptance-criterion schedule: pulses at 10, 11, ..., 15 s
+        kicks = Disturbance.evenly((0.06, 0.04), 10.0, 15.0, 6, (0, 4))
+        same_step = (
+            Disturbance((0.02, 0.0), 0.1, 0.2, (0,), (0.1005,)),
+            Disturbance((0.0, 0.03), 0.1, 0.2, (0, 1), (0.101,)),
+        )
+        seen = velocities_before_each_step(
+            monkeypatch, ring_config(duration=15.5), (kicks, *same_step)
+        )
+        fired = np.nonzero(np.any(np.diff(seen, axis=0) != 0.0, axis=(1, 2)))[0] + 1
+        assert fired.tolist() == [101, 10000, 11000, 12000, 13000, 14000, 15000]
+        assert np.all(seen[100] == 0.0)
+        assert seen[101, :2].tolist() == [[0.02 / 0.2, 0.03 / 0.2], [0.0, 0.03 / 0.2]]
 
     @pytest.mark.parametrize(
         "impulse, t0, t1, n_pulses, targets",
