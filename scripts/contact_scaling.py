@@ -1,0 +1,205 @@
+"""Contact-layer scaling: build_world, the first neighbour-list build and one
+step, at 210, 1000, 3000 and 6000 bodies.
+
+    python3 scripts/contact_scaling.py --out BENCH.json
+    python3 scripts/contact_scaling.py --baseline ../parent --out BENCH.json
+    python3 scripts/contact_scaling.py --quick --out /tmp/scaling.json
+
+Everything runs in this one process, pinned to the last CPU it may use
+(Linux).
+With ``--baseline`` a second source tree (a checkout root holding
+``src/shapefield``) is loaded beside this one under another package name,
+and the two are timed in alternating blocks, each block starting with the
+other tree, so that drift in the machine's speed falls on both alike.
+Each timed call is one ``perf_counter_ns`` interval; a row reports the
+median and quartiles of every call of its tree, in microseconds.
+
+The worlds are ``SimConfig(n_boundary=nb, n_interior=ni, seed=3)``
+ring-and-grain worlds.  ``step`` is timed from the built world with the
+neighbour list built for it, under a circle field offset from the ring as
+in the swarm benchmark.  Seed 3 leaves no pair overlapping as built at any
+of the four sizes, so ``step`` times a step that reuses the list while
+the no-contact certificate holds, as most steps of the swarm benchmark
+do; each row records whether the certificate held and how many pairs
+overlap.  With a baseline, the worlds, neighbour lists and stepped states
+of the two trees are compared byte for byte, and the script exits 1 if
+they differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SIZES = ((30, 180), (60, 940), (120, 2880), (200, 5800))  # 210 to 6000 bodies
+SEED = 3
+LAYERS = ("build_world", "pair_cache", "step")
+
+
+def load_package(root: Path, name: str):
+    """The ``shapefield`` package of the tree at ``root``, imported as ``name``."""
+    pkg = root / "src" / "shapefield"
+    if not (pkg / "__init__.py").is_file():
+        raise SystemExit(f"no src/shapefield under {root}")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def source_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted((root / "src" / "shapefield").glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+class Case:
+    """One tree's world, neighbour list and field at one body count."""
+
+    def __init__(self, pkg, nb: int, ni: int):
+        self.sim = sim = pkg.sim
+        self.config = sim.SimConfig(n_boundary=nb, n_interior=ni, seed=SEED)
+        self.world = sim.build_world(self.config)
+        self.cache = sim._PairCache(self.world)
+        ring = float(np.linalg.norm(self.world.pos[0]))
+        self.driver = sim.as_field_driver(pkg.Circle((0.15, 0.0), ring))
+
+    def call(self, layer: str):
+        sim, cfg = self.sim, self.config
+        if layer == "build_world":
+            return sim.build_world(cfg)
+        if layer == "pair_cache":
+            return sim._PairCache(self.world)
+        return sim.step(self.world, cfg, self.driver, cfg.dt, self.cache)
+
+    def outputs(self) -> list[bytes]:
+        world, cache = self.call("build_world"), self.call("pair_cache")
+        stepped = self.call("step")
+        arrays = (world.pos, world.radius, cache.i, cache.j, cache.rsum, stepped.pos, stepped.vel)
+        return [a.tobytes() for a in arrays] + [repr(cache.clear2).encode()]
+
+
+def time_block(case: Case, layer: str, calls: int) -> list[float]:
+    times = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(calls):
+            t0 = time.perf_counter_ns()
+            case.call(layer)
+            times.append((time.perf_counter_ns() - t0) / 1e3)
+    finally:
+        gc.enable()
+    return times
+
+
+def summary(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median": round(median, 2), "q1": round(q1, 2), "q3": round(q3, 2), "calls": len(times)}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--baseline", type=Path, help="second checkout root to time against")
+    ap.add_argument(
+        "--quick", action="store_true", help="2 blocks of 3 calls, not 20 of 25: a smoke run"
+    )
+    args = ap.parse_args(argv)
+    blocks, calls = (2, 3) if args.quick else (20, 25)
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+    trees = {"change": ROOT}
+    if args.baseline is not None:
+        trees["baseline"] = args.baseline.resolve()
+    pkgs = {tag: load_package(root, f"_scaling_{tag}") for tag, root in trees.items()}
+
+    rows = []
+    for nb, ni in SIZES:
+        cases = {tag: Case(pkg, nb, ni) for tag, pkg in pkgs.items()}
+        for case in cases.values():  # warm-up: memos filled, code paths run once
+            for layer in LAYERS:
+                case.call(layer)
+        times = {tag: {layer: [] for layer in LAYERS} for tag in cases}
+        order = list(cases)
+        for block in range(blocks):
+            for tag in order if block % 2 == 0 else order[::-1]:
+                for layer in LAYERS:
+                    times[tag][layer] += time_block(cases[tag], layer, calls)
+        change = cases["change"]
+        hits = change.cache.hits(change.world)[0].size
+        if "baseline" in cases:
+            bits_equal = change.outputs() == cases["baseline"].outputs()
+        for layer in LAYERS:
+            row = {
+                "bodies": nb + ni,
+                "layer": layer,
+                "unit": "us",
+                "listed_pairs": int(change.cache.i.size),
+                "certificate_held": bool(change.cache.clear2 > 0.0),
+                "overlapping_pairs": int(hits),
+            }
+            for tag in cases:
+                row[tag] = summary(times[tag][layer])
+            if "baseline" in cases:
+                row["baseline_over_change"] = round(
+                    row["baseline"]["median"] / row["change"]["median"], 3
+                )
+                row["bits_equal"] = bits_equal
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+
+    result = {
+        "script": "scripts/contact_scaling.py",
+        "seed": SEED,
+        "blocks": blocks,
+        "calls_per_block": calls,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "pinned_cpu": cpu,
+        },
+        "trees": {tag: source_digest(root) for tag, root in trees.items()},
+        "rows": rows,
+    }
+    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    if "baseline" in trees and not all(row["bits_equal"] for row in rows):
+        print("outputs differ between the trees", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

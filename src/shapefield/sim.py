@@ -11,13 +11,20 @@ bit-reproducible from its configuration and seed alone.
 
 Contacts are found through a Verlet neighbour list built from a uniform
 cell list, in which each body reads only the forward half of its 3 x 3
-cell neighbourhood, so each nearby pair is a candidate once.  The list
-holds the pairs within a small skin of touching, is reused while no body
-has moved more than half the skin, and each step tests only the listed
-pairs, by direct coordinate differences.  Each build also records the
-smallest gap between listed bodies, less a rounding margin: while no body
-has moved half that far, no listed pair can touch, and a step skips the
-narrow phase.  Contact memory is O(n + listed pairs).
+cell neighbourhood, so each nearby pair is a candidate once.  The broad
+phase tests its candidates on copies of the coordinates and radii gathered
+once into cell order, and hands back the listed pairs' squared distances
+and radius sums, from which the list forms its contact sums without a
+second gather.  The list holds the pairs within a small skin of touching,
+is reused while no body has moved more than half the skin, and each step
+tests only the listed pairs, by direct coordinate differences.  Each build
+also records the smallest gap between listed bodies, less a rounding
+margin: while no body has moved half that far, no listed pair can touch,
+and a step skips the narrow phase.  Contact memory is O(n + listed pairs).
+
+The 2-D grain packing's hex lattice sites depend only on the grain count
+and radii, so a small cache keeps them; each world draws only its seeded
+jitter.
 
 The 3-D mode drives independent point agents (no membrane, no grains,
 no contacts) with the same control law, which is how the cube-forming demo
@@ -28,6 +35,7 @@ Units are SI throughout: meters, kilograms, seconds, newtons.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import warnings
@@ -203,9 +211,10 @@ class Disturbance:
     ``impulse`` (N s) is applied to each target body at each time in
     ``times`` that lies in [t0, t1]; :func:`run` leaves the other times
     out of its schedule, so they never fire.  The window, the times, the
-    targets and the impulse are checked here; :func:`run` checks the
-    target range and the impulse length against its world before the
-    first step.
+    targets and the impulse are checked here.  Targets must be distinct:
+    a pulse gives each listed body one impulse, and listing a body twice
+    would not give it two.  :func:`run` checks the target range and the
+    impulse length against its world before the first step.
     """
 
     impulse: tuple[float, ...]
@@ -224,6 +233,14 @@ class Disturbance:
             raise ValueError(f"disturbance window must have t0 < t1, got ({self.t0}, {self.t1})")
         if len(self.targets) == 0:
             raise ValueError("disturbance target set is empty")
+        seen = set()
+        for target in self.targets:
+            if target in seen:
+                raise ValueError(
+                    f"disturbance target {target} is repeated in {self.targets}; "
+                    f"each target takes the impulse once per pulse"
+                )
+            seen.add(target)
         if not all(map(math.isfinite, self.impulse)):
             raise ValueError(f"disturbance impulse must be finite, got {self.impulse}")
 
@@ -286,10 +303,12 @@ def as_field_driver(program) -> FieldDriver:
 # World construction
 # ---------------------------------------------------------------------------
 
-def _hex_packing(config: SimConfig, rng: np.random.Generator):
-    """Jittered hex lattice of grains, radii alternating for an equal mixture."""
-    n = config.n_interior
-    r_small, r_large = sorted(config.grain_radii)
+@functools.lru_cache(maxsize=8)
+def _hex_sites(n: int, r_small: float, r_large: float):
+    """The n hex lattice sites nearest the centre, their radii alternating
+    for an equal mixture, and the clearance each grain has to its site's
+    neighbours.  Only the jitter depends on the seed, so the sites are
+    memoized; the arrays are read-only, since every caller shares them."""
     pitch = 2.0 * r_large * (1.0 + _GRAIN_SPACING_MARGIN)
     # lattice sized generously from the target count
     est_radius = pitch * math.sqrt(n * math.sqrt(3.0) / (2.0 * math.pi)) + 3.0 * pitch
@@ -304,15 +323,23 @@ def _hex_packing(config: SimConfig, rng: np.random.Generator):
         raise PackingError(n, xs.size, "hex lattice too small")
     # nearest the centre first; a stable sort keeps ties in (row, column) order
     order = np.argsort(xs * xs + ys * ys, kind="stable")[:n]
-    pts = np.stack([xs.take(order), ys.take(order)], axis=1)
+    sites = np.stack([xs.take(order), ys.take(order)], axis=1)
     radii = np.where(np.arange(n) % 2 == 0, r_small, r_large)
-    clearance = 0.5 * (pitch - 2.0 * r_large)
+    sites.flags.writeable = radii.flags.writeable = False
+    return sites, radii, 0.5 * (pitch - 2.0 * r_large)
+
+
+def _hex_packing(config: SimConfig, rng: np.random.Generator):
+    """Jittered hex lattice of grains, radii alternating for an equal mixture."""
+    n = config.n_interior
+    # as floats: radii given as ints would share a float entry's key, not its dtype
+    sites, radii, clearance = _hex_sites(n, *sorted(map(float, config.grain_radii)))
     jitter = rng.uniform(
         -_GRAIN_JITTER_FRACTION * clearance,
         _GRAIN_JITTER_FRACTION * clearance,
         size=(n, 2),
     )
-    pts = pts + jitter
+    pts = sites + jitter
     if config.max_packing_radius is not None:
         extent = np.linalg.norm(pts, axis=1) + radii
         inside = int(np.sum(extent <= config.max_packing_radius))
@@ -437,24 +464,31 @@ def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np
 
 
 def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
-    """Pairs i < j with |p_i - p_j| < r_i + r_j + skin, sorted by (i, j).
+    """Pairs i < j with |p_i - p_j| < r_i + r_j + skin, sorted by (i, j):
+    (i, j, |p_i - p_j|^2, r_i + r_j).
 
     Broad phase on a uniform cell list over (n, 2) positions: cells are at
     least as wide as the largest cutoff, so a near pair sits in the same or
-    an adjacent cell.  Bodies are sorted by row-major cell key; each reads a
-    half stencil as two runs of that order, found by binary search: the
+    an adjacent cell.  Bodies are sorted by row-major cell key, and their
+    coordinates and radii are copied once into that order.  Each body reads
+    a half stencil as two runs of the copies, found by binary search: the
     members after it in its own cell plus the next cell of its row, and the
     three cells of the next row around its column.  So each candidate pair
-    comes up once, kept by direct coordinate differences.  A world too wide
-    for ``_MAX_CELLS_PER_AXIS`` cells per axis gets wider cells, which only
-    adds candidates.  Bodies with non-finite coordinates touch nothing.
+    comes up once, and is tested on nearly contiguous reads of the copies by
+    direct coordinate differences, squared as dx dx + dy dy.  The listed
+    pairs keep those squared distances and radius sums, which have the bits
+    of the same sums taken in (i, j) order.  A world too wide for
+    ``_MAX_CELLS_PER_AXIS`` cells per axis gets wider cells, which only adds
+    candidates; the runs come from binary search, not from a table over the
+    cells, so such a world costs no more memory.  Bodies with non-finite
+    coordinates touch nothing.
     """
     none = np.zeros(0, dtype=np.intp)
     x, y = pos.T
     body = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
     cutoff = 2.0 * float(radius.take(body).max(initial=-np.inf)) + skin
     if body.size < 2 or not cutoff > 0.0:
-        return none, none
+        return none, none, np.zeros(0), np.zeros(0)
     bx, by = x.take(body), y.take(body)
     # halves keep the span finite for any finite coordinates
     lo_x, lo_y = 0.5 * bx.min(), 0.5 * by.min()
@@ -469,22 +503,37 @@ def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
     key = row * width + col
     order = np.argsort(key)  # any order within a cell: the pairs are sorted last
     key, body = key.take(order), body.take(order)
-    # a body's runs: from just after it to the first of key + 2, and from the
+    # cell-ordered copies: the candidates of one run sit side by side
+    cx, cy, cr = bx.take(order), by.take(order), radius.take(body)
+    # a slot's runs: from just after it to the first of key + 2, and from the
     # first of key + width - 1 to that of key + width + 2 (the next row)
     ends = np.searchsorted(key, key + np.array([[2], [width - 1], [width + 2]]))
     first = np.concatenate([np.arange(1, body.size + 1), ends[1]])
     count = np.concatenate([ends[0], ends[2]]) - first
-    a = np.repeat(np.tile(body, 2), count)
-    run_start = np.cumsum(count) - count
-    b = body.take(np.arange(a.size) - np.repeat(run_start - first, count))
+    a = np.repeat(np.tile(np.arange(body.size), 2), count)
+    b = np.repeat(first - (np.cumsum(count) - count), count)
+    b += np.arange(b.size)
+    # dx dx + dy dy, then (r_a + r_b + skin)^2, in place with one scratch
+    # array: arrays as long as the candidate list are most of the memory
+    # here, and each fresh one costs the allocator new pages
     with np.errstate(over="ignore", invalid="ignore"):
-        dx, dy = x.take(a) - x.take(b), y.take(a) - y.take(b)
-        reach = radius.take(a) + radius.take(b) + skin
-        near = np.flatnonzero(dx * dx + dy * dy < reach * reach)
-    a, b = a.take(near), b.take(near)
+        d2, scratch = cx.take(a), cx.take(b)
+        d2 -= scratch
+        d2 *= d2
+        cy.take(a, out=scratch)
+        scratch -= cy.take(b)
+        scratch *= scratch
+        d2 += scratch
+        rsum = cr.take(a)
+        rsum += cr.take(b, out=scratch)
+        np.add(rsum, skin, out=scratch)
+        scratch *= scratch
+        near = np.flatnonzero(d2 < scratch)
+    a, b = body.take(a.take(near)), body.take(b.take(near))
     i, j = np.minimum(a, b), np.maximum(a, b)
     by_pair = np.argsort(i * pos.shape[0] + j)
-    return i.take(by_pair), j.take(by_pair)
+    near = near.take(by_pair)
+    return i.take(by_pair), j.take(by_pair), d2.take(near), rsum.take(near)
 
 
 class _PairCache:
@@ -519,12 +568,10 @@ class _PairCache:
         self.radius_of = world.radius
         self.radius = world.radius.copy()
         self.skin = CONTACT_SKIN_FRACTION * float(self.radius.min()) if world.n else 0.0
-        self.i, self.j = _near_pairs(self.pos, self.radius, self.skin)
-        self.rsum = self.radius[self.i] + self.radius[self.j]
+        self.i, self.j, d2, self.rsum = _near_pairs(self.pos, self.radius, self.skin)
         self.rsum2 = self.rsum * self.rsum
         # listed pairs are nearer than their cutoff, so nothing here overflows
-        dx, dy = (self.pos.take(self.i, axis=0) - self.pos.take(self.j, axis=0)).T
-        gap = np.sqrt(dx * dx + dy * dy) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
+        gap = np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
         room = float(gap.min(initial=np.inf))
         # squared half room; no room admits no move, not even a zero one
         self.clear2 = (0.5 * room) ** 2 if room > 0.0 else -1.0

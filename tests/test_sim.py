@@ -22,6 +22,7 @@ from shapefield.sim import (
     _GRAIN_SPACING_MARGIN,
     _PairCache,
     _hex_packing,
+    _hex_sites,
     _near_pairs,
     _scatter_pairs,
     as_field_driver,
@@ -84,16 +85,17 @@ def free_world(positions, velocities=None, mass=0.2, radius=0.03, springs=None, 
 def brute_force_hits(pos, radius, skin=0.0):
     """Pairs i < j with |p_i - p_j| < r_i + r_j + skin in row-major order,
     from direct differences; with no skin, the overlapping pairs.  Rows go
-    in blocks, so that n x n arrays never exist."""
+    in blocks, each against the columns from its first row on, so that
+    n x n arrays never exist."""
     rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, pos.shape[0], 256):
-            diff = pos[lo:lo + 256, None, :] - pos[None, :, :]
+            diff = pos[lo:lo + 256, None, :] - pos[None, lo:, :]
             d2 = np.einsum("ijk,ijk->ij", diff, diff)
-            reach = radius[lo:lo + 256, None] + radius[None, :] + skin
-            i, j = np.nonzero(np.triu(d2 < reach * reach, k=lo + 1))
+            reach = radius[lo:lo + 256, None] + radius[None, lo:] + skin
+            i, j = np.nonzero(np.triu(d2 < reach * reach, k=1))
             rows.append(i + lo)
-            cols.append(j)
+            cols.append(j + lo)
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -263,6 +265,56 @@ class TestBuildWorld:
         pts, _ = _hex_packing(cfg, NoJitter())
         want = hex_reference(n, max(cfg.grain_radii)) + np.zeros((n, 2))
         assert pts.tobytes() == want.tobytes()
+
+    def test_lattice_memo_cold_and_warm_runs_are_byte_identical(self):
+        # the swarm benchmark's 3000-body operation, first with an empty memo
+        cfg = SimConfig(n_boundary=120, n_interior=2880, seed=3, duration=0.02, target=(0.15, 0.0))
+        field = Circle((0.15, 0.0), 1.6)
+        _hex_sites.cache_clear()
+        with pytest.warns(RuntimeWarning, match="stability"):
+            cold = run(cfg, field)
+        assert _hex_sites.cache_info().misses == 1
+        with pytest.warns(RuntimeWarning, match="stability"):
+            warm = run(cfg, field)
+        assert _hex_sites.cache_info().hits == 1
+        for name in ("times", "positions", "com", "shape_error", "target_distance"):
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+
+    def test_memoized_lattice_is_read_only_and_equals_a_fresh_one(self):
+        r_small, r_large = SimConfig().grain_radii
+        entry = _hex_sites(180, r_small, r_large)
+        fresh = _hex_sites.__wrapped__(180, r_small, r_large)
+        sites, radii, clearance = entry
+        assert sites.tobytes() == fresh[0].tobytes() and radii.tobytes() == fresh[1].tobytes()
+        assert clearance == fresh[2]
+        with pytest.raises(ValueError, match="read-only"):
+            sites[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            radii[0] = 1.0
+        # a built world owns its arrays
+        w = build_world(SimConfig(seed=4))
+        w.pos[-1, 0] += 1.0
+        w.radius[-1] = 1.0
+        assert _hex_sites(180, r_small, r_large)[0].tobytes() == fresh[0].tobytes()
+
+    def test_configs_with_other_grain_radii_do_not_share_an_entry(self):
+        _hex_sites.cache_clear()
+        base = build_world(SimConfig(seed=2))
+        wider = build_world(SimConfig(seed=2, grain_radii=(0.0325, 0.05)))
+        smaller = build_world(SimConfig(seed=2, grain_radii=(0.02, 0.0325 * math.sqrt(2.0))))
+        assert _hex_sites.cache_info().currsize == 3
+        assert base.pos.tobytes() != wider.pos.tobytes()
+        assert not np.array_equal(base.radius, smaller.radius)
+        # the sites and the jitter follow r_large only; the ring follows the radii
+        assert smaller.pos[30:].tobytes() == base.pos[30:].tobytes()
+        # the pair's order does not matter, nor whether it is given as ints
+        swapped = build_world(SimConfig(seed=2, grain_radii=tuple(reversed(SimConfig().grain_radii))))
+        assert _hex_sites.cache_info().currsize == 3
+        assert swapped.pos.tobytes() == base.pos.tobytes()
+        ints = build_world(SimConfig(n_interior=40, grain_radii=(1, 2)))
+        floats = build_world(SimConfig(n_interior=40, grain_radii=(1.0, 2.0)))
+        assert ints.radius.tobytes() == floats.radius.tobytes()
+        assert ints.pos.tobytes() == floats.pos.tobytes()
 
     def test_3d_point_agents(self):
         w = build_world(SimConfig(dimension=3, n_boundary=162, n_interior=0))
@@ -473,6 +525,32 @@ class TestNeighbourList:
             pos[5:10] = [(1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7e308, -1.7e308),
                          (np.nan, 0.0), (np.inf, 0.0)]
         assert assert_list_is_brute_force(pos, radius) > 0
+
+    @pytest.mark.parametrize(
+        "n_boundary, n_interior, seed",
+        [
+            (nb, ni, seed)
+            for nb, ni in ((30, 180), (60, 940), (120, 2880), (200, 5800))
+            for seed in (1, 2, 3)
+        ]
+        # swarm_3000 seed 1000 overlaps as built, so its certificate never holds
+        + [(120, 2880, 1000)],
+    )
+    def test_list_equals_brute_force_on_built_worlds(self, n_boundary, n_interior, seed):
+        w = build_world(SimConfig(n_boundary=n_boundary, n_interior=n_interior, seed=seed))
+        assert assert_list_is_brute_force(w.pos, w.radius) > w.n // 2
+        cache = _PairCache(w)
+        assert_same_pairs(listed_hits(cache, w), brute_force_hits(w.pos, w.radius))
+        # the sums and the room the build recorded, recomputed from positions
+        i, j = cache.i, cache.j
+        rsum = w.radius[i] + w.radius[j]
+        assert cache.rsum.tobytes() == rsum.tobytes()
+        assert cache.rsum2.tobytes() == (rsum * rsum).tobytes()
+        dx, dy = (w.pos[i] - w.pos[j]).T
+        room = float(np.min(np.sqrt(dx * dx + dy * dy) - rsum * (1.0 + CONTACT_ROOM_MARGIN)))
+        assert cache.clear2 == ((0.5 * room) ** 2 if room > 0.0 else -1.0)
+        if seed == 1000:
+            assert cache.clear2 < 0.0 and listed_hits(cache, w)[0].size > 0
 
     @pytest.mark.filterwarnings("error")  # no overflow while building the grid
     def test_extreme_and_non_finite_coordinates(self, rng):
@@ -896,6 +974,15 @@ class TestDisturbance:
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             Disturbance((0.1, 0.0), 0.0, 1.0, (), (0.5,))
+
+    @pytest.mark.parametrize("targets, repeated", [((0, 0), 0), ((3, 1, 4, 1), 1), ((2, 5, 2, 5), 2)])
+    def test_repeated_target_rejected(self, targets, repeated):
+        # numpy's fancy-index += kicks a repeated body once, not once per
+        # listing, so a repeated target would silently lose impulse
+        with pytest.raises(ValueError, match=f"target {repeated} is repeated"):
+            Disturbance((0.02, 0.0), 0.0, 1.0, targets, (0.0,))
+        with pytest.raises(ValueError, match="repeated"):
+            Disturbance.evenly((0.02, 0.0), 0.0, 1.0, 3, targets)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="t0 < t1"):
