@@ -98,7 +98,7 @@ class Case:
             return sim.build_world(cfg)
         if layer == "pair_cache":
             return sim._PairCache(self.world)
-        return sim.step(self.world, cfg, self.driver, cfg.dt, self.cache)
+        return sim.step(self.world, cfg, self.driver, cache=self.cache)
 
     def outputs(self) -> list[bytes]:
         world, cache = self.call("build_world"), self.call("pair_cache")

@@ -32,12 +32,7 @@ from .gridio import (
     sample_grid,
 )
 from .lang import ParseError, SemanticError, format_number, parse
-from .sim import (
-    SimulationDivergenceError,
-    parse_sim_config,
-    run,
-    stability_dt_bound,
-)
+from .sim import _CONTROL_MODES, SimulationDivergenceError, parse_sim_config, run
 from .tolerances import GRAD_FD_STEP
 
 EXIT_OK = 0
@@ -108,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", required=True, type=Path, help="key=value sim config")
     s.add_argument("--out", required=True, type=Path, help="output directory")
     s.add_argument("--seed", type=int, default=None, help="override config seed")
-    s.add_argument("--mode", choices=("paper", "squared"), default=None)
+    s.add_argument("--mode", choices=_CONTROL_MODES, default=None)
     s.add_argument("--duration", type=float, default=None, help="seconds")
     s.add_argument("--dt", type=float, default=None, help="step (s)")
     s.add_argument("--alpha", type=float, default=None, help="thrust (N)")
@@ -234,15 +229,12 @@ def cmd_simulate(args) -> int:
     config = dataclasses.replace(
         config, **{key: value for key, value in overrides.items() if value is not None}
     )
-    if config.dt > stability_dt_bound(config):
-        print(
-            f"warning: dt={config.dt:g} exceeds the stability bound "
-            f"{stability_dt_bound(config):.3g}; attempting the run anyway",
-            file=sys.stderr,
-        )
     t0 = time.perf_counter()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        # each distinct warning of the run once, as it is raised: a fresh
+        # filter also forgets the warnings an earlier command printed
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         traj, world = run(config, program, return_world=True)
     wall = time.perf_counter() - t0
 

@@ -34,8 +34,8 @@ factor such as ``phi[:, None, :]`` broadcasts over d rows of n points,
 which numpy runs as d long inner loops, not n loops of length d.  The
 public entry points still return a fresh C-contiguous ``(n, d)`` gradient,
 transposed once at the root.  All balls are one group, as are all raw
-quadrics, all planes, the negations, the R-operations (with a per-row
-``s``) and the trims at one height; an equivalence is a group of its own.
+quadrics, all planes, the negations, the R-operations of one ``s`` and
+sign, and the trims at one height; an equivalence is a group of its own.
 A group's rows are ordered so that its readers gather them in few runs.
 Grouping same-kind nodes follows the tape compilation of Keeter 2020
 (SIGGRAPH).  A kernel performs the same floating-point operations on each
@@ -421,19 +421,15 @@ def _r_binary(v1, v2, s, sign, want_partials: bool):
         dr/dv2 = (1 + sign (v2 - s v1) / sqrt(rad)) / (1 + s),
 
     whose quotients are 0 where ``sqrt(rad)`` is 0, else ``(v, None, None)``.
-    Values are (k, n) stacks, ``s`` and ``sign`` scalars or (k, 1) columns,
-    and an operand may be a constant column.
+    Values are (k, n) stacks, ``s`` and ``sign`` floats, and an operand may
+    be a constant column.  A clamp warns once per call.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
-    # s is a Python float (the morph blend) or a plan's (k, 1) column; a
-    # float is tested without a numpy call
-    if np.count_nonzero(s > 1.0) if isinstance(s, np.ndarray) else s > 1.0:
-        clamped = (rad < 0.0) & (s > 1.0)
-        for s_bad in np.unique(np.broadcast_to(s, clamped.shape)[clamped]):
-            warnings.warn(
-                f"R-function radicand clamped to 0 (s = {float(s_bad)} > 1)",
-                RuntimeWarning, stacklevel=_caller_stacklevel(),
-            )
+    if s > 1.0 and np.count_nonzero(rad < 0.0):
+        warnings.warn(
+            f"R-function radicand clamped to 0 (s = {s} > 1)",
+            RuntimeWarning, stacklevel=_caller_stacklevel(),
+        )
     root = np.sqrt(np.maximum(rad, 0.0))
     den = 1.0 + s
     v = (v1 + v2 + sign * root) / den
@@ -674,14 +670,9 @@ def _equiv_step(pts, ops, m, want_grad):
     return v[None], (g[None] if want_grad else None)
 
 
-def _per_row(xs):
-    """Per-row constants as a (k, 1) column."""
-    return np.array(xs, dtype=float)[:, None]
-
-
 def _ball_consts(params):
     centers = np.array([c for c, _ in params])[:, :, None]
-    radii = _per_row([r for _, r in params])
+    radii = np.array([r for _, r in params], dtype=float)[:, None]
     return centers, radii * radii, 2.0 * radii, -radii[:, :, None]
 
 
@@ -693,10 +684,7 @@ _STEPS = {
         np.array([n for _, n in params])[:, :, None],
     )),
     "neg": (_neg_step, lambda params: None),
-    "rbin": (_rbin_step, lambda params: (
-        _per_row([s for s, _ in params]),
-        _per_row([sign for _, sign in params]),
-    )),
+    "rbin": (_rbin_step, lambda params: params[0]),  # one (s, sign) per group
     "trim": (_trim_step, lambda params: None),
     "equiv": (_equiv_step, lambda params: params[0][0]),
 }
@@ -731,10 +719,11 @@ class _Plan:
 
     Equal subtrees are evaluated once (hash-consing on kind, exact
     parameters and operands), a ``Segment`` is its ``Trim`` tree, and the
-    nodes of one kind at one height form one step.  An equivalence is a
-    step of its own.  Calling the plan returns the roots' values as an
-    (r, n) stack and their gradients as an (r, d, n) stack (None without
-    ``want_grad``), freshly allocated on every call.
+    nodes of one kind at one height form one step, R-operations one per
+    ``(s, sign)``.  An equivalence is a step of its own.  Calling the plan
+    returns the roots' values as an (r, n) stack and their gradients as an
+    (r, d, n) stack (None without ``want_grad``), freshly allocated on
+    every call.
 
     A step's rows are ordered for its readers.  Going down from the roots,
     a group sorts its nodes by the steps their operands come from, and a
@@ -765,8 +754,10 @@ class _Plan:
 
         root_ids = [visit(r) for r in roots]
         groups: dict[tuple, list[int]] = {}
-        for i, (kind, _, _, height) in enumerate(nodes):
-            groups.setdefault((height, kind, i if kind == "equiv" else -1), []).append(i)
+        for i, (kind, params, _, height) in enumerate(nodes):
+            # an R-operation group shares its (s, sign), keyed as the nodes are
+            extra = i if kind == "equiv" else repr(params) if kind == "rbin" else ""
+            groups.setdefault((height, kind, extra), []).append(i)
         keys = sorted(groups)
         step_of = {i: k for k, key in enumerate(keys) for i in groups[key]}
         # row order, from the roots down: a consumer is always higher than
@@ -780,8 +771,7 @@ class _Plan:
         use(root_ids)
         for key in reversed(keys):
             members = groups[key]
-            if key[1] != "equiv":  # an equivalence sums its pieces in order
-                members.sort(key=lambda i: ([step_of[o] for o in nodes[i][2]], first_use[i]))
+            members.sort(key=lambda i: ([step_of[o] for o in nodes[i][2]], first_use[i]))
             for p in range(len(nodes[members[0]][2])):
                 use([nodes[i][2][p] for i in members])
 

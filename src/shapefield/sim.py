@@ -86,6 +86,7 @@ _RING_PACK_FACTOR = 1.25       # min robot spacing, in robot diameters
 _CELL_MARGIN = 1e-6            # relative cell padding: rounding in a cell index
                                # never puts a near pair two cells apart
 _MAX_CELLS_PER_AXIS = 1 << 20  # wider worlds get wider cells; keeps int64 keys small
+_CONTROL_MODES = ("squared", "paper")  # the laws control_forces applies
 
 
 class PackingError(RuntimeError):
@@ -137,7 +138,7 @@ class SimConfig:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
-        if self.control_mode not in ("squared", "paper"):
+        if self.control_mode not in _CONTROL_MODES:
             raise ValueError(f"unknown control mode {self.control_mode!r}")
         for name in (
             "robot_radius",
@@ -661,27 +662,22 @@ def contact_forces(
     return _scatter_pairs(pair, i, j, world.n)
 
 
-def control_forces(
-    world: WorldState,
-    driver: FieldDriver | None,
-    alpha: float,
-    mode: str,
-    prev: np.ndarray | None = None,
-):
+def control_forces(world: WorldState, config: SimConfig, driver: FieldDriver | None):
     """Gradient control on the boundary robots: their (nb, d) control rows.
 
+    The law is ``config.control_mode`` with thrust ``config.alpha``:
     ``paper`` mode is the literal law -alpha grad(phi); ``squared`` mode is
     -alpha phi grad(phi), the descent direction of phi^2/2, which attracts
-    to the zero set from both sides.  Grains get no control, so they have
-    no rows; a robot's row is the force on ``world.pos[i]``, i < nb.
-    If a morph blend is degenerate at some robot, that robot reuses its
-    previous control ``prev``, or gets zero without one (logged).
+    to the zero set from both sides.  The field is read at ``world.time``.
+    Grains get no control, so they have no rows; a robot's row is the force
+    on ``world.pos[i]``, i < nb.  If a morph blend is degenerate at some
+    robot, that robot reuses its row of ``world.last_control``, or gets
+    zero without one (logged).
     """
     nb = world.boundary_count
+    alpha = config.alpha
     if driver is None or alpha == 0.0 or nb == 0:
         return np.zeros((nb, world.dimension))
-    if mode not in ("squared", "paper"):
-        raise ValueError(f"unknown control mode {mode!r}")
     q = world.pos[:nb]
     bad = None
     try:
@@ -692,8 +688,9 @@ def control_forces(
         g = np.zeros((nb, world.dimension))
         if not np.all(bad):
             v[~bad], g[~bad] = driver.values_grads(q[~bad], world.time)
-    u = -alpha * v[:, None] * g if mode == "squared" else -alpha * g
+    u = -alpha * v[:, None] * g if config.control_mode == "squared" else -alpha * g
     if bad is not None:
+        prev = world.last_control
         u[bad] = 0.0 if prev is None else prev[bad]
         log.warning(
             "degenerate morph blend at t=%.6f for robots %s; reusing previous control",
@@ -718,21 +715,19 @@ def step(
     world: WorldState,
     config: SimConfig,
     driver: FieldDriver | None = None,
-    dt: float | None = None,
     cache: _PairCache | None = None,
 ) -> WorldState:
-    """One semi-implicit Euler step (v then x), fixed body order.
+    """One semi-implicit Euler step (v then x) of ``config.dt``, fixed body order.
 
-    Total force = springs + contacts + control - drag * v.  Raises
-    :class:`SimulationDivergenceError` naming the body and term if any
-    state goes non-finite.
+    Total force = springs + contacts + control - drag * v, the contacts
+    found through ``cache`` when given (see :func:`contact_forces`).
+    Raises :class:`SimulationDivergenceError` naming the body and term if
+    any state goes non-finite.
     """
-    dt = config.dt if dt is None else dt
+    dt = config.dt
     F = spring_forces(world)
     Fc = contact_forces(world, config, cache)
-    u = control_forces(
-        world, driver, config.alpha, config.control_mode, world.last_control
-    )
+    u = control_forces(world, config, driver)
     # summed in the fresh array spring_forces returns; the grains have no
     # control rows
     F += Fc
@@ -798,17 +793,20 @@ def _pulse_kicks(world: WorldState, disturbances, dt: float) -> dict:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def shape_error(world: WorldState, field, t: float | None = None) -> float:
-    """Mean |phi| over the boundary robots (m); zero when all sit on the zero set."""
-    driver = as_field_driver(field)
-    t = world.time if t is None else t
-    v = driver.values(world.pos[: world.boundary_count], t)
+def shape_error(world: WorldState, field) -> float:
+    """Mean |phi| over the boundary robots at ``world.time`` (m); zero when
+    all sit on the zero set."""
+    v = as_field_driver(field).values(world.pos[: world.boundary_count], world.time)
     return float(np.mean(np.abs(v)))
+
+
+def _center_of_mass(mass: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    return (mass[:, None] * pos).sum(axis=0) / mass.sum()
 
 
 def com_distance(world: WorldState, target) -> float:
     """Distance from the mass-weighted center of all bodies to ``target``."""
-    com = (world.mass[:, None] * world.pos).sum(axis=0) / world.mass.sum()
+    com = _center_of_mass(world.mass, world.pos)
     return float(np.linalg.norm(com - np.asarray(target, dtype=float)))
 
 
@@ -837,10 +835,11 @@ def run(
     world = build_world(config)
     kicks = _pulse_kicks(world, disturbances, config.dt)
     cache = _PairCache(world) if config.dimension == 2 else None
-    if config.dt > stability_dt_bound(config):
+    bound = stability_dt_bound(config)
+    if config.dt > bound:
         warnings.warn(
             f"dt={config.dt} exceeds the documented stability bound "
-            f"{stability_dt_bound(config):.2e}; contacts may ring",
+            f"{bound:.2e}; contacts may ring",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -863,16 +862,11 @@ def run(
             vel = world.vel.copy()
             vel[targets] += dv
             world = replace(world, vel=vel)
-        world = step(world, config, driver, config.dt, cache)
+        world = step(world, config, driver, cache)
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(world)
 
-    com = np.array(
-        [
-            (world.mass[:, None] * p).sum(axis=0) / world.mass.sum()
-            for p in positions
-        ]
-    )
+    com = np.array([_center_of_mass(world.mass, p) for p in positions])
     if config.target is None:
         dists = [math.nan] * len(times)
     else:
@@ -904,7 +898,8 @@ _STR_KEYS = {"control_mode"}
 def parse_sim_config(text: str) -> SimConfig:
     """Parse a flat ``key = value`` config file into a :class:`SimConfig`.
 
-    Unknown keys are rejected.  Tuples use commas: ``target = 0.15, 0.0``.
+    Unknown and repeated keys are rejected, as are values of the wrong
+    type, each naming its line.  Tuples use commas: ``target = 0.15, 0.0``.
     """
     valid = set(SimConfig.__dataclass_fields__)
     overrides: dict = {}
@@ -919,14 +914,19 @@ def parse_sim_config(text: str) -> SimConfig:
         value = value.strip()
         if key not in valid:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _STR_KEYS:
-            overrides[key] = value
-        elif key in _TUPLE_KEYS:
-            overrides[key] = tuple(float(v) for v in value.split(","))
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
-        elif key == "max_packing_radius":
-            overrides[key] = None if value.lower() == "none" else float(value)
-        else:
-            overrides[key] = float(value)
+        if key in overrides:
+            raise ValueError(f"config line {lineno}: key {key!r} is repeated")
+        try:
+            if key in _STR_KEYS:
+                overrides[key] = value
+            elif key in _TUPLE_KEYS:
+                overrides[key] = tuple(float(v) for v in value.split(","))
+            elif key in _INT_KEYS:
+                overrides[key] = int(value)
+            elif key == "max_packing_radius":
+                overrides[key] = None if value.lower() == "none" else float(value)
+            else:
+                overrides[key] = float(value)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: bad {key}: {err}") from None
     return SimConfig(**overrides)

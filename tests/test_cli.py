@@ -219,6 +219,49 @@ class TestSimulateCommand:
         assert code == 0
         assert "stability bound" not in capsys.readouterr().err
 
+    def test_radicand_clamp_warning_reaches_stderr(self, tmp_path, capsys):
+        # a morph blend with s > 1 clamps its radicand where the two fields
+        # have like signs, as they do outside both circles, on the reference
+        # ring; the shape language rejects s > 1 in a field definition, so a
+        # morph is what reaches the clamp from the command
+        shape = tmp_path / "clamp.shape"
+        shape.write_text(
+            "a = circle(c=(0, 0), r=0.5);\nb = circle(c=(0.1, 0), r=0.5);\n"
+            "morph(initial=a, final=b, p=0.5, s=3);\n"
+        )
+        code = main(
+            ["simulate", "--shape", str(shape), "--config", data_path("configs/formation_2d.cfg"),
+             "--out", str(tmp_path / "o"), "--duration", "0.02"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines.count("warning: R-function radicand clamped to 0 (s = 3.0 > 1)") == 1
+
+    def test_each_command_prints_the_stability_warning_once(self, tmp_path, capsys):
+        # the benchmark counts these lines per in-process command
+        for k in range(2):
+            code = main(
+                ["simulate", "--shape", data_path("shapes/wrench_morph.shape"),
+                 "--config", data_path("configs/formation_2d.cfg"),
+                 "--out", str(tmp_path / f"o{k}"), "--duration", "0.02"]
+            )
+            assert code == 0
+            err = capsys.readouterr().err
+            assert err.count("stability bound") == 1, err
+            assert err.startswith("warning: dt=0.001 exceeds the documented stability bound")
+
+    def test_repeated_config_key_exits_2_naming_the_line(self, circle_shape, quick_config,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(quick_config.read_text() + "seed = 6\n")
+        code = main(
+            ["simulate", "--shape", str(circle_shape), "--config", str(cfg),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "config line 7: key 'seed' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_config_exits_2(self, circle_shape, quick_config, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gravity = 9.81\n")

@@ -1002,10 +1002,10 @@ class TestCompiledPlan:
                 gradient(expr, np.zeros((3, 2)))
 
     def test_s_above_one_warns_from_a_stacked_group(self):
-        # two conjunctions at one height run as one step.  At s = 1 the
-        # radicand of two nearly equal circles rounds below 0 and is clamped
-        # without a warning; only the s = 3 row warns, and the warning names it
-        # and is attributed to the caller, not to the evaluation frames
+        # two conjunctions at one height, each in the step of its own s.  At
+        # s = 1 the radicand of two nearly equal circles rounds below 0 and is
+        # clamped without a warning; only the s = 3 node warns, and the warning
+        # names it and is attributed to the caller, not to the evaluation frames
         c1, c2, c3 = Circle((0.0, 0.0), 1.0), Circle((1e-9, 0.0), 1.0), Circle((0.5, 0.0), 1.0)
         expr = Disjunction(Conjunction(c1, c2, s=1.0), Conjunction(c1, c3, s=3.0))
         pts = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 2))

@@ -635,8 +635,8 @@ class TestNeighbourList:
                 w = dataclasses.replace(w, vel=vel)
                 fresh = dataclasses.replace(fresh, vel=vel.copy())
             hits += listed_hits(cache, w)[0].size
-            w = step(w, cfg, drv, cfg.dt, cache)
-            fresh = step(fresh, cfg, drv, cfg.dt, None)
+            w = step(w, cfg, drv, cache)
+            fresh = step(fresh, cfg, drv, None)
             assert w.pos.tobytes() == fresh.pos.tobytes()
             assert w.vel.tobytes() == fresh.vel.tobytes()
         assert hits > 0 and cache.builds > 2
@@ -646,20 +646,20 @@ class TestControlForces:
     def test_zero_on_zero_set_in_squared_mode(self):
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.75, 0.0]])
-        u = control_forces(w, field, alpha=1.0, mode="squared")
+        u = control_forces(w, SimConfig(alpha=1.0, control_mode="squared"), field)
         assert np.allclose(u, 0.0, atol=1e-15)
 
     def test_zero_gradient_at_center_in_paper_mode(self):
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.0, 0.0]])
-        u = control_forces(w, field, alpha=1.0, mode="paper")
+        u = control_forces(w, SimConfig(alpha=1.0, control_mode="paper"), field)
         assert np.allclose(u, 0.0)
 
     def test_squared_mode_pushes_toward_boundary(self):
         # phi = 0.2083..., grad = (-2/3, 0): u = -phi*grad = (+0.1389, 0) N
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.5, 0.0]])
-        u = control_forces(w, field, alpha=1.0, mode="squared")
+        u = control_forces(w, SimConfig(alpha=1.0, control_mode="squared"), field)
         assert u[0, 0] == pytest.approx(0.1388888888888889, rel=1e-12)
         assert u[0, 1] == 0.0
 
@@ -670,7 +670,7 @@ class TestControlForces:
         w = build_world(cfg)
         assert w.n > w.boundary_count
         field = as_field_driver(Circle((0.0, 0.0), ring_radius_of(w)))
-        u = control_forces(w, field, alpha=1.0, mode="squared")
+        u = control_forces(w, SimConfig(alpha=1.0, control_mode="squared"), field)
         assert u.shape == (w.boundary_count, 2)
         with_control = step(w, small_config(alpha=1.0), field)
         without = step(w, small_config(alpha=0.0), field)
@@ -682,7 +682,7 @@ class TestControlForces:
         # inside-positive field
         field = as_field_driver(Circle((0.0, 0.0), 0.75))
         w = free_world([[0.5, 0.0]])
-        u = control_forces(w, field, alpha=1.0, mode="paper")
+        u = control_forces(w, SimConfig(alpha=1.0, control_mode="paper"), field)
         assert u[0, 0] > 0.0
 
     @pytest.mark.parametrize("mode", ["squared", "paper"])
@@ -698,12 +698,13 @@ class TestControlForces:
                 return circle.values_grads(q, t)
 
         w = free_world([[0.2, 0.1], [-0.2, 0.1], [0.1, -0.3], [-0.1, -0.2]])
-        want = control_forces(w, circle, alpha=1.5, mode=mode)
+        cfg = SimConfig(alpha=1.5, control_mode=mode)
+        want = control_forces(w, cfg, circle)
         prev = np.arange(8.0).reshape(4, 2)
         bad = w.pos[:, 0] > 0.0
         with caplog.at_level(logging.WARNING, logger="shapefield.sim"):
-            u = control_forces(w, HalfDegenerate(), 1.5, mode, prev)
-            u0 = control_forces(w, HalfDegenerate(), 1.5, mode)
+            u = control_forces(dataclasses.replace(w, last_control=prev), cfg, HalfDegenerate())
+            u0 = control_forces(w, cfg, HalfDegenerate())
         assert np.array_equal(u[~bad], want[~bad])
         assert np.array_equal(u[bad], prev[bad])
         assert np.array_equal(u0[~bad], want[~bad]) and np.all(u0[bad] == 0.0)
@@ -714,7 +715,7 @@ class TestStep:
     def test_no_force_no_motion(self):
         w = free_world([[0.3, -0.2]])
         cfg = SimConfig(drag=0.0)
-        w2 = step(w, cfg, None, dt=0.01)
+        w2 = step(w, dataclasses.replace(cfg, dt=0.01), None)
         assert np.array_equal(w2.pos, w.pos)
         assert np.array_equal(w2.vel, w.vel)
         assert w2.time == pytest.approx(0.01)
@@ -738,7 +739,7 @@ class TestStep:
         drv = ConstantPull()
         n = 1000
         for _ in range(n):
-            w = step(w, cfg, drv, cfg.dt)
+            w = step(w, cfg, drv)
         assert w.vel[0, 0] == n * (1.0 / 0.25) * cfg.dt
 
     @pytest.mark.parametrize("dimension", [2, 3])
@@ -756,7 +757,7 @@ class TestStep:
             w, vel=rng.uniform(-0.5, 0.5, w.vel.shape), mass=rng.uniform(0.01, 0.3, w.n)
         )
         F = spring_forces(w) + contact_forces(w, cfg)
-        F[: w.boundary_count] += control_forces(w, drv, cfg.alpha, cfg.control_mode)
+        F[: w.boundary_count] += control_forces(w, cfg, drv)
         F -= cfg.drag * w.vel
         assert np.count_nonzero(F) > w.n
         want = w.vel + F * (cfg.dt / w.mass[:, None])
@@ -786,7 +787,7 @@ class TestStep:
         worst = 0.0
         cache = _PairCache(w)
         for i in range(steps):
-            w = step(w, cfg, None, cfg.dt, cache)
+            w = step(w, cfg, None, cache)
             worst = max(worst, abs(energy(w) - e0) / e0)
         assert worst < 0.02
 
@@ -803,7 +804,7 @@ class TestStep:
         with warnings.catch_warnings(), pytest.raises(SimulationDivergenceError) as err:
             warnings.simplefilter("error", RuntimeWarning)
             for _ in range(2000):
-                w = step(w, cfg, None, cfg.dt, cache)
+                w = step(w, cfg, None, cache)
         assert "body 0 has a non-finite spring force" in str(err.value)
 
     def test_control_blow_up_is_reported(self):
@@ -828,7 +829,7 @@ class TestStep:
 
         cache = _PairCache(w)
         for _ in range(10_000):
-            w = step(w, cfg, None, cfg.dt, cache)
+            w = step(w, cfg, None, cache)
         p1 = (w.mass[:, None] * w.vel).sum(axis=0)
         assert np.max(np.abs(p1 - p0)) < 1e-9
 
@@ -848,7 +849,7 @@ class TestStep:
         cache = _PairCache(w)
         drv = as_field_driver(Circle((0.0, 0.0), 0.5))
         for _ in range(3):
-            w1 = step(w, cfg, drv, cfg.dt, cache)
+            w1 = step(w, cfg, drv, cache)
             updated = {"pos", "vel", "time", "last_control"}
             for field in dataclasses.fields(WorldState):
                 if field.name not in updated:
@@ -879,8 +880,8 @@ class TestTranslationInvariance:
         drv_a, drv_b = as_field_driver(field), as_field_driver(moved)
         hits = 0
         for _ in range(round(cfg.duration / cfg.dt)):
-            a = step(a, cfg, drv_a, cfg.dt, cache_a)
-            b = step(b, cfg, drv_b, cfg.dt, cache_b)
+            a = step(a, cfg, drv_a, cache_a)
+            b = step(b, cfg, drv_b, cache_b)
             hits += listed_hits(cache_a, a)[0].size
             assert np.max(np.abs((b.pos - self.SHIFT) - a.pos)) < self.TOL
             assert abs(shape_error(a, field) - shape_error(b, moved)) < self.TOL
@@ -917,8 +918,8 @@ class TestRotationInvariance:
         drv = as_field_driver(field)
         hits = 0
         for _ in range(round(cfg.duration / cfg.dt)):
-            a = step(a, cfg, drv, cfg.dt, cache_a)
-            b = step(b, cfg, drv, cfg.dt, cache_b)
+            a = step(a, cfg, drv, cache_a)
+            b = step(b, cfg, drv, cache_b)
             hits += listed_hits(cache_a, a)[0].size
             assert np.array_equal(self.turn_back(b.pos), a.pos)
             assert np.array_equal(self.turn_back(b.vel), a.vel)
@@ -941,9 +942,9 @@ def velocities_before_each_step(monkeypatch, cfg, disturbances):
     only advances the clock, so that what changes them is a pulse's kick."""
     seen = []
 
-    def clock_only(world, config, driver, dt, cache):
+    def clock_only(world, config, driver, cache):
         seen.append(world.vel.copy())
-        return dataclasses.replace(world, time=world.time + dt)
+        return dataclasses.replace(world, time=world.time + config.dt)
 
     monkeypatch.setattr("shapefield.sim.step", clock_only)
     run(cfg, Circle((0.0, 0.0), 0.3), disturbances=disturbances)
@@ -1165,7 +1166,7 @@ class TestRun:
         drv = as_field_driver(field)
         vals = []
         for i in range(4000):
-            w = step(w, cfg, drv, cfg.dt)
+            w = step(w, cfg, drv)
             if i % 100 == 0:
                 vals.append(field.eval(w.pos[0]) ** 2)
         vals = np.asarray(vals[5:])  # skip the initial transient
@@ -1215,6 +1216,19 @@ class TestConfigFile:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_sim_config("just words")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match=r"^config line 3: key 'seed' is repeated$"):
+            parse_sim_config("seed = 1\n# a comment\nseed = 2\n")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dimension", "3.0"), ("drag", "fast"), ("target", "0, zero"),
+         ("max_packing_radius", "wide")],
+    )
+    def test_bad_value_names_its_line(self, key, value):
+        with pytest.raises(ValueError, match=rf"^config line 2: bad {key}: "):
+            parse_sim_config(f"seed = 1\n{key} = {value}\n")
 
     @pytest.mark.parametrize(
         "override",
