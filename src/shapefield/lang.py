@@ -72,6 +72,12 @@ __all__ = [
 ]
 
 
+# the validate() findings that leave a definition without a field; s > 1 is
+# only outside the well-behaved range, and clamps its radicand at run time
+# with a warning, as a morph's s > 1 does
+_REFUSED_DIAGNOSTICS = frozenset({"dimension-mismatch", "degenerate-segment"})
+
+
 class ShapeLangError(Exception):
     """Base for shape-language errors; carries a 1-based source position."""
 
@@ -337,9 +343,9 @@ class _Parser:
             src = self._expr(resolved)
             self.expect("semi", "';'")
             expr = self._compile(src, resolved)
-            diags = validate(expr)
-            if diags:
-                raise SemanticError(name_tok.line, name_tok.col, str(diags[0]))
+            refused = [d for d in validate(expr) if d.code in _REFUSED_DIAGNOSTICS]
+            if refused:
+                raise SemanticError(name_tok.line, name_tok.col, str(refused[0]))
             order.append(name)
             defs_src[name] = src
             resolved[name] = expr
@@ -486,8 +492,10 @@ def parse(source: str) -> ShapeProgram:
     """Parse and validate shape-language source text.
 
     Raises :class:`ParseError` for lexical/syntactic problems and
-    :class:`SemanticError` for unknown names, bad parameter ranges, or
-    dimension mismatches; both carry 1-based (line, col) positions.
+    :class:`SemanticError` for unknown names, bad parameter ranges,
+    dimension mismatches, or degenerate segments; both carry 1-based
+    (line, col) positions.  An R-operation with s > 1 parses: where its
+    radicand goes negative it is clamped to 0, with a warning.
     """
     return _Parser(source).parse()
 

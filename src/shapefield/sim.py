@@ -11,16 +11,26 @@ bit-reproducible from its configuration and seed alone.
 
 Contacts are found through a Verlet neighbour list built from a uniform
 cell list, in which each body reads only the forward half of its 3 x 3
-cell neighbourhood, so each nearby pair is a candidate once.  The broad
-phase tests its candidates on copies of the coordinates and radii gathered
-once into cell order, and hands back the listed pairs' squared distances
-and radius sums, from which the list forms its contact sums without a
-second gather.  The list holds the pairs within a small skin of touching,
-is reused while no body has moved more than half the skin, and each step
+cell neighbourhood, so each nearby pair is a candidate once.  Bodies are
+sorted by cell, and each cell's first slot is read from a dense cell-start
+table, one ``bincount`` and ``cumsum`` over the sorted keys, whenever the
+table holds at most ``_DENSE_CELLS_PER_BODY`` cells per body, as every
+built world does; a wide or sparse world, such as one with a body far
+from the rest, binary-searches its sorted keys instead.  The broad phase
+tests its candidates on copies of the coordinates and radii gathered once
+into cell order, and hands back the listed pairs' squared distances and
+radius sums, from which the list forms its contact sums without a second
+gather.  The list holds the pairs within a small skin of touching, is
+reused while no body has moved more than half the skin, and each step
 tests only the listed pairs, by direct coordinate differences.  Each build
 also records the smallest gap between listed bodies, less a rounding
 margin: while no body has moved half that far, no listed pair can touch,
 and a step skips the narrow phase.  Contact memory is O(n + listed pairs).
+
+The same object keeps what a run's steps share and never change: dt / m as
+an (n, d) array and the spring ring's scatter bins.  A step without one
+builds the same arrays for itself, so both give the same bits.  A run's
+centres of mass are summed in one pass over its stacked samples.
 
 The 2-D grain packing's hex lattice sites depend only on the grain count
 and radii, so a small cache keeps them; each world draws only its seeded
@@ -86,6 +96,8 @@ _RING_PACK_FACTOR = 1.25       # min robot spacing, in robot diameters
 _CELL_MARGIN = 1e-6            # relative cell padding: rounding in a cell index
                                # never puts a near pair two cells apart
 _MAX_CELLS_PER_AXIS = 1 << 20  # wider worlds get wider cells; keeps int64 keys small
+_DENSE_CELLS_PER_BODY = 4      # a cell-start table at most this long per body; built
+                               # worlds need 1.06-1.35, sparser ones binary-search
 _CONTROL_MODES = ("squared", "paper")  # the laws control_forces applies
 
 
@@ -426,8 +438,12 @@ def ring_radius_of(world: WorldState) -> float:
 # Forces
 # ---------------------------------------------------------------------------
 
-def spring_forces(world: WorldState) -> np.ndarray:
-    """Linear spring forces: k (|d| - rest) along the link, equal/opposite."""
+def spring_forces(world: WorldState, cache: _PairCache | None = None) -> np.ndarray:
+    """Linear spring forces: k (|d| - rest) along the link, equal/opposite.
+
+    The scatter bins of the links come from ``cache``, which keeps them for
+    a run; without one they are built for this call.
+    """
     if world.spring_i.size == 0:
         return np.zeros(world.pos.shape)
     dvec = world.pos.take(world.spring_j, axis=0) - world.pos.take(world.spring_i, axis=0)
@@ -444,24 +460,39 @@ def spring_forces(world: WorldState) -> np.ndarray:
             )
             fmag = np.where(ok, world.spring_k * (dist - world.spring_rest), 0.0)
             scale = fmag / np.where(ok, dist, 1.0)
-    return _scatter_pairs(dvec.T * scale, world.spring_i, world.spring_j, world.n)
+    bins = _spring_bins(world) if cache is None else cache.spring_bins(world)
+    return _scatter_pairs(dvec.T * scale, bins, world.n)
 
 
 _AXIS_COLUMN = np.arange(3)[:, None]  # axis offsets of the scatter's bins
 
 
-def _scatter_pairs(pair: np.ndarray, i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+def _scatter_bins(i: np.ndarray, j: np.ndarray, d: int) -> np.ndarray:
+    """The bins body * d + axis of :func:`_scatter_pairs`, axis by axis:
+    first for every i, then for every j."""
+    return (np.concatenate([i, j]) * d + _AXIS_COLUMN[:d]).ravel()
+
+
+def _spring_bins(world: WorldState) -> np.ndarray:
+    return _scatter_bins(world.spring_i, world.spring_j, world.dimension)
+
+
+def _dt_over_m(world: WorldState, dt: float) -> np.ndarray:
+    """dt / m as an (n, d) array, one column per axis."""
+    return np.repeat((dt / world.mass)[:, None], world.dimension, axis=1)
+
+
+def _scatter_pairs(pair: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
     """Per-body (n, d) sums of +pair on bodies i and -pair on bodies j.
 
-    ``pair`` holds one row per axis, (d, k).  One ``np.bincount`` over
-    bins body * d + axis, fed axis by axis, adds each bin's terms in the
-    order ``np.add.at`` on i then on j would, so the result is
-    bit-identical to that.
+    ``pair`` holds one row per axis, (d, k), and ``bins`` are
+    ``_scatter_bins(i, j, d)``.  One ``np.bincount`` over those bins, fed
+    axis by axis, adds each bin's terms in the order ``np.add.at`` on i
+    then on j would, so the result is bit-identical to that.
     """
     d = pair.shape[0]
-    flat = (np.concatenate([i, j]) * d + _AXIS_COLUMN[:d]).ravel()
     terms = np.concatenate([pair, -pair], axis=1).ravel()
-    return np.bincount(flat, weights=terms, minlength=n * d).reshape(n, d)
+    return np.bincount(bins, weights=terms, minlength=n * d).reshape(n, d)
 
 
 def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
@@ -472,25 +503,33 @@ def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
     least as wide as the largest cutoff, so a near pair sits in the same or
     an adjacent cell.  Bodies are sorted by row-major cell key, and their
     coordinates and radii are copied once into that order.  Each body reads
-    a half stencil as two runs of the copies, found by binary search: the
-    members after it in its own cell plus the next cell of its row, and the
-    three cells of the next row around its column.  So each candidate pair
-    comes up once, and is tested on nearly contiguous reads of the copies by
-    direct coordinate differences, squared as dx dx + dy dy.  The listed
-    pairs keep those squared distances and radius sums, which have the bits
-    of the same sums taken in (i, j) order.  A world too wide for
-    ``_MAX_CELLS_PER_AXIS`` cells per axis gets wider cells, which only adds
-    candidates; the runs come from binary search, not from a table over the
-    cells, so such a world costs no more memory.  Bodies with non-finite
-    coordinates touch nothing.
+    a half stencil as two runs of the copies: the members after it in its
+    own cell plus the next cell of its row, and the three cells of the next
+    row around its column.  The runs' ends come from a cell-start table,
+    the running count of bodies per key, when the keys probed span at most
+    ``_DENSE_CELLS_PER_BODY`` cells per body; otherwise, as in a world with
+    one body far from the rest, from binary search over the sorted keys,
+    which costs no memory per empty cell.  Both give the same slots.  So
+    each candidate pair comes up once, and is tested on nearly contiguous
+    reads of the copies by direct coordinate differences, squared as
+    dx dx + dy dy.  The listed pairs keep those squared distances and
+    radius sums, which have the bits of the same sums taken in (i, j)
+    order.  A world too wide for ``_MAX_CELLS_PER_AXIS`` cells per axis
+    gets wider cells, which only adds candidates.  Bodies with non-finite
+    coordinates touch nothing; when every body is finite, none is gathered
+    out.
     """
     none = np.zeros(0, dtype=np.intp)
     x, y = pos.T
-    body = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
-    cutoff = 2.0 * float(radius.take(body).max(initial=-np.inf)) + skin
-    if body.size < 2 or not cutoff > 0.0:
+    finite = np.isfinite(x) & np.isfinite(y)
+    if np.count_nonzero(finite) == finite.size:
+        body, bx, by, br = None, x, y, radius
+    else:
+        body = np.flatnonzero(finite)
+        bx, by, br = x.take(body), y.take(body), radius.take(body)
+    cutoff = 2.0 * float(br.max(initial=-np.inf)) + skin
+    if br.size < 2 or not cutoff > 0.0:
         return none, none, np.zeros(0), np.zeros(0)
-    bx, by = x.take(body), y.take(body)
     # halves keep the span finite for any finite coordinates
     lo_x, lo_y = 0.5 * bx.min(), 0.5 * by.min()
     half_span = max(0.5 * bx.max() - lo_x, 0.5 * by.max() - lo_y)
@@ -503,12 +542,19 @@ def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
     width = int(col.max()) + 2
     key = row * width + col
     order = np.argsort(key)  # any order within a cell: the pairs are sorted last
-    key, body = key.take(order), body.take(order)
+    key = key.take(order)
+    body = order if body is None else body.take(order)
     # cell-ordered copies: the candidates of one run sit side by side
-    cx, cy, cr = bx.take(order), by.take(order), radius.take(body)
+    cx, cy, cr = bx.take(order), by.take(order), br.take(order)
     # a slot's runs: from just after it to the first of key + 2, and from the
     # first of key + width - 1 to that of key + width + 2 (the next row)
-    ends = np.searchsorted(key, key + np.array([[2], [width - 1], [width + 2]]))
+    cells = int(key[-1]) + width + 2
+    if cells <= _DENSE_CELLS_PER_BODY * key.size:
+        # the count of bodies in cells up to c is the first slot of cell c + 1
+        upto = np.cumsum(np.bincount(key, minlength=cells))
+        ends = upto.take(key + np.array([[1], [width - 2], [width + 1]]))
+    else:
+        ends = np.searchsorted(key, key + np.array([[2], [width - 1], [width + 2]]))
     first = np.concatenate([np.arange(1, body.size + 1), ends[1]])
     count = np.concatenate([ends[0], ends[2]]) - first
     a = np.repeat(np.tile(np.arange(body.size), 2), count)
@@ -538,15 +584,16 @@ def _near_pairs(pos: np.ndarray, radius: np.ndarray, skin: float):
 
 
 class _PairCache:
-    """Verlet neighbour list of the contact layer.
+    """What a run keeps between steps: the contact layer's Verlet neighbour
+    list, and two arrays that the steps of a run share and never change.
 
-    Holds every pair i < j with |p_i - p_j| < r_i + r_j + skin at the
-    positions it was built from, with r_i + r_j for each pair; the skin
-    is ``CONTACT_SKIN_FRACTION`` of the smallest radius.  While no body
-    has moved more than skin/2 since the build, every overlapping pair is
-    still on the list, so :meth:`hits` reuses it.  It rebuilds when a body
-    moves farther, when the body count changes, or when the radii change.
-    ``builds`` counts the builds.
+    The list holds every pair i < j with |p_i - p_j| < r_i + r_j + skin
+    at the positions it was built from, with r_i + r_j for each pair; the
+    skin is ``CONTACT_SKIN_FRACTION`` of the smallest radius.  While no
+    body has moved more than skin/2 since the build, every overlapping
+    pair is still on the list, so :meth:`hits` reuses it.  It rebuilds
+    when a body moves farther, when the body count changes, or when the
+    radii change.  ``builds`` counts the builds.
 
     Each build also records a no-contact certificate.  The room is the
     smallest |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``) over
@@ -556,11 +603,33 @@ class _PairCache:
     has, :meth:`hits` returns no pairs without testing any.  A listed
     pair that touches, or is closer than the margin, leaves no room, and
     the certificate never holds.
+
+    :meth:`dt_over_m` keeps dt / m as an (n, d) array, and
+    :meth:`spring_bins` the spring links' scatter bins: the arrays a step
+    without a cache builds for itself.  Each is kept while the world
+    arrays it comes from are the same objects, and dt / m while dt is the
+    same, and is built again otherwise; the arrays of a world are treated
+    as immutable, and a step hands them on to the next world.
     """
 
     def __init__(self, world: WorldState):
         self.builds = 0
         self._build(world)
+        self._mass_of = self._dt = self._i_of = self._j_of = None
+
+    def dt_over_m(self, world: WorldState, dt: float) -> np.ndarray:
+        """dt / m as an (n, d) array; see :func:`_dt_over_m`."""
+        if world.mass is not self._mass_of or dt != self._dt:
+            self._mass_of, self._dt = world.mass, dt
+            self._scale = _dt_over_m(world, dt)
+        return self._scale
+
+    def spring_bins(self, world: WorldState) -> np.ndarray:
+        """The scatter bins of the spring links; see :func:`_scatter_bins`."""
+        if world.spring_i is not self._i_of or world.spring_j is not self._j_of:
+            self._i_of, self._j_of = world.spring_i, world.spring_j
+            self._bins = _spring_bins(world)
+        return self._bins
 
     def _build(self, world: WorldState):
         self.pos = world.pos.copy()
@@ -659,7 +728,7 @@ def contact_forces(
     pair = fn * nvec
     pair[0] += slip * ny
     pair[1] -= slip * nx
-    return _scatter_pairs(pair, i, j, world.n)
+    return _scatter_pairs(pair, _scatter_bins(i, j, 2), world.n)
 
 
 def control_forces(world: WorldState, config: SimConfig, driver: FieldDriver | None):
@@ -720,12 +789,13 @@ def step(
     """One semi-implicit Euler step (v then x) of ``config.dt``, fixed body order.
 
     Total force = springs + contacts + control - drag * v, the contacts
-    found through ``cache`` when given (see :func:`contact_forces`).
+    found through ``cache`` when given (see :func:`contact_forces`); the
+    cache also keeps the step's dt / m and spring scatter bins.
     Raises :class:`SimulationDivergenceError` naming the body and term if
     any state goes non-finite.
     """
     dt = config.dt
-    F = spring_forces(world)
+    F = spring_forces(world, cache)
     Fc = contact_forces(world, config, cache)
     u = control_forces(world, config, driver)
     # summed in the fresh array spring_forces returns; the grains have no
@@ -733,11 +803,10 @@ def step(
     F += Fc
     F[: world.boundary_count] += u
     F -= config.drag * world.vel
-    # v + F (dt / m) by column and in place: the same bits as the (n, 1)
-    # broadcast, which numpy would run row by row
-    dt_over_m = dt / world.mass
-    for col in F.T:
-        col *= dt_over_m
+    # v + F (dt / m) in place, through dt / m as an (n, d) array: one
+    # contiguous multiply with the bits of the (n, 1) broadcast, which
+    # numpy would run row by row
+    F *= _dt_over_m(world, dt) if cache is None else cache.dt_over_m(world, dt)
     vel = F
     vel += world.vel
     pos = vel * dt
@@ -801,7 +870,16 @@ def shape_error(world: WorldState, field) -> float:
 
 
 def _center_of_mass(mass: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    return (mass[:, None] * pos).sum(axis=0) / mass.sum()
+    """Mass-weighted centres of (..., n, d) positions, one per sample: (..., d).
+
+    Each axis of each sample is summed body by body in body order, the
+    order in which ``(mass[:, None] * pos).sum(axis=0)`` adds its rows, so
+    each centre has its bits.  The running sums run along contiguous
+    (sample, axis) rows of the weighted positions, so one pass serves a
+    whole stack of samples.
+    """
+    weighted = np.multiply(np.swapaxes(pos, -1, -2), mass, order="C")
+    return np.add.accumulate(weighted, axis=-1)[..., -1] / mass.sum()
 
 
 def com_distance(world: WorldState, target) -> float:
@@ -866,7 +944,8 @@ def run(
         if (k + 1) % sample_every == 0 or k == n_steps - 1:
             record(world)
 
-    com = np.array([_center_of_mass(world.mass, p) for p in positions])
+    positions = np.asarray(positions)
+    com = _center_of_mass(world.mass, positions)
     if config.target is None:
         dists = [math.nan] * len(times)
     else:
@@ -874,7 +953,7 @@ def run(
         dists = [float(np.linalg.norm(c - target)) for c in com]
     traj = Trajectory(
         times=np.asarray(times),
-        positions=np.asarray(positions),
+        positions=positions,
         com=com,
         shape_error=np.asarray(errors),
         target_distance=np.asarray(dists),

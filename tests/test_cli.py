@@ -222,12 +222,26 @@ class TestSimulateCommand:
     def test_radicand_clamp_warning_reaches_stderr(self, tmp_path, capsys):
         # a morph blend with s > 1 clamps its radicand where the two fields
         # have like signs, as they do outside both circles, on the reference
-        # ring; the shape language rejects s > 1 in a field definition, so a
-        # morph is what reaches the clamp from the command
+        # ring
         shape = tmp_path / "clamp.shape"
         shape.write_text(
             "a = circle(c=(0, 0), r=0.5);\nb = circle(c=(0.1, 0), r=0.5);\n"
             "morph(initial=a, final=b, p=0.5, s=3);\n"
+        )
+        code = main(
+            ["simulate", "--shape", str(shape), "--config", data_path("configs/formation_2d.cfg"),
+             "--out", str(tmp_path / "o"), "--duration", "0.02"]
+        )
+        assert code == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines.count("warning: R-function radicand clamped to 0 (s = 3.0 > 1)") == 1
+
+    def test_field_with_s_above_one_simulates_and_warns_once(self, tmp_path, capsys):
+        # the same two circles intersected with s = 3, as a field definition
+        shape = tmp_path / "inter.shape"
+        shape.write_text(
+            "a = circle(c=(0, 0), r=0.5);\nb = circle(c=(0.1, 0), r=0.5);\n"
+            "field = inter(a, b, s=3);\n"
         )
         code = main(
             ["simulate", "--shape", str(shape), "--config", data_path("configs/formation_2d.cfg"),

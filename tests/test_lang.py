@@ -145,6 +145,15 @@ class TestParse:
             parse("field = segment(p1=(1,1), p2=(1,1));")
         assert "degenerate-segment" in err.value.message
 
+    def test_s_above_one_parses(self):
+        # outside the well-behaved range, not invalid: the node clamps its
+        # radicand at run time, as a morph with s > 1 does
+        prog = parse(
+            "a = circle(c=(0, 0), r=0.5);\nb = circle(c=(0.1, 0), r=0.5);\n"
+            "field = inter(a, b, s=3);"
+        )
+        assert prog.field_expr().s == 3.0
+
     def test_non_unit_normal_rejected(self):
         with pytest.raises(SemanticError):
             parse("field = halfplane(o=(0,0), n=(1,1));")

@@ -19,11 +19,15 @@ from shapefield.sim import (
     SimulationDivergenceError,
     Trajectory,
     WorldState,
+    _CELL_MARGIN,
+    _DENSE_CELLS_PER_BODY,
     _GRAIN_SPACING_MARGIN,
     _PairCache,
+    _center_of_mass,
     _hex_packing,
     _hex_sites,
     _near_pairs,
+    _scatter_bins,
     _scatter_pairs,
     as_field_driver,
     build_world,
@@ -359,6 +363,9 @@ class TestSpringForces:
         pair = dvec * (w.spring_k * (dist - w.spring_rest) / dist)[:, None]
         want = add_at_reference(pair, w.spring_i, w.spring_j, w.n)
         assert spring_forces(w).tobytes() == want.tobytes()
+        # a cache built for other links scatters by this world's links
+        other = free_world(pos, springs=[(0, 1, 50.0, 0.05)])
+        assert spring_forces(w, _PairCache(other)).tobytes() == want.tobytes()
 
     def test_coincident_endpoints_zero_force(self, caplog):
         w = free_world([[0.0, 0.0], [0.0, 0.0]], springs=[(0, 1, 50.0, 0.1)])
@@ -395,7 +402,7 @@ class TestScatterPairs:
         i, j, d, d2, _ = _PairCache(w).hits(w)
         assert np.bincount(np.concatenate([i, j])).max() > 4
         pair = d * rng.uniform(-1e3, 1e3, d2.shape)[:, None]
-        got = _scatter_pairs(pair.T, i, j, w.n)
+        got = _scatter_pairs(pair.T, _scatter_bins(i, j, 2), w.n)
         assert got.shape == (w.n, 2) and got.flags.c_contiguous
         assert got.tobytes() == add_at_reference(pair, i, j, w.n).tobytes()
 
@@ -403,7 +410,7 @@ class TestScatterPairs:
         n = 11
         i, j = rng.integers(0, n, (2, 300))
         pair = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-6, 7, (300, 1))
-        got = _scatter_pairs(pair.T, i, j, n)
+        got = _scatter_pairs(pair.T, _scatter_bins(i, j, 3), n)
         assert got.shape == (n, 3) and got.flags.c_contiguous
         assert got.tobytes() == add_at_reference(pair, i, j, n).tobytes()
 
@@ -525,6 +532,24 @@ class TestNeighbourList:
             pos[5:10] = [(1.7e308, -1.7e308), (-1.7e308, 1.7e308), (1.7e308, -1.7e308),
                          (np.nan, 0.0), (np.inf, 0.0)]
         assert assert_list_is_brute_force(pos, radius) > 0
+
+    def test_sparse_world_binary_searches_and_equals_brute_force(self, rng):
+        # 300 bodies over a 1 km square, four pairs of them overlapping: the
+        # cell keys span far more cells per body than a cell-start table may
+        # hold, so the list's runs come from binary search
+        radius = rng.choice(RADII, 300)
+        pos = rng.uniform(0.0, 1000.0, (300, 2))
+        for a in range(0, 8, 2):
+            pos[a + 1] = pos[a] + (0.9 * (radius[a] + radius[a + 1]), 0.0)
+        skin = CONTACT_SKIN_FRACTION * float(radius.min())
+        cell = (2.0 * float(radius.max()) + skin) * (1.0 + _CELL_MARGIN)
+        rows, cols = np.floor((pos.max(axis=0) - pos.min(axis=0)) / cell) + 1.0
+        assert rows * (cols + 2.0) > _DENSE_CELLS_PER_BODY * 300
+        assert assert_list_is_brute_force(pos, radius) >= 4
+        w = free_world(pos, radius=radius)
+        i, j = listed_hits(_PairCache(w), w)
+        assert i.size >= 4
+        assert_same_pairs((i, j), brute_force_hits(pos, radius))
 
     @pytest.mark.parametrize(
         "n_boundary, n_interior, seed",
@@ -764,6 +789,32 @@ class TestStep:
         got = step(w, cfg, drv)
         assert got.vel.tobytes() == want.tobytes()
         assert got.pos.tobytes() == (w.pos + want * cfg.dt).tobytes()
+
+    def test_cache_keeps_step_constants_per_mass_dt_and_springs(self, rng):
+        # one cache through worlds with other masses, another dt and a
+        # reordered ring: each step has the bits of a step without a cache
+        cfg = small_config(alpha=3.0)
+        w = squeezed_world(cfg, 0.9)
+        w = dataclasses.replace(w, vel=rng.uniform(-0.5, 0.5, w.vel.shape))
+        drv = as_field_driver(Circle((0.0, 0.0), 0.5 * ring_radius_of(w)))
+        cache = _PairCache(w)
+        stepped = step(w, cfg, drv, cache)
+        assert cache.dt_over_m(stepped, cfg.dt) is cache.dt_over_m(w, cfg.dt)
+        assert cache.spring_bins(stepped) is cache.spring_bins(w)
+        heavier = dataclasses.replace(w, mass=rng.uniform(0.01, 0.3, w.n))
+        rolled = dataclasses.replace(
+            w, spring_i=np.roll(w.spring_i, 1), spring_j=np.roll(w.spring_j, 1)
+        )
+        for world, c in (
+            (w, cfg),
+            (w, dataclasses.replace(cfg, dt=2e-4)),
+            (heavier, cfg),
+            (rolled, cfg),
+            (stepped, cfg),
+        ):
+            got, want = step(world, c, drv, cache), step(world, c, drv)
+            assert got.vel.tobytes() == want.vel.tobytes()
+            assert got.pos.tobytes() == want.pos.tobytes()
 
     def test_spring_pair_energy_conservation(self):
         # isolated oscillator at dt = 1e-4: energy within 2% over 10 periods
@@ -1110,6 +1161,22 @@ class TestMetrics:
         w = free_world([[0.0, 0.0], [2.0, 0.0]], mass=1.0)
         assert com_distance(w, (1.0, 0.0)) == 0.0
         assert com_distance(w, (1.0, 3.0)) == 3.0
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 5000])
+    def test_center_of_mass_has_the_row_sum_bits(self, n, dimension, rng):
+        def reference(mass, pos):
+            return (mass[:, None] * pos).sum(axis=0) / mass.sum()
+
+        mass = rng.uniform(0.01, 0.3, n)
+        for magnitude in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+            stack = magnitude * (rng.standard_normal((3, n, dimension)) + rng.uniform(-2.0, 2.0))
+            got = _center_of_mass(mass, stack)
+            assert got.shape == (3, dimension)
+            for k, pos in enumerate(stack):
+                want = reference(mass, pos)
+                assert got[k].tobytes() == want.tobytes()
+                assert _center_of_mass(mass, pos).tobytes() == want.tobytes()
 
     def test_shape_error_rejects_a_field_of_another_dimension(self):
         w3 = build_world(SimConfig(dimension=3, n_boundary=162, n_interior=0))
