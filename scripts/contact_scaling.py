@@ -1,5 +1,6 @@
-"""Contact-layer scaling: build_world, the first neighbour-list build and one
-step, at 210, 1000, 3000 and 6000 bodies.
+"""Contact-layer scaling and field-layer timings: build_world, the first
+neighbour-list build and one step at 210, 1000, 3000 and 6000 bodies, and
+``values_grads`` of the wrench morph at 30 points and of the cube at 162.
 
     python3 scripts/contact_scaling.py --out BENCH.json
     python3 scripts/contact_scaling.py --baseline ../parent --out BENCH.json
@@ -21,9 +22,12 @@ in the swarm benchmark.  Seed 3 leaves no pair overlapping as built at any
 of the four sizes, so ``step`` times a step that reuses the list while
 the no-contact certificate holds, as most steps of the swarm benchmark
 do; each row records whether the certificate held and how many pairs
-overlap.  With a baseline, the worlds, neighbour lists and stepped states
-of the two trees are compared byte for byte, and the script exits 1 if
-they differ.
+overlap.  The field rows evaluate this checkout's shipped shape files, in
+both trees, at seed-3 uniform points in [-1, 1]^d: the wrench morph at
+t = 3 s, inside its ramp, at a swarm's 30 robots, and the cube at its 162
+agents.  With a baseline, the worlds, neighbour lists, stepped states and
+field values and gradients of the two trees are compared byte for byte,
+and the script exits 1 if they differ.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = ((30, 180), (60, 940), (120, 2880), (200, 5800))  # 210 to 6000 bodies
 SEED = 3
-LAYERS = ("build_world", "pair_cache", "step")
+FIELDS = (("wrench_morph", 30, 3.0), ("cube", 162, 0.0))  # shape, points, t
 
 
 def load_package(root: Path, name: str):
@@ -84,6 +88,8 @@ def source_digest(root: Path) -> str:
 class Case:
     """One tree's world, neighbour list and field at one body count."""
 
+    layers = ("build_world", "pair_cache", "step")
+
     def __init__(self, pkg, nb: int, ni: int):
         self.sim = sim = pkg.sim
         self.config = sim.SimConfig(n_boundary=nb, n_interior=ni, seed=SEED)
@@ -105,6 +111,35 @@ class Case:
         stepped = self.call("step")
         arrays = (world.pos, world.radius, cache.i, cache.j, cache.rsum, stepped.pos, stepped.vel)
         return [a.tobytes() for a in arrays] + [repr(cache.clear2).encode()]
+
+    def facts(self) -> dict:
+        return {
+            "listed_pairs": int(self.cache.i.size),
+            "certificate_held": bool(self.cache.clear2 > 0.0),
+            "overlapping_pairs": int(self.cache.hits(self.world)[0].size),
+        }
+
+
+class FieldCase:
+    """One tree's compiled shape (a tree or a morph) and its points."""
+
+    layers = ("values_grads",)
+
+    def __init__(self, pkg, shape: str, n: int, t: float):
+        text = (ROOT / "src" / "shapefield" / "data" / "shapes" / f"{shape}.shape").read_text()
+        program = pkg.lang.parse(text)
+        self.source = program.morph_schedule() if program.has_morph else program.field_expr()
+        self.pts = np.random.default_rng(SEED).uniform(-1.0, 1.0, (n, self.source.dimension))
+        self.t = t
+
+    def call(self, layer: str):
+        return self.source.values_grads(self.pts, self.t)
+
+    def outputs(self) -> list[bytes]:
+        return [a.tobytes() for a in self.call("values_grads")]
+
+    def facts(self) -> dict:
+        return {}
 
 
 def time_block(case: Case, layer: str, calls: int) -> list[float]:
@@ -143,31 +178,25 @@ def main(argv=None) -> int:
         trees["baseline"] = args.baseline.resolve()
     pkgs = {tag: load_package(root, f"_scaling_{tag}") for tag, root in trees.items()}
 
+    groups = [({"bodies": nb + ni}, Case, (nb, ni)) for nb, ni in SIZES]
+    groups += [({"shape": shape, "points": n, "t": t}, FieldCase, (shape, n, t)) for shape, n, t in FIELDS]
     rows = []
-    for nb, ni in SIZES:
-        cases = {tag: Case(pkg, nb, ni) for tag, pkg in pkgs.items()}
+    for size, kind, params in groups:
+        cases = {tag: kind(pkg, *params) for tag, pkg in pkgs.items()}
+        change = cases["change"]
         for case in cases.values():  # warm-up: memos filled, code paths run once
-            for layer in LAYERS:
+            for layer in case.layers:
                 case.call(layer)
-        times = {tag: {layer: [] for layer in LAYERS} for tag in cases}
+        times = {tag: {layer: [] for layer in change.layers} for tag in cases}
         order = list(cases)
         for block in range(blocks):
             for tag in order if block % 2 == 0 else order[::-1]:
-                for layer in LAYERS:
+                for layer in change.layers:
                     times[tag][layer] += time_block(cases[tag], layer, calls)
-        change = cases["change"]
-        hits = change.cache.hits(change.world)[0].size
         if "baseline" in cases:
             bits_equal = change.outputs() == cases["baseline"].outputs()
-        for layer in LAYERS:
-            row = {
-                "bodies": nb + ni,
-                "layer": layer,
-                "unit": "us",
-                "listed_pairs": int(change.cache.i.size),
-                "certificate_held": bool(change.cache.clear2 > 0.0),
-                "overlapping_pairs": int(hits),
-            }
+        for layer in change.layers:
+            row = {**size, "layer": layer, "unit": "us", **change.facts()}
             for tag in cases:
                 row[tag] = summary(times[tag][layer])
             if "baseline" in cases:

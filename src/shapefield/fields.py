@@ -36,7 +36,6 @@ public entry points still return a fresh C-contiguous ``(n, d)`` gradient,
 transposed once at the root.  All balls are one group, as are all raw
 quadrics, all planes, the negations, the R-operations of one ``s`` and
 sign, and the trims at one height; an equivalence is a group of its own.
-A group's rows are ordered so that its readers gather them in few runs.
 Grouping same-kind nodes follows the tape compilation of Keeter 2020
 (SIGGRAPH).  A kernel performs the same floating-point operations on each
 row whatever the stack's height and width, so a node's result does not
@@ -150,18 +149,18 @@ def _as_batch(x, dim: int) -> np.ndarray:
     raise DimensionMismatchError(f"points must be 1-D or 2-D, got shape {pts.shape}")
 
 
-def _corner_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Pointwise ``num / den`` returning 0 where ``den`` is 0 (the sqrt-corner
-    rule); ``den`` broadcasts against ``num``.  A batch with no zero
-    denominator takes a plain divide, which gives the masked divide's bits:
-    only +0.0 and -0.0 are masked, and a NaN or infinite denominator divides
-    in both.
+def _corner_div(nums: tuple, den: np.ndarray) -> list[np.ndarray]:
+    """Pointwise ``num / den`` for each ``num`` of ``nums``, 0 where ``den``
+    is 0 (the sqrt-corner rule); ``den`` broadcasts against each ``num`` and
+    is tested for zeros once.  A batch with no zero denominator takes a
+    plain divide, which gives the masked divide's bits: only +0.0 and -0.0
+    are masked, and a NaN or infinite denominator divides in both.
     """
     if np.count_nonzero(den) == den.size:
-        return num / den
-    out = np.zeros(np.broadcast_shapes(np.shape(num), den.shape))
-    np.divide(num, den, out=out, where=den != 0.0)
-    return out
+        return [num / den for num in nums]
+    nonzero = den != 0.0
+    return [np.divide(num, den, out=np.zeros(np.broadcast_shapes(np.shape(num), den.shape)),
+                      where=nonzero) for num in nums]
 
 
 def _contract(p1: np.ndarray, g1: np.ndarray, p2: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -415,14 +414,11 @@ def _r_binary(v1, v2, s, sign, want_partials: bool):
 
     Value ``r = (v1 + v2 + sign sqrt(rad)) / (1 + s)`` with ``rad = v1^2 +
     v2^2 - 2 s v1 v2`` clamped at 0 (only s > 1 can make it negative); with
-    ``want_partials`` also the per-point partials
-
-        dr/dv1 = (1 + sign (v1 - s v2) / sqrt(rad)) / (1 + s),
-        dr/dv2 = (1 + sign (v2 - s v1) / sqrt(rad)) / (1 + s),
-
-    whose quotients are 0 where ``sqrt(rad)`` is 0, else ``(v, None, None)``.
-    Values are (k, n) stacks, ``s`` and ``sign`` floats, and an operand may
-    be a constant column.  A clamp warns once per call.
+    ``want_partials`` also the per-point factor ``q = sign / ((1 + s)
+    sqrt(rad))``, 0 where ``sqrt(rad)`` is 0, of both partials (see
+    :func:`_r_partial`), else ``(v, None)``.  Values are (k, n) stacks,
+    ``s`` and ``sign`` floats, and an operand may be a constant column.  A
+    clamp warns once per call.
     """
     rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
     if s > 1.0 and np.count_nonzero(rad < 0.0):
@@ -434,12 +430,17 @@ def _r_binary(v1, v2, s, sign, want_partials: bool):
     den = 1.0 + s
     v = (v1 + v2 + sign * root) / den
     if not want_partials:
-        return v, None, None
-    # the quotients' common factor sign / ((1 + s) sqrt(rad)): at most
-    # 1 / sqrt(smallest subnormal), so it cannot overflow
-    q = _corner_div(sign / den, root)
-    mean = 1.0 / den  # each partial where sqrt(rad) = 0
-    return v, mean + q * (v1 - s * v2), mean + q * (v2 - s * v1)
+        return v, None
+    # at most 1 / sqrt(smallest subnormal), so it cannot overflow
+    return v, _corner_div((sign / den,), root)[0]
+
+
+def _r_partial(q, s, a, b):
+    """An R-operation's partial in its operand ``a``, with ``b`` the other
+    and ``q`` from :func:`_r_binary`: ``dr/da = (1 + sign (a - s b) /
+    sqrt(rad)) / (1 + s)``, which is ``1 / (1 + s)``, the mean of its
+    one-sided values, where ``sqrt(rad)`` is 0."""
+    return 1.0 / (1.0 + s) + q * (a - s * b)
 
 
 @dataclass(frozen=True)
@@ -580,9 +581,9 @@ def _trim(f, t, want_partials: bool):
     # w_t as (t / aux - 1) / 2, not the equal -w / aux: both cancel where
     # t > 0 and t^2 >> f^4, and only this one stays within 4 ulp of the
     # chain rule through aux and w there
-    w_f = _corner_div(f2 * f, aux)
-    w_t = 0.5 * (_corner_div(t, aux) - 1.0)
-    return v, _corner_div(f + w * w_f, v), _corner_div(w * w_t, v)
+    w_f, t_aux = _corner_div((f2 * f, t), aux)
+    w_t = 0.5 * (t_aux - 1.0)
+    return (v, *_corner_div((f + w * w_f, w * w_t), v))
 
 
 @dataclass(frozen=True)
@@ -652,8 +653,10 @@ def _neg_step(pts, ops, c, want_grad):
 
 def _rbin_step(pts, ops, c, want_grad):
     (v1, g1), (v2, g2) = ops
-    v, p1, p2 = _r_binary(v1, v2, c[0], c[1], want_grad)
-    return v, (_contract(p1, g1, p2, g2) if want_grad else None)
+    s = c[0]
+    v, q = _r_binary(v1, v2, s, c[1], want_grad)
+    return v, (_contract(_r_partial(q, s, v1, v2), g1, _r_partial(q, s, v2, v1), g2)
+               if want_grad else None)
 
 
 def _trim_step(pts, ops, c, want_grad):
@@ -725,10 +728,7 @@ class _Plan:
     (r, d, n) stack (None without ``want_grad``), freshly allocated on
     every call.
 
-    A step's rows are ordered for its readers.  Going down from the roots,
-    a group sorts its nodes by the steps their operands come from, and a
-    leaf group by first use; so the trims of the wrench read their bases
-    and trimmers, planes and balls, as three runs.  A step reads each
+    A step's rows are its nodes in compile order.  A step reads each
     operand with its own gather, or all of them with one gather that it
     slices, whichever copies less.
     """
@@ -758,27 +758,10 @@ class _Plan:
             # an R-operation group shares its (s, sign), keyed as the nodes are
             extra = i if kind == "equiv" else repr(params) if kind == "rbin" else ""
             groups.setdefault((height, kind, extra), []).append(i)
-        keys = sorted(groups)
-        step_of = {i: k for k, key in enumerate(keys) for i in groups[key]}
-        # row order, from the roots down: a consumer is always higher than
-        # its operands, so its rows are placed before theirs are
-        first_use: dict[int, int] = {}
-
-        def use(operands):
-            for i in operands:
-                first_use.setdefault(i, len(first_use))
-
-        use(root_ids)
-        for key in reversed(keys):
-            members = groups[key]
-            members.sort(key=lambda i: ([step_of[o] for o in nodes[i][2]], first_use[i]))
-            for p in range(len(nodes[members[0]][2])):
-                use([nodes[i][2][p] for i in members])
-
         where: dict[int, tuple[int, int]] = {}
         steps = []
         last_use: dict[int, int] = {}
-        for k, key in enumerate(keys):
+        for k, key in enumerate(sorted(groups)):
             members = groups[key]
             kind = key[1]
             run, consts = _STEPS[kind]

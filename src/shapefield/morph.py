@@ -46,6 +46,7 @@ from .fields import (
     _contract,
     _Plan,
     _r_binary,
+    _r_partial,
 )
 from .tolerances import BLEND_DEGENERACY_EPS, MORPH_COMPLETE_EPS
 
@@ -151,11 +152,9 @@ class MorphSchedule:
         V, G = self._plan(pts, want_grad)
         vi, vf = V
         # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
-        # on the (2, n) stack against a constant column; P holds their
-        # partials in the members, d g1 / d phi_i and d g2 / d phi_f
-        (g1, g2), P, _ = _r_binary(
-            V, np.array([[-fval], [fval - 1.0]]), self.s, -1.0, want_grad
-        )
+        # on the (2, n) stack against a constant column
+        consts = np.array([[-fval], [fval - 1.0]])
+        (g1, g2), q = _r_binary(V, consts, self.s, -1.0, want_grad)
         total = g1 + g2
         bad = np.abs(total) < BLEND_DEGENERACY_EPS
         if np.count_nonzero(bad):
@@ -173,7 +172,9 @@ class MorphSchedule:
         # with r = (vi - vf) / total; both are (n,), and each meets its
         # member's gradient once
         r = dv / total
-        p1, p2 = P
+        # the conjunctions' partials in the members, d g1 / d phi_i and
+        # d g2 / d phi_f; those in the constant column are never formed
+        p1, p2 = _r_partial(q, self.s, V, consts)
         gi, gf = G
         g = _contract(w1 * (1.0 - p1 * r), gi, (1.0 - w1) * (1.0 + p2 * r), gf)
         return v, g, (w1, g1, g2)

@@ -1,12 +1,17 @@
 """CLI surface: exit codes, outputs, reproducibility."""
 
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shapefield.cli import main
 from shapefield.gridio import parse_grid_csv, parse_grid_vtk
+from shapefield.lang import parse
+from shapefield.tolerances import GRAD_FD_STEP
+
+from conftest import fd_gradient
 
 DATA = resources.files("shapefield") / "data"
 
@@ -160,6 +165,56 @@ class TestCheckGradCommand:
             err = capsys.readouterr().err
             assert code == 2, flags
             assert "error:" in err and "Traceback" not in err, flags
+
+    def test_non_finite_error_fails_the_check(self, circle_shape, capsys):
+        # 1e200 m out the circle's value is -inf, so every central difference
+        # is NaN; a NaN error is the worst error, not a point to skip
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["check-grad", str(circle_shape), "--samples", "3", "--box=-1e200:1e200"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert "worst relative error nan" in out and "Traceback" not in err
+
+    def test_box_on_the_zero_set_is_a_usage_error(self, circle_shape, capsys):
+        # every candidate lies within 1e-3 of the circle, so every block of
+        # candidates is rejected until the attempt cap
+        code = main(["check-grad", str(circle_shape), "--samples", "3", "--box", "0.5303:0.5304"])
+        assert code == 2
+        assert "could not sample smooth points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape, samples, seed, box",
+        [
+            ("two_segments", 300, 4, (0.0, 0.05)),
+            ("pacman", 40, 2, (-40.0, 40.0)),
+            ("cube", 25, 1, (-2.0, 2.0)),
+        ],
+    )
+    def test_batches_print_the_one_at_a_time_line(self, shape, samples, seed, box, capsys):
+        # the reference draws, filters and differences one point at a time;
+        # two_segments' small box rejects candidates near the zero set, so
+        # the command draws more than one block there
+        path = data_path(f"shapes/{shape}.shape")
+        lo, hi = box
+        flags = ["--samples", str(samples), "--seed", str(seed), f"--box={lo}:{hi}"]
+        assert main(["check-grad", path, *flags]) == 0
+        expr = parse(Path(path).read_text()).field_expr()
+        rng = np.random.default_rng(seed)
+        worst, worst_pt, kept = -1.0, None, 0
+        while kept < samples:
+            x = rng.uniform(lo, hi, expr.dimension)
+            if abs(expr.eval(x)) < 1e-3:
+                continue
+            kept += 1
+            fd = fd_gradient(expr.eval, x, h=GRAD_FD_STEP)
+            rel = np.linalg.norm(expr.gradient(x).grad - fd) / max(np.linalg.norm(fd), 1e-12)
+            if rel > worst:
+                worst, worst_pt = rel, x
+        want = (
+            f"checked {kept} points: worst relative error {worst:.3e} "
+            f"at {tuple(round(float(c), 6) for c in worst_pt)}"
+        )
+        assert capsys.readouterr().out.splitlines()[0] == want
 
     def test_pacman_passes(self):
         code = main(

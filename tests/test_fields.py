@@ -828,16 +828,20 @@ class TestDivRows:
             # (k, 1) column over them; a (k, d, n) stack over its values
             for part in (num[:, 0], num[:, 1, :1], num):
                 over = den if part.ndim == 2 else den[:, None, :]
-                assert same_bits(_corner_div(part, over), _masked_divide(part, over))
+                assert same_bits(_corner_div((part,), over)[0], _masked_divide(part, over))
+            # two numerators over one denominator, as the trim kernel divides
+            pair = (num[:, 0], num[:, 1, :1])
+            for got, part in zip(_corner_div(pair, den), pair, strict=True):
+                assert same_bits(got, _masked_divide(part, den))
 
     def test_plan_matches_walker_at_exact_sqrt_corners(self, monkeypatch, rng):
         # segment ends and interiors, arc ends and R-operation corners zero
         # a denominator; random points do not.  Both branches must run
         masked = []
 
-        def spy(num, den):
+        def spy(nums, den):
             masked.append(np.count_nonzero(den) < den.size)
-            return _corner_div(num, den)
+            return _corner_div(nums, den)
 
         monkeypatch.setattr(fields_module, "_corner_div", spy)
         corner = Conjunction(Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0)))
@@ -883,6 +887,12 @@ class TestCompiledPlan:
         names = []
         for name, expr in _shipped_trees():
             _assert_plan_matches_recursive(expr)
+            # a swarm's and the cube's batch sizes, with a NaN row, whose sign
+            # bits a change in the order of a step's rows can move
+            for n in (30, 162):
+                pts = _points(expr.dimension, n, seed=n)
+                pts[n // 2, 0] = np.nan
+                _assert_plan_matches_walker_at(expr, pts)
             names.append(name)
         assert len(names) == 7  # six files; the morph has two trees
         assert "cube.shape" in names

@@ -47,6 +47,7 @@ from shapefield.fields import (
     _STEPS,
     _equiv_vg,
     _r_binary,
+    _r_partial,
     _trim,
 )
 from shapefield.lang import parse
@@ -345,9 +346,9 @@ class TestCorners:
         # partial is 1 / (1 + s), the mean of its one-sided values
         zero = np.zeros((1, 3))
         for sign in (1.0, -1.0):
-            v, p1, p2 = _r_binary(zero, zero, s, sign, True)
+            v, q = _r_binary(zero, zero, s, sign, True)
             assert same_bits(v, zero)
-            assert np.all(p1 == 1.0 / (1.0 + s)) and np.all(p2 == 1.0 / (1.0 + s))
+            assert np.all(_r_partial(q, s, zero, zero) == 1.0 / (1.0 + s))
         # through a tree: two planes through the origin
         x, y = Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0))
         for node in (Disjunction(x, y, s=s), Conjunction(x, y, s=s)):
@@ -397,7 +398,7 @@ class TestCorners:
         v, g = wrench.values_grads(ring, 0.0)
         assert same_bits(v, np.zeros(4))
         (vf,), _ = one_by_one(wrench.final, ring, False)
-        g2, _, _ = _r_binary(vf, np.full(4, -1.0), wrench.s, -1.0, False)
+        g2, _ = _r_binary(vf, np.full(4, -1.0), wrench.s, -1.0, False)
         want = (gi * (1.0 + vf / ((1.0 + wrench.s) * g2))).T
         _assert_close(g, want, np.abs(want), 4.0)
         # the mean of the one-sided gradients just inside and outside
