@@ -1,6 +1,7 @@
 """Contact-layer scaling and field-layer timings: build_world, the first
 neighbour-list build and one step at 210, 1000, 3000 and 6000 bodies, and
-``values_grads`` of the wrench morph at 30 points and of the cube at 162.
+``values_grads`` of the wrench morph and of pac-man at 30 points, of the
+cube at 162, and of the one-circle field driver at 120.
 
     python3 scripts/contact_scaling.py --out BENCH.json
     python3 scripts/contact_scaling.py --baseline ../parent --out BENCH.json
@@ -11,7 +12,9 @@ Everything runs in this one process, pinned to the last CPU it may use
 With ``--baseline`` a second source tree (a checkout root holding
 ``src/shapefield``) is loaded beside this one under another package name,
 and the two are timed in alternating blocks, each block starting with the
-other tree, so that drift in the machine's speed falls on both alike.
+other tree, so that drift in the machine's speed falls on both alike.  A
+block lasts a fixed time, not a fixed number of calls, so that a burst of
+load takes a like share of a fast layer's calls and of a slow one's.
 Each timed call is one ``perf_counter_ns`` interval; a row reports the
 median and quartiles of every call of its tree, in microseconds.
 
@@ -24,8 +27,10 @@ the no-contact certificate holds, as most steps of the swarm benchmark
 do; each row records whether the certificate held and how many pairs
 overlap.  The field rows evaluate this checkout's shipped shape files, in
 both trees, at seed-3 uniform points in [-1, 1]^d: the wrench morph at
-t = 3 s, inside its ramp, at a swarm's 30 robots, and the cube at its 162
-agents.  With a baseline, the worlds, neighbour lists, stepped states and
+t = 3 s, inside its ramp, and pac-man, each at a swarm's 30 robots, the
+cube at its 162 agents, and the one-circle field through the simulator's
+field driver at 120 robots, as control reads it in the 3000-body swarm
+(layer ``driver_values_grads``).  With a baseline, the worlds, neighbour lists, stepped states and
 field values and gradients of the two trees are compared byte for byte,
 and the script exits 1 if they differ.
 """
@@ -49,7 +54,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIZES = ((30, 180), (60, 940), (120, 2880), (200, 5800))  # 210 to 6000 bodies
 SEED = 3
-FIELDS = (("wrench_morph", 30, 3.0), ("cube", 162, 0.0))  # shape, points, t
+# shape, points, t, read through the field driver
+FIELDS = (
+    ("wrench_morph", 30, 3.0, False),
+    ("pacman", 30, 0.0, False),
+    ("cube", 162, 0.0, False),
+    ("circle", 120, 0.0, True),
+)
 
 
 def load_package(root: Path, name: str):
@@ -121,36 +132,43 @@ class Case:
 
 
 class FieldCase:
-    """One tree's compiled shape (a tree or a morph) and its points."""
+    """One tree's compiled shape (a tree or a morph) and its points; with
+    ``driver``, read through the simulator's field driver."""
 
-    layers = ("values_grads",)
-
-    def __init__(self, pkg, shape: str, n: int, t: float):
+    def __init__(self, pkg, shape: str, n: int, t: float, driver: bool):
         text = (ROOT / "src" / "shapefield" / "data" / "shapes" / f"{shape}.shape").read_text()
         program = pkg.lang.parse(text)
         self.source = program.morph_schedule() if program.has_morph else program.field_expr()
         self.pts = np.random.default_rng(SEED).uniform(-1.0, 1.0, (n, self.source.dimension))
         self.t = t
+        if driver:
+            self.source = pkg.sim.as_field_driver(self.source)
+        self.layers = ("driver_values_grads" if driver else "values_grads",)
 
     def call(self, layer: str):
         return self.source.values_grads(self.pts, self.t)
 
     def outputs(self) -> list[bytes]:
-        return [a.tobytes() for a in self.call("values_grads")]
+        return [a.tobytes() for a in self.call(self.layers[0])]
 
     def facts(self) -> dict:
         return {}
 
 
-def time_block(case: Case, layer: str, calls: int) -> list[float]:
+def time_block(case: Case, layer: str, seconds: float) -> list[float]:
+    """Each call's time in microseconds, over calls made until ``seconds``
+    have passed (at least one)."""
     times = []
     gc.collect()
     gc.disable()
     try:
-        for _ in range(calls):
+        end = time.perf_counter_ns() + int(seconds * 1e9)
+        t1 = 0
+        while t1 < end:
             t0 = time.perf_counter_ns()
             case.call(layer)
-            times.append((time.perf_counter_ns() - t0) / 1e3)
+            t1 = time.perf_counter_ns()
+            times.append((t1 - t0) / 1e3)
     finally:
         gc.enable()
     return times
@@ -166,10 +184,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--baseline", type=Path, help="second checkout root to time against")
     ap.add_argument(
-        "--quick", action="store_true", help="2 blocks of 3 calls, not 20 of 25: a smoke run"
+        "--quick", action="store_true",
+        help="2 blocks of 2 ms per layer, not 30 of 100 ms: a smoke run",
     )
     args = ap.parse_args(argv)
-    blocks, calls = (2, 3) if args.quick else (20, 25)
+    blocks, seconds = (2, 0.002) if args.quick else (30, 0.1)
 
     cpu = max(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {cpu})
@@ -179,7 +198,10 @@ def main(argv=None) -> int:
     pkgs = {tag: load_package(root, f"_scaling_{tag}") for tag, root in trees.items()}
 
     groups = [({"bodies": nb + ni}, Case, (nb, ni)) for nb, ni in SIZES]
-    groups += [({"shape": shape, "points": n, "t": t}, FieldCase, (shape, n, t)) for shape, n, t in FIELDS]
+    groups += [
+        ({"shape": shape, "points": n, "t": t}, FieldCase, (shape, n, t, driver))
+        for shape, n, t, driver in FIELDS
+    ]
     rows = []
     for size, kind, params in groups:
         cases = {tag: kind(pkg, *params) for tag, pkg in pkgs.items()}
@@ -192,7 +214,7 @@ def main(argv=None) -> int:
         for block in range(blocks):
             for tag in order if block % 2 == 0 else order[::-1]:
                 for layer in change.layers:
-                    times[tag][layer] += time_block(cases[tag], layer, calls)
+                    times[tag][layer] += time_block(cases[tag], layer, seconds)
         if "baseline" in cases:
             bits_equal = change.outputs() == cases["baseline"].outputs()
         for layer in change.layers:
@@ -211,7 +233,7 @@ def main(argv=None) -> int:
         "script": "scripts/contact_scaling.py",
         "seed": SEED,
         "blocks": blocks,
-        "calls_per_block": calls,
+        "block_seconds": seconds,
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -42,9 +42,19 @@ row whatever the stack's height and width, so a node's result does not
 depend on its group, and a point's result does not depend on its batch.
 
 At swarm size (tens of points) a call costs mostly its number of numpy
-calls, so the kernels take fast paths that keep every bit: a sqrt-corner
-quotient divides plainly when no denominator is zero, and small masks are
-tested with ``np.count_nonzero``.
+calls and their dispatch, so the kernels take fast paths that keep every
+bit: a sqrt-corner quotient divides plainly when no denominator is zero,
+and small masks are tested with ``np.count_nonzero``.  Every operand of an
+array operation is an array: each scalar is a read-only 0-d float64 array
+made once, as a module constant (0.5, 1.0, 0.0), or at compile time from a
+group's own parameters (an R-operation's s, sign, 2s, 1 + s, sign / (1 + s)
+and 1 / (1 + s); an equivalence's m, -1/m and -(m + 1)/m).  On a (6, 30)
+multiply a Python-float operand costs about 680 ns, a 0-d array 440 ns and
+an array of the same shape 420 ns, while a (2, 1) column broadcast over
+(2, 30) costs 920 ns against 370 ns at full width.  The values are the
+same, so are the bits.  The leaf kernels keep their (k, 1) parameter
+columns: widened to the batch they cost less at tens of points but more at
+grid size.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, NamedTuple
 
 import numpy as np
 
@@ -147,6 +157,17 @@ def _as_batch(x, dim: int) -> np.ndarray:
             )
         return pts
     raise DimensionMismatchError(f"points must be 1-D or 2-D, got shape {pts.shape}")
+
+
+def _const(x: float) -> np.ndarray:
+    """``x`` as a read-only 0-d float64 array: an operand that numpy's
+    ufuncs take on their array path, with the bits of the float."""
+    a = np.array(x, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_HALF, _ONE, _ZERO = _const(0.5), _const(1.0), _const(0.0)
 
 
 def _corner_div(nums: tuple, den: np.ndarray) -> list[np.ndarray]:
@@ -409,38 +430,57 @@ def _caller_stacklevel() -> int:
     return level
 
 
-def _r_binary(v1, v2, s, sign, want_partials: bool):
+class _RConsts(NamedTuple):
+    """An R-operation group's constants, made once from its (s, sign) by
+    :func:`_r_consts`: ``s`` as a float for the clamp test, the rest 0-d
+    arrays.  The plan keys its groups by ``repr`` of (s, sign), so a -0.0
+    group and a 0.0 group each build their own."""
+
+    s_value: float
+    s: np.ndarray
+    sign: np.ndarray
+    two_s: np.ndarray
+    one_plus_s: np.ndarray
+    sign_over: np.ndarray  # sign / (1 + s)
+    mean: np.ndarray  # 1 / (1 + s)
+
+
+def _r_consts(s: float, sign: float) -> _RConsts:
+    den = 1.0 + s
+    return _RConsts(s, *map(_const, (s, sign, 2.0 * s, den, sign / den, 1.0 / den)))
+
+
+def _r_binary(v1, v2, c: _RConsts, want_partials: bool):
     """R-disjunction (``sign`` +1) or R-conjunction (-1) of values v1, v2.
 
     Value ``r = (v1 + v2 + sign sqrt(rad)) / (1 + s)`` with ``rad = v1^2 +
     v2^2 - 2 s v1 v2`` clamped at 0 (only s > 1 can make it negative); with
     ``want_partials`` also the per-point factor ``q = sign / ((1 + s)
     sqrt(rad))``, 0 where ``sqrt(rad)`` is 0, of both partials (see
-    :func:`_r_partial`), else ``(v, None)``.  Values are (k, n) stacks,
-    ``s`` and ``sign`` floats, and an operand may be a constant column.  A
-    clamp warns once per call.
+    :func:`_r_partial`), else ``(v, None)``.  Values are (k, n) stacks (an
+    operand may be a constant stack), and ``c`` holds the group's (s,
+    sign) constants.  A clamp warns once per call.
     """
-    rad = v1 * v1 + v2 * v2 - 2.0 * s * v1 * v2
-    if s > 1.0 and np.count_nonzero(rad < 0.0):
+    rad = v1 * v1 + v2 * v2 - c.two_s * v1 * v2
+    if c.s_value > 1.0 and np.count_nonzero(rad < _ZERO):
         warnings.warn(
-            f"R-function radicand clamped to 0 (s = {s} > 1)",
+            f"R-function radicand clamped to 0 (s = {c.s_value} > 1)",
             RuntimeWarning, stacklevel=_caller_stacklevel(),
         )
-    root = np.sqrt(np.maximum(rad, 0.0))
-    den = 1.0 + s
-    v = (v1 + v2 + sign * root) / den
+    root = np.sqrt(np.maximum(rad, _ZERO))
+    v = (v1 + v2 + c.sign * root) / c.one_plus_s
     if not want_partials:
         return v, None
     # at most 1 / sqrt(smallest subnormal), so it cannot overflow
-    return v, _corner_div((sign / den,), root)[0]
+    return v, _corner_div((c.sign_over,), root)[0]
 
 
-def _r_partial(q, s, a, b):
+def _r_partial(q, c: _RConsts, a, b):
     """An R-operation's partial in its operand ``a``, with ``b`` the other
     and ``q`` from :func:`_r_binary`: ``dr/da = (1 + sign (a - s b) /
     sqrt(rad)) / (1 + s)``, which is ``1 / (1 + s)``, the mean of its
     one-sided values, where ``sqrt(rad)`` is 0."""
-    return 1.0 / (1.0 + s) + q * (a - s * b)
+    return c.mean + q * (a - c.s * b)
 
 
 @dataclass(frozen=True)
@@ -483,8 +523,21 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return np.add.accumulate(x, axis=0)[-1]
 
 
-def _equiv_vg(V: np.ndarray, G: np.ndarray | None, m: int):
-    """Order-``m`` equivalence of the absolute values of ``V``, (k, n).
+class _EquivConsts(NamedTuple):
+    """An equivalence's order m, -1/m and -(m + 1)/m as 0-d arrays."""
+
+    m: np.ndarray
+    neg_inv: np.ndarray
+    neg_next: np.ndarray
+
+
+def _equiv_consts(m: int) -> _EquivConsts:
+    return _EquivConsts(*map(_const, (m, -1.0 / m, -(m + 1.0) / m)))
+
+
+def _equiv_vg(V: np.ndarray, G: np.ndarray | None, c: _EquivConsts):
+    """Order-``m`` equivalence of the absolute values of ``V``, (k, n), with
+    ``c`` the constants of m.
 
     With ``phi_i = |V_i|``, evaluates ``1 / (sum_i phi_i^-m)^(1/m)`` in a
     scaled form that cannot overflow: with ``a = min_i phi_i``, the result
@@ -497,13 +550,13 @@ def _equiv_vg(V: np.ndarray, G: np.ndarray | None, m: int):
     U = np.abs(V)
     # the ufunc form, which skips the np.min wrapper
     a = np.minimum.reduce(U, axis=0)
-    pos = a != 0.0  # a NaN point is computed, and stays NaN
+    pos = a != _ZERO  # a NaN point is computed, and stays NaN
     every = np.count_nonzero(pos) == pos.size  # the usual case: no masking
     Up, ap = (U, a) if every else (U[:, pos], a[pos])
     ratios = ap / Up  # (k, np), all in (0, 1] off NaN points
-    powers = np.power(ratios, m)
+    powers = np.power(ratios, c.m)
     ssum = _sum_rows(powers)  # >= 1
-    vp = ap * np.power(ssum, -1.0 / m)
+    vp = ap * np.power(ssum, c.neg_inv)
     gp = None
     if G is not None:
         Gp = G if every else G[:, :, pos]
@@ -514,9 +567,9 @@ def _equiv_vg(V: np.ndarray, G: np.ndarray | None, m: int):
         # rounding where phi / phi_i would also carry phi's.  The chain rule
         # of |V_i|, d phi_i = sign(V_i) d V_i, moves onto the coefficient:
         # no V_i is 0 here, and a NaN one leaves the coefficient NaN
-        c = np.copysign(powers * ratios * np.power(ssum, -(m + 1.0) / m),
-                        V if every else V[:, pos])
-        gp = _sum_rows(c[:, None, :] * Gp)
+        coef = np.copysign(powers * ratios * np.power(ssum, c.neg_next),
+                           V if every else V[:, pos])
+        gp = _sum_rows(coef[:, None, :] * Gp)
     if every:
         return vp, gp
     v = np.zeros_like(a)
@@ -574,7 +627,7 @@ def _trim(f, t, want_partials: bool):
     # elementwise, so a row's bits do not depend on its batch.
     f2 = f * f
     aux = np.sqrt(t * t + f2 * f2)
-    w = 0.5 * (aux - t)
+    w = _HALF * (aux - t)
     v = np.sqrt(f2 + w * w)
     if not want_partials:
         return v, None, None
@@ -582,7 +635,7 @@ def _trim(f, t, want_partials: bool):
     # t > 0 and t^2 >> f^4, and only this one stays within 4 ulp of the
     # chain rule through aux and w there
     w_f, t_aux = _corner_div((f2 * f, t), aux)
-    w_t = 0.5 * (t_aux - 1.0)
+    w_t = _HALF * (t_aux - _ONE)
     return (v, *_corner_div((f + w * w_f, w * w_t), v))
 
 
@@ -638,7 +691,7 @@ def _plane_step(pts, ops, c, want_grad):
     # elementwise, not a BLAS product, so a point's value is the same in any
     # batch; einsum's sum started from +0.0, which turns -0.0 into 0.0
     v = _axis_sum((pts.T - origin) * normal)
-    v += 0.0
+    v += _ZERO
     if not want_grad:
         return v, None
     g = np.empty(normal.shape[:2] + v.shape[1:])
@@ -653,9 +706,8 @@ def _neg_step(pts, ops, c, want_grad):
 
 def _rbin_step(pts, ops, c, want_grad):
     (v1, g1), (v2, g2) = ops
-    s = c[0]
-    v, q = _r_binary(v1, v2, s, c[1], want_grad)
-    return v, (_contract(_r_partial(q, s, v1, v2), g1, _r_partial(q, s, v2, v1), g2)
+    v, q = _r_binary(v1, v2, c, want_grad)
+    return v, (_contract(_r_partial(q, c, v1, v2), g1, _r_partial(q, c, v2, v1), g2)
                if want_grad else None)
 
 
@@ -665,11 +717,11 @@ def _trim_step(pts, ops, c, want_grad):
     return v, (_contract(pf, gf, pt, gt) if want_grad else None)
 
 
-def _equiv_step(pts, ops, m, want_grad):
+def _equiv_step(pts, ops, c, want_grad):
     # one node per step, as equivalences differ in their number of pieces:
     # its one operand is the (k, n) stack of its children's rows
     ((v, g),) = ops
-    v, g = _equiv_vg(v, g, m)
+    v, g = _equiv_vg(v, g, c)
     return v[None], (g[None] if want_grad else None)
 
 
@@ -687,9 +739,9 @@ _STEPS = {
         np.array([n for _, n in params])[:, :, None],
     )),
     "neg": (_neg_step, lambda params: None),
-    "rbin": (_rbin_step, lambda params: params[0]),  # one (s, sign) per group
+    "rbin": (_rbin_step, lambda params: _r_consts(*params[0])),  # one (s, sign) per group
     "trim": (_trim_step, lambda params: None),
-    "equiv": (_equiv_step, lambda params: params[0][0]),
+    "equiv": (_equiv_step, lambda params: _equiv_consts(params[0][0])),
 }
 
 

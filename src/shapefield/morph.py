@@ -20,7 +20,7 @@ from then on it forwards to the final field's ``values``/``values_grads``.
 The initial and final fields are compiled into one plan on first use, so
 nodes they share (such as equal circles) are evaluated once, and the two
 R-conjunctions of the blend run as one stacked call of the R-operation
-helper against a constant column.  The gradient follows the field
+helper against a constant stack.  The gradient follows the field
 module's rule: the blend forms phi's partials in ``phi_i`` and ``phi_f`` per
 point, on values, from the conjunctions' member partials, and contracts
 them with the members' (d, n) gradients once.  The result is transposed
@@ -43,9 +43,11 @@ from .fields import (
     _as_batch,
     _caller_stacklevel,
     _check_s,
+    _ONE,
     _contract,
     _Plan,
     _r_binary,
+    _r_consts,
     _r_partial,
 )
 from .tolerances import BLEND_DEGENERACY_EPS, MORPH_COMPLETE_EPS
@@ -146,15 +148,24 @@ class MorphSchedule:
     def _plan(self) -> _Plan:
         return _Plan((self.initial, self.final))
 
+    @cached_property
+    def _conj(self):
+        """The weight conjunctions' constants, made once."""
+        return _r_consts(self.s, -1.0)
+
     def _blend_vg(self, pts: np.ndarray, t: float, fval: float, want_grad: bool):
         # fval: the ramp at t, evaluated once by the caller.  Values are (n,)
         # and gradients (d, n), as in the plan's stacks.
         V, G = self._plan(pts, want_grad)
         vi, vf = V
         # both weight conjunctions, R_conj(phi_i, -f) and R_conj(phi_f, f - 1),
-        # on the (2, n) stack against a constant column
-        consts = np.array([[-fval], [fval - 1.0]])
-        (g1, g2), q = _r_binary(V, consts, self.s, -1.0, want_grad)
+        # on the (2, n) stack against a constant stack: at full width, as a
+        # broadcast (2, 1) column costs each operation more than it saves
+        consts = np.empty(V.shape)
+        consts[0] = -fval
+        consts[1] = fval - 1.0
+        c = self._conj
+        (g1, g2), q = _r_binary(V, consts, c, want_grad)
         total = g1 + g2
         bad = np.abs(total) < BLEND_DEGENERACY_EPS
         if np.count_nonzero(bad):
@@ -174,9 +185,9 @@ class MorphSchedule:
         r = dv / total
         # the conjunctions' partials in the members, d g1 / d phi_i and
         # d g2 / d phi_f; those in the constant column are never formed
-        p1, p2 = _r_partial(q, self.s, V, consts)
+        p1, p2 = _r_partial(q, c, V, consts)
         gi, gf = G
-        g = _contract(w1 * (1.0 - p1 * r), gi, (1.0 - w1) * (1.0 + p2 * r), gf)
+        g = _contract(w1 * (_ONE - p1 * r), gi, (_ONE - w1) * (_ONE + p2 * r), gf)
         return v, g, (w1, g1, g2)
 
     def _ramp_at(self, t: float) -> float:

@@ -25,7 +25,12 @@ reused while no body has moved more than half the skin, and each step
 tests only the listed pairs, by direct coordinate differences.  Each build
 also records the smallest gap between listed bodies, less a rounding
 margin: while no body has moved half that far, no listed pair can touch,
-and a step skips the narrow phase.  Contact memory is O(n + listed pairs).
+and a step skips the narrow phase.  Behind that global room each body has
+its own, the smallest gap among its listed pairs, found once per build on
+the first step whose global test fails: while every body has moved less
+than half its own room, the narrow phase is skipped too, as in a morph run
+whose robots move while its grains rest.  Contact memory is O(n + listed
+pairs).
 
 The same object keeps what a run's steps share and never change: dt / m as
 an (n, d) array and the spring ring's scatter bins.  A step without one
@@ -593,16 +598,25 @@ class _PairCache:
     body has moved more than skin/2 since the build, every overlapping
     pair is still on the list, so :meth:`hits` reuses it.  It rebuilds
     when a body moves farther, when the body count changes, or when the
-    radii change.  ``builds`` counts the builds.
+    radii change.  ``builds`` counts the builds, and ``narrow_steps`` the
+    calls that tested the listed pairs.
 
-    Each build also records a no-contact certificate.  The room is the
-    smallest |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``) over
-    the listed pairs, from direct differences; the margin outweighs the
-    rounding of every distance and move involved.  Two bodies that each
+    Each build also records a no-contact certificate.  A listed pair's
+    gap is |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``), from
+    direct differences; the margin outweighs the rounding of every
+    distance and move involved.  The room is the smallest gap, and
+    ``clear2`` its squared half (-1 without room).  Two bodies that each
     moved less than half the room cannot have closed it, so while no body
-    has, :meth:`hits` returns no pairs without testing any.  A listed
-    pair that touches, or is closer than the margin, leaves no room, and
-    the certificate never holds.
+    has, :meth:`hits` returns no pairs without testing any.  When that
+    test fails, a body-by-body one follows: each body's room is the
+    smallest gap among its own listed pairs, and while every body has
+    moved less than half its own room, each listed pair's two bodies each
+    moved less than half that pair's gap, and again no pair is tested.
+    The rooms are computed once per build, on the first step whose global
+    test fails, so a run whose robots move past the global room while the
+    grains rest still skips the narrow phase.  A listed pair that
+    touches, or is closer than the margin, leaves no room, and neither
+    test ever holds.
 
     :meth:`dt_over_m` keeps dt / m as an (n, d) array, and
     :meth:`spring_bins` the spring links' scatter bins: the arrays a step
@@ -613,7 +627,7 @@ class _PairCache:
     """
 
     def __init__(self, world: WorldState):
-        self.builds = 0
+        self.builds = self.narrow_steps = 0
         self._build(world)
         self._mass_of = self._dt = self._i_of = self._j_of = None
 
@@ -641,24 +655,40 @@ class _PairCache:
         self.i, self.j, d2, self.rsum = _near_pairs(self.pos, self.radius, self.skin)
         self.rsum2 = self.rsum * self.rsum
         # listed pairs are nearer than their cutoff, so nothing here overflows
-        gap = np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
-        room = float(gap.min(initial=np.inf))
+        self._gap = np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
+        room = float(self._gap.min(initial=np.inf))
         # squared half room; no room admits no move, not even a zero one
         self.clear2 = (0.5 * room) ** 2 if room > 0.0 else -1.0
+        self._body_clear2 = None  # the bodies' own, when first needed
+        self._move2 = np.empty(world.n)
         empty = self.rsum[:0]
         self.no_hits = (self.i[:0], self.j[:0], self.pos[:0], empty, empty)
         self.builds += 1
 
     def _moved2(self, world: WorldState) -> float:
-        """Largest squared move of a body since the build; inf when the body
-        count or the radii changed."""
+        """Largest squared move of a body since the build, with each body's
+        left in ``_move2``; inf when the body count or the radii changed."""
         if world.pos.shape != self.pos.shape or not (
             world.radius is self.radius_of or np.array_equal(world.radius, self.radius)
         ):
             return math.inf
         moved = world.pos - self.pos
         moved *= moved
-        return (moved[:, 0] + moved[:, 1]).max()
+        return np.add(moved[:, 0], moved[:, 1], out=self._move2).max()
+
+    def _each_body_clear(self) -> bool:
+        """Whether every body moved less than half its own room (see the
+        class docstring), from the squared moves of the last
+        :meth:`_moved2`.  Only called while the global room is positive, so
+        every listed gap is positive too."""
+        if self._body_clear2 is None:
+            room = np.full(self.pos.shape[0], np.inf)
+            np.minimum.at(room, self.i, self._gap)
+            np.minimum.at(room, self.j, self._gap)
+            room *= 0.5
+            room *= room
+            self._body_clear2 = room
+        return bool(np.all(self._move2 < self._body_clear2))
 
     def hits(self, world: WorldState):
         """Overlapping pairs of ``world``: (i, j, p_i - p_j, |p_i - p_j|^2, r_i + r_j).
@@ -677,8 +707,9 @@ class _PairCache:
             if not moved2 <= (0.5 * self.skin) ** 2:
                 self._build(world)
                 moved2 = 0.0
-            if moved2 < self.clear2:
+            if moved2 < self.clear2 or (self.clear2 > 0.0 and self._each_body_clear()):
                 return self.no_hits
+            self.narrow_steps += 1
             d = world.pos.take(self.i, axis=0) - world.pos.take(self.j, axis=0)
             dx, dy = d.T
             d2 = dx * dx + dy * dy
@@ -835,9 +866,8 @@ def step(
 
 def _pulse_kicks(world: WorldState, disturbances, dt: float) -> dict:
     """The velocity kicks ``(targets, impulse / mass)`` of every pulse,
-    keyed by the index k of the step they fire before: the first step whose
-    nominal start k dt is at or after the pulse time, within
-    ``PULSE_STEP_TOL`` of a step.  Pulse times outside their window are
+    keyed by the index k of the step they fire before, the step that
+    :func:`_first_step_at` gives for the pulse time.  Pulse times outside their window are
     left out.  Kicks on one step keep the order of their times, then of
     their disturbances.  Targets and impulses are checked against ``world``."""
     pulses = []
@@ -854,8 +884,15 @@ def _pulse_kicks(world: WorldState, disturbances, dt: float) -> dict:
         pulses += [(t, kick) for t in d.times if d.t0 <= t <= d.t1]
     kicks = {}
     for t, kick in sorted(pulses, key=lambda p: p[0]):
-        kicks.setdefault(max(0, math.ceil(t / dt - PULSE_STEP_TOL)), []).append(kick)
+        kicks.setdefault(_first_step_at(t, dt), []).append(kick)
     return kicks
+
+
+def _first_step_at(t: float, dt: float) -> int:
+    """The first step index k >= 0 whose nominal time k dt is at or after
+    ``t``, within ``PULSE_STEP_TOL`` of a step, so that a time that is a
+    whole number of steps up to rounding counts as that step."""
+    return max(0, math.ceil(t / dt - PULSE_STEP_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +937,10 @@ def run(
 ):
     """Build a world and step it for ``config.duration``, sampling metrics.
 
+    The run takes the fewest whole steps of ``config.dt`` that reach
+    ``config.duration`` (within ``PULSE_STEP_TOL`` of a step), so its last
+    sample's time is at or after the duration; a duration of 0 takes none.
+
     ``program`` may be a FieldExpr, MorphSchedule, ShapeProgram, or
     FieldDriver.  Identical (config, program, disturbances) give
     bit-identical trajectories.  With ``return_world`` the final
@@ -922,7 +963,8 @@ def run(
             stacklevel=2,
         )
 
-    n_steps = int(round(config.duration / config.dt))
+    # the fewest whole steps that reach the duration
+    n_steps = _first_step_at(config.duration, config.dt)
     sample_every = max(1, int(round(config.sample_interval / config.dt)))
 
     times = []

@@ -28,7 +28,7 @@ CONTACT_COINCIDENT_EPS = 1e-12   # overlapping bodies with coincident centers (m
 CONTACT_SLIP_EPS = 1e-4          # slip speed below which friction ramps linearly (m/s)
 CONTACT_SKIN_FRACTION = 0.25     # contact neighbour-list skin, as a fraction of the smallest radius
 CONTACT_ROOM_MARGIN = 1e-9       # rounding margin of the no-contact certificate, as a fraction of r_i + r_j
-PULSE_STEP_TOL = 1e-6            # a disturbance pulse this fraction of a step past a step's start fires before that step
+PULSE_STEP_TOL = 1e-6            # a time this fraction of a step past a step's start counts as that step: a pulse fires before it, a run's duration ends at it
 STABILITY_SAFETY = 0.2           # dt bound factor: dt <= STABILITY_SAFETY*sqrt(m_min/k_c)
 
 # Grid sampling.

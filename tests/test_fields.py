@@ -27,6 +27,7 @@ from shapefield.fields import (
     Sphere,
     Trim,
     _corner_div,
+    _equiv_consts,
     _equiv_vg,
     _Plan,
     gradient,
@@ -316,10 +317,10 @@ class TestEquivalence:
         # carries it into the pivot, and the point is not masked to 0.  A
         # NaN coordinate makes every axis plane NaN, so the kernel is fed
         # its (k, n) value stack directly
-        assert np.isnan(_equiv_vg(np.array([[np.nan], [1.0]]), None, 2)[0]).all()
-        assert np.isnan(_equiv_vg(np.array([[0.5], [2.0], [np.nan]]), None, 1)[0]).all()
+        assert np.isnan(_equiv_vg(np.array([[np.nan], [1.0]]), None, _equiv_consts(2))[0]).all()
+        assert np.isnan(_equiv_vg(np.array([[0.5], [2.0], [np.nan]]), None, _equiv_consts(1))[0]).all()
         got, _ = _equiv_vg(
-            np.array([[np.nan, 0.0, np.nan, 0.5], [1.0, 1.0, 0.0, 0.5]]), None, 3
+            np.array([[np.nan, 0.0, np.nan, 0.5], [1.0, 1.0, 0.0, 0.5]]), None, _equiv_consts(3)
         )
         assert np.isnan(got[[0, 2]]).all()  # NaN wins over a zero piece
         assert same_bits(got[1:2], np.zeros(1)) and got[3] > 0.0

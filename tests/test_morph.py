@@ -17,6 +17,7 @@ from shapefield.fields import (
     Segment,
     Sphere,
     _r_binary,
+    _r_consts,
     _r_partial,
 )
 from shapefield.gridio import GridSpec, grid_points, sample_grid
@@ -319,14 +320,15 @@ def _recursive_blend(sched, pts, t, want_grad):
     vf, gf = _tree(sched.final, pts, want_grad)
     c1 = np.full_like(vi, -fval)
     c2 = np.full_like(vi, fval - 1.0)
-    g1, q1 = _r_binary(vi, c1, sched.s, -1.0, want_grad)
-    g2, q2 = _r_binary(vf, c2, sched.s, -1.0, want_grad)
+    conj = _r_consts(sched.s, -1.0)
+    g1, q1 = _r_binary(vi, c1, conj, want_grad)
+    g2, q2 = _r_binary(vf, c2, conj, want_grad)
     total = g1 + g2
     w1 = g2 / total
     v = vf + w1 * (vi - vf)
     if not want_grad:
         return v, None, total
-    p1, p2 = _r_partial(q1, sched.s, vi, c1), _r_partial(q2, sched.s, vf, c2)
+    p1, p2 = _r_partial(q1, conj, vi, c1), _r_partial(q2, conj, vf, c2)
     r = (vi - vf) / total
     g = (w1 * (1.0 - p1 * r)) * gi + ((1.0 - w1) * (1.0 + p2 * r)) * gf
     return v, g.T, total

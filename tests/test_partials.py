@@ -45,8 +45,10 @@ from shapefield.fields import (
     Segment,
     Trim,
     _STEPS,
+    _equiv_consts,
     _equiv_vg,
     _r_binary,
+    _r_consts,
     _r_partial,
     _trim,
 )
@@ -346,9 +348,10 @@ class TestCorners:
         # partial is 1 / (1 + s), the mean of its one-sided values
         zero = np.zeros((1, 3))
         for sign in (1.0, -1.0):
-            v, q = _r_binary(zero, zero, s, sign, True)
+            c = _r_consts(s, sign)
+            v, q = _r_binary(zero, zero, c, True)
             assert same_bits(v, zero)
-            assert np.all(_r_partial(q, s, zero, zero) == 1.0 / (1.0 + s))
+            assert np.all(_r_partial(q, c, zero, zero) == 1.0 / (1.0 + s))
         # through a tree: two planes through the origin
         x, y = Plane((0.0, 0.0), (1.0, 0.0)), Plane((0.0, 0.0), (0.0, 1.0))
         for node in (Disjunction(x, y, s=s), Conjunction(x, y, s=s)):
@@ -371,7 +374,7 @@ class TestCorners:
             lone_v, lone_g = expr.values_grads(pts[i:i + 1], 0.0)
             assert same_bits(lone_v, v[i:i + 1]) and same_bits(lone_g, g[i:i + 1])
         U = np.array([[0.0, 0.3], [0.2, 0.4]])
-        val, grad = _equiv_vg(U, np.ones((2, 2, 2)), 3)
+        val, grad = _equiv_vg(U, np.ones((2, 2, 2)), _equiv_consts(3))
         assert same_bits(val[:1], np.zeros(1)) and same_bits(grad[:, 0], np.zeros(2))
 
     def test_equivalence_with_a_tiny_piece(self):
@@ -398,7 +401,7 @@ class TestCorners:
         v, g = wrench.values_grads(ring, 0.0)
         assert same_bits(v, np.zeros(4))
         (vf,), _ = one_by_one(wrench.final, ring, False)
-        g2, _ = _r_binary(vf, np.full(4, -1.0), wrench.s, -1.0, False)
+        g2, _ = _r_binary(vf, np.full(4, -1.0), _r_consts(wrench.s, -1.0), False)
         want = (gi * (1.0 + vf / ((1.0 + wrench.s) * g2))).T
         _assert_close(g, want, np.abs(want), 4.0)
         # the mean of the one-sided gradients just inside and outside

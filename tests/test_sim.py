@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapefield.fields import Circle, DimensionMismatchError, Plane, Sphere
+from shapefield.lang import parse
 from shapefield.morph import DegenerateBlendError, MorphSchedule
 from shapefield.sim import (
     Disturbance,
@@ -24,6 +26,7 @@ from shapefield.sim import (
     _GRAIN_SPACING_MARGIN,
     _PairCache,
     _center_of_mass,
+    _first_step_at,
     _hex_packing,
     _hex_sites,
     _near_pairs,
@@ -42,7 +45,7 @@ from shapefield.sim import (
     stability_dt_bound,
     step,
 )
-from shapefield.tolerances import CONTACT_ROOM_MARGIN, CONTACT_SKIN_FRACTION
+from shapefield.tolerances import CONTACT_ROOM_MARGIN, CONTACT_SKIN_FRACTION, PULSE_STEP_TOL
 
 QUIET = {"category": RuntimeWarning, "match": "stability"}
 RADII = (0.03, 0.0325, 0.0325 * math.sqrt(2.0))
@@ -121,6 +124,20 @@ def assert_list_is_brute_force(pos, radius):
     return got[0].size
 
 
+def own_rooms(cache, world):
+    """Each body's room, pair by pair: the smallest gap |p_i - p_j| - (r_i +
+    r_j)(1 + margin) among its listed pairs, or the skin, which every listed
+    gap is below, for a body without one."""
+    room = np.full(world.n, cache.skin)
+    for a, b in zip(cache.i, cache.j):
+        dx, dy = world.pos[a] - world.pos[b]
+        gap = math.sqrt(dx * dx + dy * dy) - (world.radius[a] + world.radius[b]) * (
+            1.0 + CONTACT_ROOM_MARGIN
+        )
+        room[a], room[b] = min(room[a], gap), min(room[b], gap)
+    return room
+
+
 def add_at_reference(pair, i, j, n):
     """Per-body sums of +pair on i and -pair on j by ``np.add.at``."""
     want = np.zeros((n, pair.shape[1]))
@@ -154,7 +171,7 @@ def packings(draw):
 
 
 @st.composite
-def spaced_packings(draw):
+def spaced_packings(draw, cases=("apart", "at_1e12", "touching", "nan")):
     """Jittered square grids of mixed radii in which no two bodies touch and
     neighbours sit within the list's skin, so the no-contact certificate
     can hold.  Optionally the grid sits at 1e12 m, bodies 0 and 1 touch
@@ -166,7 +183,7 @@ def spaced_packings(draw):
     free = 0.5 * (spacing - 2.0 * max(RADII))
     grid = np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
     pos = grid * spacing + rng.uniform(-0.4 * free, 0.4 * free, grid.shape)
-    case = draw(st.sampled_from(["apart", "at_1e12", "touching", "nan"]))
+    case = draw(st.sampled_from(cases))
     if case == "at_1e12":
         pos += (1e12, -1e12)
     elif case == "touching":
@@ -632,6 +649,81 @@ class TestNeighbourList:
         squeezed = squeezed_world(cfg, 0.93)
         dense = _PairCache(squeezed)
         assert dense.clear2 < 0.0 and dense.hits(squeezed)[0].size > 3000
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaced_packings(), st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, "random"]),
+           st.floats(0.1, 1.0))
+    def test_hits_equal_brute_force_around_each_bodys_room(self, packing, factor, share):
+        # a random share of the bodies each move by just under or just over
+        # half their own room, the smallest gap among their listed pairs,
+        # while the rest stay put, as robots move around resting grains; or
+        # every body moves at random
+        w, rng, case = packing
+        cache = _PairCache(w)
+        room = own_rooms(cache, w)
+        pos = w.pos.copy()
+        movers = np.flatnonzero(rng.random(w.n) < share)
+        if factor == "random":
+            pos += rng.uniform(-3e-3, 3e-3, pos.shape)
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi, movers.size)
+            # no mover reaches half the skin, which would rebuild the list
+            reach = 0.5 * np.minimum(room[movers], (1.0 - 1e-6) * cache.skin)
+            step_len = factor * np.where(room[movers] > 0.0, reach, 0.0)
+            pos[movers] += (step_len * np.stack([np.cos(angle), np.sin(angle)])).T
+        moved = dataclasses.replace(w, pos=pos)
+        got = cache.hits(moved)
+        assert_same_pairs(got[:2], brute_force_hits(moved.pos, moved.radius))
+        assert got[2].shape == (got[0].size, 2)
+        if case == "apart" and factor == 1.0 - 1e-6:
+            # every mover stayed within its own half room: no pair tested
+            assert got[0].size == 0 and cache.builds == 1 and cache.narrow_steps == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(spaced_packings(cases=("apart",)), st.floats(0.5, 0.99), st.floats(0.0, 1.0))
+    def test_resting_grains_and_clear_robots_skip_every_narrow_test(self, packing, reach, share):
+        # a share of the bodies with more than the global room (the robots)
+        # drift at constant speed, each covering ``reach`` of half its own
+        # room in 30 steps, and the rest rest: no step tests a listed pair,
+        # and each step has the bits of a step on a fresh list
+        w, rng, _ = packing
+        cache = _PairCache(w)
+        room = own_rooms(cache, w)
+        cfg = SimConfig(drag=0.0, dt=4e-4)
+        steps = 30
+        robots = (rng.random(w.n) < share) & (room > room.min())
+        angle = rng.uniform(0.0, 2.0 * math.pi, w.n)
+        speed = np.where(robots, reach * 0.5 * room / (steps * cfg.dt), 0.0)
+        vel = (speed * np.stack([np.cos(angle), np.sin(angle)])).T
+        w = fresh = dataclasses.replace(w, vel=vel)
+        for _ in range(steps):
+            w = step(w, cfg, None, cache)
+            fresh = step(fresh, cfg, None, None)
+            assert w.pos.tobytes() == fresh.pos.tobytes()
+            assert w.vel.tobytes() == fresh.vel.tobytes()
+        assert cache.narrow_steps == 0 and cache.builds == 1
+        assert brute_force_hits(w.pos, w.radius)[0].size == 0
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_a_morph_run_skips_every_narrow_test(self, seed):
+        # the wrench morph's first 300 steps: the robots move past the
+        # global room within them, the grains rest, and each body's own room
+        # keeps the narrow phase skipped; each step has the bits of a step
+        # on a fresh list
+        data = resources.files("shapefield") / "data"
+        cfg = parse_sim_config((data / "configs" / "formation_2d.cfg").read_text())
+        cfg = dataclasses.replace(cfg, seed=seed)
+        drv = as_field_driver(parse((data / "shapes" / "wrench_morph.shape").read_text()))
+        w = fresh = build_world(cfg)
+        cache = _PairCache(w)
+        for _ in range(300):
+            w = step(w, cfg, drv, cache)
+            fresh = step(fresh, cfg, drv, None)
+            assert w.pos.tobytes() == fresh.pos.tobytes()
+            assert w.vel.tobytes() == fresh.vel.tobytes()
+        moved2 = np.max(np.sum((w.pos - cache.pos) ** 2, axis=1))
+        assert moved2 >= cache.clear2 > 0.0  # past the global room
+        assert cache.narrow_steps == 0 and cache.builds == 1
 
     def test_rebuilds_when_radii_or_count_change(self, rng):
         pos = rng.uniform(-0.1, 0.1, (20, 2))
@@ -1204,6 +1296,29 @@ class TestRun:
         assert traj.times.shape == (1,)
         assert traj.times[0] == 0.0
         assert traj.positions.shape[0] == 1
+
+    @pytest.mark.parametrize(
+        "duration, steps",
+        # 6.25, 0.4 and 50.5 steps of 0.4 ms, a hair over 2, a hair under 3
+        [(0.0025, 7), (1.6e-4, 1), (0.0202, 51), (8e-4 * (1.0 + 1e-9), 2),
+         (1.2e-3 * (1.0 - 1e-9), 3), (1e-12, 0)],
+    )
+    def test_runs_the_fewest_whole_steps_that_reach_the_duration(self, duration, steps):
+        cfg = small_config(duration=duration, sample_interval=4e-4)
+        traj = run(cfg, Circle((0.0, 0.0), 0.5))
+        assert traj.times.size == steps + 1  # a sample at every step
+        # the last sample reaches the duration, within the tolerance of a step
+        assert traj.times[-1] >= duration - PULSE_STEP_TOL * cfg.dt
+
+    def test_whole_step_durations_keep_their_step_count(self):
+        # 0.01 s to 60 s in 10-ms steps, and every count of steps up to
+        # 2 * 10^5, at both shipped step sizes: the rounded count, as before
+        for dt in (1e-3, 4e-4):
+            for k in range(1, 6001):
+                duration = k / 100.0
+                assert _first_step_at(duration, dt) == round(duration / dt), (duration, dt)
+            for k in range(200_001):
+                assert _first_step_at(k * dt, dt) == k, (k, dt)
 
     def test_times_strictly_increasing(self):
         cfg = small_config(duration=0.5)
