@@ -885,7 +885,14 @@ def gradient(expr: FieldExpr, x) -> GradientSample:
     return expr.gradient(x)
 
 
-def _walk(expr: FieldExpr, path: str) -> Iterator[tuple[FieldExpr, str]]:
+def _walk(expr: FieldExpr, path: str, seen: set) -> Iterator[tuple[FieldExpr, str]]:
+    """Each node of ``expr`` whose id is not in ``seen``, with the first path
+    that reaches it, depth first with children in order.  Ids go into
+    ``seen`` as nodes are visited, so a node that several bindings share is
+    visited once, and a walk costs one visit per distinct node."""
+    if id(expr) in seen:
+        return
+    seen.add(id(expr))
     yield expr, path
     names = {
         Negation: ("child",),
@@ -897,7 +904,7 @@ def _walk(expr: FieldExpr, path: str) -> Iterator[tuple[FieldExpr, str]]:
     for idx, kid in enumerate(kids):
         label = names[idx] if names else f"children[{idx}]"
         sub = f"{path}.{label}" if path else label
-        yield from _walk(kid, sub)
+        yield from _walk(kid, sub, seen)
 
 
 def validate(expr: FieldExpr) -> list[Diagnostic]:
@@ -907,10 +914,11 @@ def validate(expr: FieldExpr) -> list[Diagnostic]:
     parameters outside the well-behaved range (s > 1, whose radicand may
     need clamping).  Hard constructor invariants (positive radii, unit
     normals, m >= 1) cannot be violated on constructed trees and are not
-    re-reported here.
+    re-reported here.  A node that several bindings share is checked once,
+    and its findings carry the first path that reaches it.
     """
     diags: list[Diagnostic] = []
-    for node, path in _walk(expr, ""):
+    for node, path in _walk(expr, "", set()):
         if isinstance(node, Segment) and node.length < DEGENERATE_SEGMENT_LENGTH:
             diags.append(
                 Diagnostic(

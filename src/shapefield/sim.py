@@ -23,14 +23,11 @@ radius sums, from which the list forms its contact sums without a second
 gather.  The list holds the pairs within a small skin of touching, is
 reused while no body has moved more than half the skin, and each step
 tests only the listed pairs, by direct coordinate differences.  Each build
-also records the smallest gap between listed bodies, less a rounding
-margin: while no body has moved half that far, no listed pair can touch,
-and a step skips the narrow phase.  Behind that global room each body has
-its own, the smallest gap among its listed pairs, found once per build on
-the first step whose global test fails: while every body has moved less
-than half its own room, the narrow phase is skipped too, as in a morph run
-whose robots move while its grains rest.  Contact memory is O(n + listed
-pairs).
+also records one bound per body: half the smallest gap among its listed
+pairs, less a rounding margin, and at most half the skin.  While every
+body has moved less than its bound, no pair can touch, and a step skips
+the narrow phase, as in a resting world or in a morph run whose robots
+move while its grains rest.  Contact memory is O(n + listed pairs).
 
 The same object keeps what a run's steps share and never change: dt / m as
 an (n, d) array and the spring ring's scatter bins.  A step without one
@@ -594,29 +591,29 @@ class _PairCache:
 
     The list holds every pair i < j with |p_i - p_j| < r_i + r_j + skin
     at the positions it was built from, with r_i + r_j for each pair; the
-    skin is ``CONTACT_SKIN_FRACTION`` of the smallest radius.  While no
-    body has moved more than skin/2 since the build, every overlapping
-    pair is still on the list, so :meth:`hits` reuses it.  It rebuilds
-    when a body moves farther, when the body count changes, or when the
-    radii change.  ``builds`` counts the builds, and ``narrow_steps`` the
-    calls that tested the listed pairs.
+    skin is ``CONTACT_SKIN_FRACTION`` of the smallest radius.  Each build
+    also records one bound per body.  A listed pair's gap is
+    |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``), from direct
+    differences; the margin outweighs the rounding of every distance and
+    move involved.  A body may move half its smallest listed gap, capped
+    at half the skin, and ``bound2`` holds that distance squared; a listed
+    pair that touches, or is closer than the margin, leaves its bodies a
+    bound of 0, which admits no move, not even a zero one.  On each call
+    :meth:`hits` does one of three things:
 
-    Each build also records a no-contact certificate.  A listed pair's
-    gap is |p_i - p_j| - (r_i + r_j)(1 + ``CONTACT_ROOM_MARGIN``), from
-    direct differences; the margin outweighs the rounding of every
-    distance and move involved.  The room is the smallest gap, and
-    ``clear2`` its squared half (-1 without room).  Two bodies that each
-    moved less than half the room cannot have closed it, so while no body
-    has, :meth:`hits` returns no pairs without testing any.  When that
-    test fails, a body-by-body one follows: each body's room is the
-    smallest gap among its own listed pairs, and while every body has
-    moved less than half its own room, each listed pair's two bodies each
-    moved less than half that pair's gap, and again no pair is tested.
-    The rooms are computed once per build, on the first step whose global
-    test fails, so a run whose robots move past the global room while the
-    grains rest still skips the narrow phase.  A listed pair that
-    touches, or is closer than the margin, leaves no room, and neither
-    test ever holds.
+    - while every body has moved less than its bound, no listed pair can
+      have closed its gap and no unlisted pair its skin, so it returns no
+      pairs without testing any;
+    - while no body has moved more than skin/2, every overlapping pair is
+      still on the list, so it tests the listed pairs;
+    - otherwise, or when the body count or the radii change, it rebuilds
+      the list, and then tests as above.
+
+    Every listed gap is below the skin, so the cap binds only on bodies
+    without a listed pair; it keeps every body inside its bound also
+    inside half the skin, so the first test never holds on a stale list.
+    ``builds`` counts the builds, and ``narrow_steps`` the calls that
+    tested the listed pairs.
 
     :meth:`dt_over_m` keeps dt / m as an (n, d) array, and
     :meth:`spring_bins` the spring links' scatter bins: the arrays a step
@@ -655,40 +652,28 @@ class _PairCache:
         self.i, self.j, d2, self.rsum = _near_pairs(self.pos, self.radius, self.skin)
         self.rsum2 = self.rsum * self.rsum
         # listed pairs are nearer than their cutoff, so nothing here overflows
-        self._gap = np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN)
-        room = float(self._gap.min(initial=np.inf))
-        # squared half room; no room admits no move, not even a zero one
-        self.clear2 = (0.5 * room) ** 2 if room > 0.0 else -1.0
-        self._body_clear2 = None  # the bodies' own, when first needed
+        half_gap = 0.5 * (np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN))
+        bound = np.full(world.n, 0.5 * self.skin)
+        np.minimum.at(bound, self.i, half_gap)
+        np.minimum.at(bound, self.j, half_gap)
+        # a pair without room leaves its bodies 0, which no move is below
+        np.maximum(bound, 0.0, out=bound)
+        self.bound2 = bound * bound
         self._move2 = np.empty(world.n)
         empty = self.rsum[:0]
         self.no_hits = (self.i[:0], self.j[:0], self.pos[:0], empty, empty)
         self.builds += 1
 
-    def _moved2(self, world: WorldState) -> float:
-        """Largest squared move of a body since the build, with each body's
-        left in ``_move2``; inf when the body count or the radii changed."""
+    def _moved2(self, world: WorldState) -> np.ndarray | None:
+        """Each body's squared move since the build, or None when the body
+        count or the radii changed."""
         if world.pos.shape != self.pos.shape or not (
             world.radius is self.radius_of or np.array_equal(world.radius, self.radius)
         ):
-            return math.inf
+            return None
         moved = world.pos - self.pos
         moved *= moved
-        return np.add(moved[:, 0], moved[:, 1], out=self._move2).max()
-
-    def _each_body_clear(self) -> bool:
-        """Whether every body moved less than half its own room (see the
-        class docstring), from the squared moves of the last
-        :meth:`_moved2`.  Only called while the global room is positive, so
-        every listed gap is positive too."""
-        if self._body_clear2 is None:
-            room = np.full(self.pos.shape[0], np.inf)
-            np.minimum.at(room, self.i, self._gap)
-            np.minimum.at(room, self.j, self._gap)
-            room *= 0.5
-            room *= room
-            self._body_clear2 = room
-        return bool(np.all(self._move2 < self._body_clear2))
+        return np.add(moved[:, 0], moved[:, 1], out=self._move2)
 
     def hits(self, world: WorldState):
         """Overlapping pairs of ``world``: (i, j, p_i - p_j, |p_i - p_j|^2, r_i + r_j).
@@ -697,18 +682,20 @@ class _PairCache:
         triangle, and are exactly those with |p_i - p_j|^2 < (r_i + r_j)^2,
         squared by column as dx dx + dy dy from direct coordinate
         differences.  One index array takes the hits from the list.  While
-        the certificate holds, the result is empty arrays of the same
-        dtypes and trailing shapes.
+        every body is inside its bound, the result is empty arrays of the
+        same dtypes and trailing shapes.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             # a diverging state may overflow here; step() reports it right after
-            moved2 = self._moved2(world)
-            # NaN (a non-finite body) compares False, so it forces a rebuild too
-            if not moved2 <= (0.5 * self.skin) ** 2:
-                self._build(world)
-                moved2 = 0.0
-            if moved2 < self.clear2 or (self.clear2 > 0.0 and self._each_body_clear()):
+            move2 = self._moved2(world)
+            # NaN (a non-finite body) compares False in both tests, so it
+            # forces a rebuild
+            if move2 is not None and (move2 < self.bound2).all():
                 return self.no_hits
+            if move2 is None or not move2.max() <= (0.5 * self.skin) ** 2:
+                self._build(world)
+                if (self.bound2 > 0.0).all():  # as built, no body has moved
+                    return self.no_hits
             self.narrow_steps += 1
             d = world.pos.take(self.i, axis=0) - world.pos.take(self.j, axis=0)
             dx, dy = d.T
@@ -940,6 +927,9 @@ def run(
     The run takes the fewest whole steps of ``config.dt`` that reach
     ``config.duration`` (within ``PULSE_STEP_TOL`` of a step), so its last
     sample's time is at or after the duration; a duration of 0 takes none.
+    It samples the initial world, every m-th step, where m is by the same
+    rule the fewest steps that reach ``config.sample_interval`` (at least
+    one), and the last step.
 
     ``program`` may be a FieldExpr, MorphSchedule, ShapeProgram, or
     FieldDriver.  Identical (config, program, disturbances) give
@@ -963,9 +953,10 @@ def run(
             stacklevel=2,
         )
 
-    # the fewest whole steps that reach the duration
+    # the fewest whole steps that reach the duration, and that reach the
+    # sample interval (at least one)
     n_steps = _first_step_at(config.duration, config.dt)
-    sample_every = max(1, int(round(config.sample_interval / config.dt)))
+    sample_every = max(1, _first_step_at(config.sample_interval, config.dt))
 
     times = []
     positions = []

@@ -728,6 +728,30 @@ class TestValidate:
         (diag,) = validate(bad)
         assert diag.path == "child"
 
+    def test_shared_node_reported_once_at_its_first_path(self):
+        seg = Segment((0.0, 0.0), (0.0, 0.0))
+        lens = Conjunction(Circle((0, 0), 1.0), Circle((1, 0), 1.0), s=2.0)
+        expr = Disjunction(Negation(Disjunction(seg, lens)), Disjunction(lens, seg))
+        assert [(d.code, d.path) for d in validate(expr)] == [
+            ("degenerate-segment", "left.child.left"),
+            ("s-above-one", "left.child.right"),
+        ]
+
+    def test_shared_chain_visits_each_node_once(self, monkeypatch):
+        # a_k = union(a_{k-1}, a_{k-1}) for 20 levels: 21 distinct nodes on
+        # 2^21 - 1 paths, of which the walk follows one per node
+        expr = Circle((0.0, 0.0), 0.5)
+        for _ in range(20):
+            expr = Disjunction(expr, expr)
+        assert expr.dimension == 2  # the leaf dimensions are kept before counting
+        visits = []
+        children = Disjunction.children
+        monkeypatch.setattr(
+            Disjunction, "children", lambda self: visits.append(self) or children(self)
+        )
+        assert validate(expr) == []
+        assert len(visits) == 20
+
     def test_eval_rejects_wrong_point_dimension(self):
         with pytest.raises(DimensionMismatchError):
             Circle((0.0, 0.0), 1.0).eval((1.0, 2.0, 3.0))

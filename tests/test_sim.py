@@ -175,7 +175,9 @@ def spaced_packings(draw, cases=("apart", "at_1e12", "touching", "nan")):
     """Jittered square grids of mixed radii in which no two bodies touch and
     neighbours sit within the list's skin, so the no-contact certificate
     can hold.  Optionally the grid sits at 1e12 m, bodies 0 and 1 touch
-    exactly, or one body is NaN."""
+    exactly, one body is NaN, or ("lone") bodies 0 and 1 sit a metre or
+    more from the grid and from each other, so that neither has a listed
+    pair."""
     side = draw(st.integers(2, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     radius = rng.choice(RADII, side * side)
@@ -190,6 +192,8 @@ def spaced_packings(draw, cases=("apart", "at_1e12", "touching", "nan")):
         pos[1] = pos[0] + (radius[0] + radius[1], 0.0)
     elif case == "nan":
         pos[draw(st.integers(0, side * side - 1))] = (np.nan, 0.0)
+    elif case == "lone":
+        pos[:2] = [(-1.0, -1.0), (-1.0, 1.0)]
     return free_world(pos, radius=radius), rng, case
 
 
@@ -583,16 +587,15 @@ class TestNeighbourList:
         assert assert_list_is_brute_force(w.pos, w.radius) > w.n // 2
         cache = _PairCache(w)
         assert_same_pairs(listed_hits(cache, w), brute_force_hits(w.pos, w.radius))
-        # the sums and the room the build recorded, recomputed from positions
+        # the sums and the bounds the build recorded, recomputed from positions
         i, j = cache.i, cache.j
         rsum = w.radius[i] + w.radius[j]
         assert cache.rsum.tobytes() == rsum.tobytes()
         assert cache.rsum2.tobytes() == (rsum * rsum).tobytes()
-        dx, dy = (w.pos[i] - w.pos[j]).T
-        room = float(np.min(np.sqrt(dx * dx + dy * dy) - rsum * (1.0 + CONTACT_ROOM_MARGIN)))
-        assert cache.clear2 == ((0.5 * room) ** 2 if room > 0.0 else -1.0)
+        half = 0.5 * np.maximum(own_rooms(cache, w), 0.0)
+        assert cache.bound2.tobytes() == (half * half).tobytes()
         if seed == 1000:
-            assert cache.clear2 < 0.0 and listed_hits(cache, w)[0].size > 0
+            assert cache.bound2.min() == 0.0 and listed_hits(cache, w)[0].size > 0
 
     @pytest.mark.filterwarnings("error")  # no overflow while building the grid
     def test_extreme_and_non_finite_coordinates(self, rng):
@@ -617,7 +620,8 @@ class TestNeighbourList:
         d = w.pos[i] - w.pos[j]
         gap = np.sqrt(np.einsum("ij,ij->i", d, d)) - (w.radius[i] + w.radius[j])
         if case == "touching":
-            assert cache.clear2 < 0.0  # no room: the certificate never holds
+            # no room: bodies 0 and 1 may not move at all
+            assert cache.bound2[0] == cache.bound2[1] == 0.0
         pos = w.pos.copy()
         if factor == "random":
             pos += rng.uniform(-3e-3, 3e-3, pos.shape)
@@ -643,46 +647,56 @@ class TestNeighbourList:
         cfg = SimConfig(n_boundary=120, n_interior=2880, seed=1)
         w = build_world(cfg)
         cache = _PairCache(w)
-        assert cache.clear2 > 0.0 and cache.hits(w) is cache.no_hits
-        nudged = dataclasses.replace(w, pos=w.pos + 0.5 * math.sqrt(cache.clear2))
+        assert cache.bound2.min() > 0.0 and cache.hits(w) is cache.no_hits
+        nudged = dataclasses.replace(w, pos=w.pos + 0.5 * math.sqrt(cache.bound2.min()))
         assert cache.hits(nudged) is cache.no_hits and cache.builds == 1
         squeezed = squeezed_world(cfg, 0.93)
         dense = _PairCache(squeezed)
-        assert dense.clear2 < 0.0 and dense.hits(squeezed)[0].size > 3000
+        assert dense.bound2.min() == 0.0 and dense.hits(squeezed)[0].size > 3000
 
     @settings(max_examples=150, deadline=None)
-    @given(spaced_packings(), st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, "random"]),
-           st.floats(0.1, 1.0))
+    @given(spaced_packings(cases=("apart", "at_1e12", "touching", "nan", "lone")),
+           st.sampled_from([1.0 - 1e-6, 1.0 + 1e-6, "random"]), st.floats(0.1, 1.0))
     def test_hits_equal_brute_force_around_each_bodys_room(self, packing, factor, share):
         # a random share of the bodies each move by just under or just over
         # half their own room, the smallest gap among their listed pairs,
         # while the rest stay put, as robots move around resting grains; or
-        # every body moves at random
+        # every body moves at random.  In the "lone" case bodies 0 and 1,
+        # without a listed pair, move too, by just under or just over half
+        # the skin, the bound of a body without one
         w, rng, case = packing
         cache = _PairCache(w)
         room = own_rooms(cache, w)
+        lone = np.zeros(w.n, bool)
+        if case == "lone":
+            assert not np.isin([0, 1], np.concatenate([cache.i, cache.j])).any()
+            lone[:2] = True
         pos = w.pos.copy()
-        movers = np.flatnonzero(rng.random(w.n) < share)
+        movers = np.flatnonzero((rng.random(w.n) < share) | lone)
         if factor == "random":
             pos += rng.uniform(-3e-3, 3e-3, pos.shape)
         else:
             angle = rng.uniform(0.0, 2.0 * math.pi, movers.size)
-            # no mover reaches half the skin, which would rebuild the list
-            reach = 0.5 * np.minimum(room[movers], (1.0 - 1e-6) * cache.skin)
+            # no mover but a lone body reaches half the skin, which would
+            # rebuild the list
+            cap = np.where(lone[movers], 1.0, 1.0 - 1e-6) * cache.skin
+            reach = 0.5 * np.minimum(room[movers], cap)
             step_len = factor * np.where(room[movers] > 0.0, reach, 0.0)
             pos[movers] += (step_len * np.stack([np.cos(angle), np.sin(angle)])).T
         moved = dataclasses.replace(w, pos=pos)
         got = cache.hits(moved)
         assert_same_pairs(got[:2], brute_force_hits(moved.pos, moved.radius))
         assert got[2].shape == (got[0].size, 2)
-        if case == "apart" and factor == 1.0 - 1e-6:
-            # every mover stayed within its own half room: no pair tested
+        if case in ("apart", "lone") and factor == 1.0 - 1e-6:
+            # every mover stayed within its own bound: no pair tested
             assert got[0].size == 0 and cache.builds == 1 and cache.narrow_steps == 0
+        if case == "lone" and factor == 1.0 + 1e-6:
+            assert cache.builds == 2  # past half the skin: the list is rebuilt
 
     @settings(max_examples=40, deadline=None)
     @given(spaced_packings(cases=("apart",)), st.floats(0.5, 0.99), st.floats(0.0, 1.0))
     def test_resting_grains_and_clear_robots_skip_every_narrow_test(self, packing, reach, share):
-        # a share of the bodies with more than the global room (the robots)
+        # a share of the bodies with more than the smallest room (the robots)
         # drift at constant speed, each covering ``reach`` of half its own
         # room in 30 steps, and the rest rest: no step tests a listed pair,
         # and each step has the bits of a step on a fresh list
@@ -707,9 +721,9 @@ class TestNeighbourList:
     @pytest.mark.parametrize("seed", [1, 3, 7])
     def test_a_morph_run_skips_every_narrow_test(self, seed):
         # the wrench morph's first 300 steps: the robots move past the
-        # global room within them, the grains rest, and each body's own room
-        # keeps the narrow phase skipped; each step has the bits of a step
-        # on a fresh list
+        # smallest bound within them, the grains rest, and each body's own
+        # bound keeps the narrow phase skipped; each step has the bits of a
+        # step on a fresh list
         data = resources.files("shapefield") / "data"
         cfg = parse_sim_config((data / "configs" / "formation_2d.cfg").read_text())
         cfg = dataclasses.replace(cfg, seed=seed)
@@ -722,7 +736,7 @@ class TestNeighbourList:
             assert w.pos.tobytes() == fresh.pos.tobytes()
             assert w.vel.tobytes() == fresh.vel.tobytes()
         moved2 = np.max(np.sum((w.pos - cache.pos) ** 2, axis=1))
-        assert moved2 >= cache.clear2 > 0.0  # past the global room
+        assert moved2 >= cache.bound2.min() > 0.0  # past the smallest bound
         assert cache.narrow_steps == 0 and cache.builds == 1
 
     def test_rebuilds_when_radii_or_count_change(self, rng):
@@ -1309,6 +1323,18 @@ class TestRun:
         assert traj.times.size == steps + 1  # a sample at every step
         # the last sample reaches the duration, within the tolerance of a step
         assert traj.times[-1] >= duration - PULSE_STEP_TOL * cfg.dt
+
+    @pytest.mark.parametrize(
+        "interval, every", [(1.0, 1), (2.0, 2), (1.5, 2), (2.5, 3), (3.5, 4)]
+    )
+    def test_samples_every_fewest_steps_that_reach_the_interval(self, interval, every):
+        # in steps of 0.4 ms: an interval between whole steps samples at the
+        # first step at or after it, as the duration ends, not at the
+        # nearest one rounded half to even; the last step is sampled too
+        cfg = small_config(duration=25 * 4e-4, sample_interval=interval * 4e-4)
+        traj = run(cfg, Circle((0.0, 0.0), 0.5))
+        steps = np.round(traj.times / cfg.dt).astype(int).tolist()
+        assert steps == list(range(0, 26, every)) + ([25] if 25 % every else [])
 
     def test_whole_step_durations_keep_their_step_count(self):
         # 0.01 s to 60 s in 10-ms steps, and every count of steps up to
