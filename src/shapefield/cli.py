@@ -27,6 +27,7 @@ from .fields import DimensionMismatchError, FieldError
 from .gridio import (
     GridSpec,
     _check_grid_format,
+    _final_state_csv,
     export_grid,
     export_trajectory,
     sample_grid,
@@ -198,27 +199,6 @@ def cmd_check_grad(args) -> int:
         return EXIT_OK
     print(f"gradient check FAILED (tolerance {args.tol:g})", file=sys.stderr)
     return EXIT_CHECK_FAILED
-
-
-def _final_state_csv(world) -> bytes:
-    d = world.dimension
-    cols = (
-        ["body", "kind"]
-        + list("xyz"[:d])
-        + [f"v{a}" for a in "xyz"[:d]]
-        + ["radius", "mass"]
-    )
-    lines = [",".join(cols)]
-    for b in range(world.n):
-        kind = "boundary-robot" if b < world.boundary_count else "interior-grain"
-        fields = (
-            [str(b), kind]
-            + [format(v, ".17g") for v in world.pos[b]]
-            + [format(v, ".17g") for v in world.vel[b]]
-            + [format(world.radius[b], ".17g"), format(world.mass[b], ".17g")]
-        )
-        lines.append(",".join(fields))
-    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def cmd_simulate(args) -> int:

@@ -2,9 +2,11 @@
 
 Grids are sampled row-major over ``dims`` (last index fastest), one field
 value per node, optionally with the gradient magnitude.  Exports are
-plain text with 17-significant-digit decimals so every value round-trips
-bit-exactly through the matching ``parse_*`` function; the byte layout is
-a compatibility contract covered by golden-file tests.
+plain text with 17-significant-digit decimals so every value reads back
+bit-exactly, through the matching ``parse_*`` function where there is
+one.  The byte layout of each export is a compatibility contract covered
+by golden-file tests: the grid CSV and VTK files, the trajectory CSV and
+``simulate``'s ``final_state.csv``.
 """
 
 from __future__ import annotations
@@ -35,23 +37,19 @@ _SAMPLE_BLOCK = 1 << 16  # grid nodes per field evaluation
 _EXPORT_BLOCK = 1 << 14  # rows per formatting call
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _csv_bytes(head: str, columns) -> bytes:
+def _csv_bytes(head: str, columns, row: str | None = None) -> bytes:
     """``head``, then the rows of ``columns`` (arrays of equal length; a 2-D
-    one adds several columns) as comma-separated lines, in ASCII.  Each
-    block of rows is one ``%``-format call, and ``"%.17g" % v`` is
-    ``_fmt(v)``'s text.  Blocks bound the memory of the formatting, and
-    ``BytesIO.getvalue`` hands over its buffer without a copy."""
+    one adds several columns) in ASCII, each through the ``%``-template
+    ``row``: by default every column as ``%.17g``, comma-separated, one
+    line per row.  Each block of rows is one ``%``-format call.  Blocks
+    bound the memory of the formatting, and ``BytesIO.getvalue`` hands
+    over its buffer without a copy."""
     out = io.BytesIO()
     out.write(head.encode("ascii"))
-    line = None
     for lo in range(0, len(columns[0]), _EXPORT_BLOCK):
         block = np.column_stack([c[lo:lo + _EXPORT_BLOCK] for c in columns])
-        line = line or ",".join(["%.17g"] * block.shape[1]) + "\n"
-        out.write(((line * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii"))
+        row = row or ",".join(["%.17g"] * block.shape[1]) + "\n"
+        out.write(((row * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii"))
     return out.getvalue()
 
 
@@ -202,10 +200,8 @@ def _grid_vtk(samples: GridSamples, grid: GridSpec) -> bytes:
     out.write("ASCII\n")
     out.write("DATASET STRUCTURED_POINTS\n")
     out.write("DIMENSIONS {} {} {}\n".format(*dims3))
-    out.write(
-        "ORIGIN " + " ".join(_fmt(c) for c in origin3) + "\n"
-    )
-    out.write("SPACING " + " ".join(_fmt(grid.spacing) for _ in range(3)) + "\n")
+    out.write("ORIGIN " + " ".join("%.17g" % c for c in origin3) + "\n")
+    out.write("SPACING " + " ".join(["%.17g" % grid.spacing] * 3) + "\n")
     out.write(f"POINT_DATA {grid.count}\n")
     out.write("SCALARS phi double 1\n")
     out.write("LOOKUP_TABLE default\n")
@@ -231,7 +227,7 @@ def parse_grid_vtk(data: bytes):
 
 
 # ---------------------------------------------------------------------------
-# Trajectory export
+# Trajectory and final-state exports
 # ---------------------------------------------------------------------------
 
 def export_trajectory(traj: Trajectory, *, include_positions: bool = False) -> bytes:
@@ -279,3 +275,15 @@ def parse_trajectory_csv(data: bytes) -> Trajectory:
         boundary_count=0,
         dimension=d,
     )
+
+
+def _final_state_csv(world) -> bytes:
+    """``final_state.csv``: a row per body, ``body,kind,x,y[,z],vx,vy[,vz],
+    radius,mass``, in two blocks, the robots and then the grains, each with
+    its kind as literal text of its row template."""
+    nb, axes = world.boundary_count, "xyz"[: world.dimension]
+    head = ",".join(["body", "kind", *axes, *(f"v{a}" for a in axes), "radius", "mass"])
+    columns = [np.arange(world.n), world.pos, world.vel, world.radius, world.mass]
+    values = ",%.17g" * (2 * len(axes) + 2) + "\n"
+    robots = _csv_bytes(head + "\n", [c[:nb] for c in columns], "%d,boundary-robot" + values)
+    return robots + _csv_bytes("", [c[nb:] for c in columns], "%d,interior-grain" + values)

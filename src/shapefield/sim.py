@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -226,10 +227,11 @@ class Disturbance:
     ``impulse`` (N s) is applied to each target body at each time in
     ``times`` that lies in [t0, t1]; :func:`run` leaves the other times
     out of its schedule, so they never fire.  The window, the times, the
-    targets and the impulse are checked here.  Targets must be distinct:
-    a pulse gives each listed body one impulse, and listing a body twice
-    would not give it two.  :func:`run` checks the target range and the
-    impulse length against its world before the first step.
+    targets and the impulse are checked here.  Targets must be integers,
+    kept as Python ints, and distinct: a pulse gives each listed body one
+    impulse, and listing a body twice would not give it two.  :func:`run`
+    checks the target range and the impulse length against its world
+    before the first step.
     """
 
     impulse: tuple[float, ...]
@@ -248,14 +250,19 @@ class Disturbance:
             raise ValueError(f"disturbance window must have t0 < t1, got ({self.t0}, {self.t1})")
         if len(self.targets) == 0:
             raise ValueError("disturbance target set is empty")
-        seen = set()
+        seen = {}  # the targets as Python ints, in order
         for target in self.targets:
-            if target in seen:
+            try:
+                index = operator.index(target)
+            except TypeError:
+                raise ValueError(f"disturbance target {target!r} is not an integer") from None
+            if index in seen:
                 raise ValueError(
-                    f"disturbance target {target} is repeated in {self.targets}; "
+                    f"disturbance target {index} is repeated in {self.targets}; "
                     f"each target takes the impulse once per pulse"
                 )
-            seen.add(target)
+            seen[index] = None
+        object.__setattr__(self, "targets", tuple(seen))
         if not all(map(math.isfinite, self.impulse)):
             raise ValueError(f"disturbance impulse must be finite, got {self.impulse}")
 
@@ -376,41 +383,25 @@ def build_world(config: SimConfig) -> WorldState:
 
     2-D: grains packed on a seeded jittered hex lattice, boundary robots
     placed uniformly on a circle just enclosing the packing, ring springs
-    at rest.  3-D: point agents on a Fibonacci sphere shell, no springs.
+    at rest.  3-D: point agents on a Fibonacci sphere shell, no grains, no
+    springs.  Each branch supplies its robots, grains and links only.
     """
     rng = np.random.default_rng(config.seed)
     nb = config.n_boundary
+    grain_pos, grain_radii = np.zeros((0, config.dimension)), np.zeros(0)
     if config.dimension == 3:
-        pos = _fibonacci_sphere(nb, config.spawn_radius)
-        return WorldState(
-            pos=pos,
-            vel=np.zeros_like(pos),
-            radius=np.full(nb, config.robot_radius),
-            mass=np.full(nb, config.robot_mass),
-            boundary_count=nb,
-            spring_i=np.zeros(0, dtype=np.intp),
-            spring_j=np.zeros(0, dtype=np.intp),
-            spring_k=np.zeros(0),
-            spring_rest=np.zeros(0),
-            time=0.0,
-        )
-
-    if config.n_interior > 0:
-        grain_pos, grain_radii = _hex_packing(config, rng)
-        gx, gy = grain_pos.T
-        packing_radius = float(np.max(np.sqrt(gx * gx + gy * gy) + grain_radii))
+        robot_pos = _fibonacci_sphere(nb, config.spawn_radius)
+        links, rest = 0, 0.0
     else:
-        grain_pos = np.zeros((0, 2))
-        grain_radii = np.zeros(0)
-        packing_radius = 0.0
-
-    min_ring = nb * (2.0 * config.robot_radius) * _RING_PACK_FACTOR / (2.0 * math.pi)
-    ring_radius = max(
-        packing_radius + config.robot_radius + _RING_CLEARANCE, min_ring
-    )
-    angles = 2.0 * math.pi * np.arange(nb) / nb
-    robot_pos = ring_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    rest = 2.0 * ring_radius * math.sin(math.pi / nb)
+        if config.n_interior > 0:
+            grain_pos, grain_radii = _hex_packing(config, rng)
+        gx, gy = grain_pos.T
+        packing_radius = float(np.max(np.sqrt(gx * gx + gy * gy) + grain_radii, initial=0.0))
+        min_ring = nb * (2.0 * config.robot_radius) * _RING_PACK_FACTOR / (2.0 * math.pi)
+        ring_radius = max(packing_radius + config.robot_radius + _RING_CLEARANCE, min_ring)
+        angles = 2.0 * math.pi * np.arange(nb) / nb
+        robot_pos = ring_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        links, rest = nb, 2.0 * ring_radius * math.sin(math.pi / nb)
 
     pos = np.concatenate([robot_pos, grain_pos], axis=0)
     radius = np.concatenate([np.full(nb, config.robot_radius), grain_radii])
@@ -423,10 +414,10 @@ def build_world(config: SimConfig) -> WorldState:
         radius=radius,
         mass=mass,
         boundary_count=nb,
-        spring_i=np.arange(nb, dtype=np.intp),
-        spring_j=(np.arange(nb, dtype=np.intp) + 1) % nb,
-        spring_k=np.full(nb, config.spring_stiffness),
-        spring_rest=np.full(nb, rest),
+        spring_i=np.arange(links, dtype=np.intp),
+        spring_j=(np.arange(links, dtype=np.intp) + 1) % nb,
+        spring_k=np.full(links, config.spring_stiffness),
+        spring_rest=np.full(links, rest),
         time=0.0,
     )
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from shapefield.cli import main
-from shapefield.gridio import parse_grid_csv, parse_grid_vtk
+from shapefield.gridio import _final_state_csv, parse_grid_csv, parse_grid_vtk
 from shapefield.lang import parse
+from shapefield.sim import parse_sim_config, run
 from shapefield.tolerances import GRAD_FD_STEP
 
 from conftest import fd_gradient
@@ -166,6 +167,12 @@ class TestCheckGradCommand:
             assert code == 2, flags
             assert "error:" in err and "Traceback" not in err, flags
 
+    @pytest.mark.parametrize("box", ["1", "a:b", "0:1:2", ":"])
+    def test_malformed_box_exits_2(self, circle_shape, box, capsys):
+        code = main(["check-grad", str(circle_shape), "--samples", "3", "--box", box])
+        assert code == 2
+        assert f"bad --box {box!r}" in capsys.readouterr().err
+
     def test_non_finite_error_fails_the_check(self, circle_shape, capsys):
         # 1e200 m out the circle's value is -inf, so every central difference
         # is NaN; a NaN error is the worst error, not a point to skip
@@ -253,6 +260,17 @@ class TestSimulateCommand:
             outs.append(out)
         for fname in ("trajectory.csv", "final_state.csv", "summary.txt"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_final_state_is_the_runs_world(self, circle_shape, quick_config, tmp_path):
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", "--shape", str(circle_shape), "--config", str(quick_config),
+             "--out", str(out)]
+        )
+        assert code == 0
+        config = parse_sim_config(quick_config.read_text())
+        _, world = run(config, parse(circle_shape.read_text()), return_world=True)
+        assert (out / "final_state.csv").read_bytes() == _final_state_csv(world)
 
     def test_dt_above_bound_warns_but_runs(self, circle_shape, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"
@@ -437,6 +455,39 @@ class TestMorphGridCommand:
         )
         assert code == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "times, message", [("0,x", "bad --times '0,x'"), (",", "--times is empty"), ("", "--times is empty")]
+    )
+    def test_malformed_or_empty_times_exit_2_before_writing(self, tmp_path, times, message, capsys):
+        out = tmp_path / "m"
+        code = main(
+            ["morph-grid", data_path("shapes/wrench_morph.shape"),
+             "--times", times, "--grid=-1,-1:0.5:5,5", "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["grid", "a.shape"],  # no --grid, no --out
+            ["simulate", "--shape", "a.shape", "--config", "a.cfg", "--out", "o", "--mode", "x"],
+            ["check-grad", "a.shape", "--samples", "many"],
+        ],
+    )
+    def test_argparse_usage_errors_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestShippedData:

@@ -30,6 +30,7 @@ from shapefield.fields import (
     _equiv_consts,
     _equiv_vg,
     _Plan,
+    evaluate,
     gradient,
     validate,
 )
@@ -760,6 +761,37 @@ class TestValidate:
         expr = Disjunction(Circle((0.0, 0.0), 1.0), Sphere((0.0, 0.0, 0.0), 1.0))
         with pytest.raises(DimensionMismatchError):
             expr.eval((0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "build, cls, message",
+        [
+            (lambda: Circle((0.0, 0.0, 0.0, 0.0), 1.0), FieldError,
+             "center must have 2 or 3 coordinates, got 4"),
+            (lambda: Circle((0.0, math.nan), 1.0), FieldError,
+             "center has non-finite coordinates: (0.0, nan)"),
+            (lambda: Segment((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), DimensionMismatchError,
+             "segment endpoints must be 2-D"),
+            (lambda: Plane((0.0, 0.0), (0.0, 0.0, 1.0)), DimensionMismatchError,
+             "plane origin and normal dimensions differ"),
+        ],
+        ids=["four-coordinates", "nan-coordinate", "3d-segment", "plane-dimensions"],
+    )
+    def test_bad_primitive_points_keep_their_messages(self, build, cls, message):
+        with pytest.raises(cls) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_eval_rejects_a_batch_of_batches(self):
+        with pytest.raises(DimensionMismatchError, match=r"1-D or 2-D, got shape \(2, 2, 2\)"):
+            Circle((0.0, 0.0), 1.0).eval(np.zeros((2, 2, 2)))
+
+    def test_evaluate_has_the_bits_of_eval(self, rng):
+        for name, expr in _shipped_trees():
+            pts = rng.uniform(-1.5, 1.5, (50, expr.dimension))
+            assert same_bits(evaluate(expr, pts), expr.eval(pts)), name
+            one, alone = evaluate(expr, pts[0]), expr.eval(pts[0])
+            assert type(one) is type(alone) is float, name
+            assert np.float64(one).tobytes() == np.float64(alone).tobytes(), name
 
     def test_expressions_are_immutable_and_hashable(self):
         a = Circle((0.0, 0.0), 1.0)

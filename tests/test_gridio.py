@@ -10,6 +10,7 @@ from shapefield.fields import Circle, Plane
 from shapefield.gridio import (
     _SAMPLE_BLOCK,
     GridSamples,
+    _final_state_csv,
     GridSpec,
     export_grid,
     export_trajectory,
@@ -21,7 +22,7 @@ from shapefield.gridio import (
 )
 from shapefield.lang import parse
 from shapefield.morph import MorphSchedule
-from shapefield.sim import SimConfig, Trajectory, as_field_driver, run
+from shapefield.sim import SimConfig, Trajectory, WorldState, as_field_driver, run
 
 from conftest import same_bits
 
@@ -229,3 +230,76 @@ class TestTrajectoryExport:
     def test_header_without_positions(self):
         lines = export_trajectory(self._traj()).decode().splitlines()
         assert lines[0] == "t,com_x,com_y,shape_error,target_distance"
+
+
+def hand_built_world(pos, vel, radius, mass, boundary_count):
+    """A world of the given bodies, with no springs."""
+    return WorldState(
+        pos=np.array(pos, dtype=float),
+        vel=np.array(vel, dtype=float),
+        radius=np.array(radius, dtype=float),
+        mass=np.array(mass, dtype=float),
+        boundary_count=boundary_count,
+        spring_i=np.zeros(0, dtype=np.intp),
+        spring_j=np.zeros(0, dtype=np.intp),
+        spring_k=np.zeros(0),
+        spring_rest=np.zeros(0),
+        time=0.0,
+    )
+
+
+# signed zeros, the smallest subnormal, huge and whole values
+FINAL_STATE_WORLDS = {
+    # two robots, then three grains
+    "final_state_2d.csv": hand_built_world(
+        [[-0.0, 0.5], [1e300, -1.0], [5e-324, 2.0], [0.1, -0.25], [3.0, 0.30000000000000004]],
+        [[0.0, -0.0], [1.5, -2.0], [0.0, 1e-5], [-1e300, -5e-324], [7.0, 0.1]],
+        [0.03, 0.03, 0.0325, 0.045961940777125593, 1.0],
+        [0.2, 0.2, 0.03, 0.03, 2.0],
+        2,
+    ),
+    # three 3-D agents, every body a robot
+    "final_state_3d.csv": hand_built_world(
+        [[0.0, -0.0, 0.7], [5e-324, 1e300, -0.7], [1.0, 2.0, 3.0]],
+        [[-0.0, 0.0, 1e-300], [0.5, -0.25, 0.0], [2.0, -3.0, 4.0]],
+        [0.03, 0.03, 0.03],
+        [0.2, 0.2, 1.0],
+        3,
+    ),
+}
+
+
+class TestFinalStateExport:
+    @pytest.mark.parametrize("name", sorted(FINAL_STATE_WORLDS))
+    def test_golden_final_state(self, name):
+        assert _final_state_csv(FINAL_STATE_WORLDS[name]) == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(FINAL_STATE_WORLDS))
+    def test_rows_read_back_bit_exact(self, name):
+        world = FINAL_STATE_WORLDS[name]
+        lines = (GOLDEN / name).read_text(encoding="ascii").splitlines()
+        d = world.dimension
+        axes = "xyz"[:d]
+        assert lines[0].split(",") == [
+            "body", "kind", *axes, *(f"v{a}" for a in axes), "radius", "mass"
+        ]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(world.n))
+        assert [r[1] for r in rows] == (
+            ["boundary-robot"] * world.boundary_count
+            + ["interior-grain"] * (world.n - world.boundary_count)
+        )
+        values = np.array([[float(v) for v in r[2:]] for r in rows])
+        expected = np.column_stack([world.pos, world.vel, world.radius, world.mass])
+        assert values.tobytes() == expected.tobytes()  # -0.0 keeps its sign
+
+    def test_rows_span_formatting_blocks(self, monkeypatch):
+        # robots and grains cross a block boundary each: the bytes do not
+        # depend on the block size
+        world = hand_built_world(
+            np.arange(14.0).reshape(7, 2) / 3.0, np.zeros((7, 2)), np.full(7, 0.03),
+            np.full(7, 0.2), 3,
+        )
+        whole = _final_state_csv(world)
+        monkeypatch.setattr("shapefield.gridio._EXPORT_BLOCK", 2)
+        assert _final_state_csv(world) == whole

@@ -136,6 +136,34 @@ class TestParse:
                 "field = a;\nmorph(initial=a, final=b, p=1);"
             )
 
+    def test_second_morph_export_rejected(self):
+        src = (
+            "a = circle(c=(0,0),r=1);\nb = circle(c=(1,0),r=1);\n"
+            "morph(initial=a, final=b, p=1);\nmorph(initial=b, final=a, p=1);"
+        )
+        with pytest.raises(SemanticError) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (4, 1)
+        assert "duplicate morph export" in err.value.message
+
+    def test_field_binding_after_a_morph_rejected(self):
+        src = (
+            "a = circle(c=(0,0),r=1);\nb = circle(c=(1,0),r=1);\n"
+            "morph(initial=a, final=b, p=1);\nfield = a;"
+        )
+        with pytest.raises(SemanticError) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (4, 1)
+        assert "already exports a morph" in err.value.message
+
+    @pytest.mark.parametrize("m", ["2.5", "1e-3"])
+    def test_non_integer_requiv_order_rejected(self, m):
+        src = f"field = requiv(m={m}, circle(c=(0,0),r=1), circle(c=(1,0),r=1));"
+        with pytest.raises(SemanticError) as err:
+            parse(src)
+        assert (err.value.line, err.value.col) == (1, 18)
+        assert "m must be an integer" in err.value.message
+
     def test_reserved_names_rejected(self):
         with pytest.raises(SemanticError):
             parse("circle = circle(c=(0,0), r=1);\nfield = circle;")

@@ -83,6 +83,14 @@ class TestRamp:
                 fn(pts, -1.0)
             assert [w.filename for w in caught] == [__file__]
 
+    def test_negative_time_array_clamps_with_warning(self):
+        t = np.array([-2.0, 0.5, -1e-300, 3.0])
+        with pytest.warns(RuntimeWarning, match="negative t") as caught:
+            out = ramp(t, 1.0)
+        assert [w.filename for w in caught] == [__file__]
+        assert same_bits(out, ramp(np.array([0.0, 0.5, 0.0, 3.0]), 1.0))
+        assert t[0] == -2.0  # the caller's array is not clamped in place
+
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             ramp(1.0, 0.0)

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import warnings
 from importlib import resources
 
@@ -26,6 +27,7 @@ from shapefield.sim import (
     _GRAIN_SPACING_MARGIN,
     _PairCache,
     _center_of_mass,
+    _fibonacci_sphere,
     _first_step_at,
     _hex_packing,
     _hex_sites,
@@ -46,6 +48,8 @@ from shapefield.sim import (
     step,
 )
 from shapefield.tolerances import CONTACT_ROOM_MARGIN, CONTACT_SKIN_FRACTION, PULSE_STEP_TOL
+
+from conftest import same_bits
 
 QUIET = {"category": RuntimeWarning, "match": "stability"}
 RADII = (0.03, 0.0325, 0.0325 * math.sqrt(2.0))
@@ -348,6 +352,39 @@ class TestBuildWorld:
         assert w.spring_i.size == 0
         assert np.allclose(np.linalg.norm(w.pos, axis=1), 0.7)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimConfig(seed=4),
+            SimConfig(n_boundary=12, n_interior=0, seed=2),
+            SimConfig(dimension=3, n_boundary=162, n_interior=0, seed=1),
+        ],
+        ids=["2d-grains", "2d-ring-only", "3d-agents"],
+    )
+    def test_every_world_has_one_array_layout(self, config):
+        w = build_world(config)
+        n, d, nb = config.n_boundary + config.n_interior, config.dimension, config.n_boundary
+        links = nb if d == 2 else 0
+        for name, dtype, shape in (
+            ("pos", np.float64, (n, d)),
+            ("vel", np.float64, (n, d)),
+            ("radius", np.float64, (n,)),
+            ("mass", np.float64, (n,)),
+            ("spring_i", np.intp, (links,)),
+            ("spring_j", np.intp, (links,)),
+            ("spring_k", np.float64, (links,)),
+            ("spring_rest", np.float64, (links,)),
+        ):
+            array = getattr(w, name)
+            assert (array.dtype, array.shape) == (np.dtype(dtype), shape), name
+        assert not w.vel.any() and w.time == 0.0 and w.last_control is None
+        assert w.boundary_count == nb
+        assert np.all(w.radius[:nb] == config.robot_radius)
+        assert np.all(w.mass[:nb] == config.robot_mass)
+        assert np.all(w.mass[nb:] == config.grain_mass)
+        if d == 3:
+            assert same_bits(w.pos, _fibonacci_sphere(nb, config.spawn_radius))
+
     def test_3d_rejects_interior(self):
         with pytest.raises(ValueError):
             SimConfig(dimension=3, n_boundary=162, n_interior=10)
@@ -503,6 +540,12 @@ class TestContactForces:
         Fa = contact_forces(approaching, cfg)[1, 0]
         Fs = contact_forces(separating, cfg)[1, 0]
         assert Fa > 25.0 > Fs
+
+    def test_one_finite_body_of_two_touches_nothing(self):
+        # the non-finite body is left out, and one body has no pairs
+        w = free_world([[0.0, 0.0], [math.nan, 0.0]], radius=0.05)
+        f = contact_forces(w, SimConfig())
+        assert same_bits(f, np.zeros((2, 2)))
 
     def test_far_from_origin_matches_origin(self):
         # moving the whole world must not move its contacts; a hit test
@@ -1142,6 +1185,30 @@ class TestDisturbance:
         with pytest.raises(ValueError, match="repeated"):
             Disturbance.evenly((0.02, 0.0), 0.0, 1.0, 3, targets)
 
+    @pytest.mark.parametrize(
+        "targets, bad",
+        [((1.5,), "1.5"), ((np.float64(2.9),), "np.float64(2.9)"), (("1",), "'1'"), ((0, 2.0), "2.0")],
+    )
+    def test_non_integer_target_rejected(self, targets, bad):
+        # a float or string target was cast to a body index, silently
+        # truncated: 1.5 kicked body 1 and 2.9 body 2
+        with pytest.raises(ValueError, match=f"target {re.escape(bad)} is not an integer"):
+            Disturbance((0.02, 0.0), 0.0, 1.0, targets, (0.0,))
+        with pytest.raises(ValueError, match="is not an integer"):
+            Disturbance.evenly((0.02, 0.0), 0.0, 1.0, 3, targets)
+
+    def test_numpy_integer_targets_kick_as_python_ints(self, monkeypatch):
+        cfg = small_config(duration=0.01)
+        numpy_targets = Disturbance((0.1, 0.0), 0.0, 1.0, (np.int64(0), np.int32(2)), (0.0,))
+        assert numpy_targets.targets == (0, 2)
+        assert all(type(t) is int for t in numpy_targets.targets)
+        as_array = Disturbance.evenly((0.1, 0.0), 0.0, 1.0, 1, np.array([0, 2]))
+        assert as_array.targets == (0, 2)
+        ints = Disturbance((0.1, 0.0), 0.0, 1.0, (0, 2), (0.0,))
+        seen = velocities_before_each_step(monkeypatch, cfg, (numpy_targets,))
+        assert same_bits(seen, velocities_before_each_step(monkeypatch, cfg, (ints,)))
+        assert seen[0, 0, 0] == seen[0, 2, 0] == 0.5
+
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="t0 < t1"):
             Disturbance((0.1, 0.0), 5.0, 5.0, (0,), (5.0,))
@@ -1301,6 +1368,11 @@ class TestFieldDriver:
                 for pts in (np.zeros((4, 1)), np.zeros((4, 3))):
                     with pytest.raises(DimensionMismatchError):
                         fn(pts, 0.0)
+
+
+    def test_rejects_a_source_that_is_not_a_field(self):
+        with pytest.raises(TypeError, match="cannot drive the simulator with int"):
+            as_field_driver(42)
 
 
 class TestRun:
@@ -1465,6 +1537,21 @@ class TestConfigFile:
             SimConfig(target=(0.5,))
         with pytest.raises(ValueError, match="target must have 3 coordinates"):
             SimConfig(dimension=3, n_interior=0, target=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (dict(dimension=4), "dimension must be 2 or 3, got 4"),
+            (dict(control_mode="cubic"), "unknown control mode 'cubic'"),
+            (dict(n_boundary=0), "body counts out of range"),
+            (dict(n_interior=-1), "body counts out of range"),
+            (dict(n_boundary=2), "2-D ring needs at least 3 boundary robots"),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, override, message):
+        with pytest.raises(ValueError) as err:
+            SimConfig(**override)
+        assert str(err.value) == message
 
     def test_defaults_match_reference_platform(self):
         cfg = SimConfig()
