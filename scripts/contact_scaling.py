@@ -30,9 +30,10 @@ both trees, at seed-3 uniform points in [-1, 1]^d: the wrench morph at
 t = 3 s, inside its ramp, and pac-man, each at a swarm's 30 robots, the
 cube at its 162 agents, and the one-circle field through the simulator's
 field driver at 120 robots, as control reads it in the 3000-body swarm
-(layer ``driver_values_grads``).  With a baseline, the worlds, neighbour lists, stepped states and
-field values and gradients of the two trees are compared byte for byte,
-and the script exits 1 if they differ.
+(layer ``driver_values_grads``).  With a baseline, the worlds, neighbour
+lists with their per-body bounds, stepped states and field values and
+gradients of the two trees are compared byte for byte, and the script
+exits 1 if they differ.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ class Case:
     def outputs(self) -> list[bytes]:
         world, cache = self.call("build_world"), self.call("pair_cache")
         stepped = self.call("step")
-        arrays = (world.pos, world.radius, cache.i, cache.j, cache.rsum, stepped.pos, stepped.vel)
+        arrays = (
+            world.pos, world.radius, cache.i, cache.j, cache.rsum, cache.bound2,
+            stepped.pos, stepped.vel,
+        )
         return [a.tobytes() for a in arrays] + [repr(self.certificate_held(cache)).encode()]
 
     def facts(self) -> dict:

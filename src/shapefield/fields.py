@@ -200,12 +200,12 @@ class FieldExpr:
     """Immutable base node.
 
     Subclasses implement ``_emit`` (the node's kind, parameters and
-    operands, which the plan compiler reads) and ``children``; a leaf also
-    states its spatial dimension as ``dim``.
+    operands, which the plan compiler reads and ``children`` returns); a
+    leaf also states its spatial dimension as ``dim``.
     """
 
     def children(self) -> tuple["FieldExpr", ...]:
-        return ()
+        return self._emit()[2]
 
     @cached_property
     def _leaf_dims(self) -> frozenset[int]:
@@ -340,6 +340,10 @@ class Segment(FieldExpr):
             Circle(self._mid, L / 2.0),
         )
 
+    def children(self):
+        # a leaf: its _emit raises on a degenerate segment, which validate must walk
+        return ()
+
     def _emit(self):
         return self._tree._emit()
 
@@ -400,9 +404,6 @@ class Negation(FieldExpr):
     """R-negation: flips the sign (complement of the region)."""
 
     child: FieldExpr
-
-    def children(self):
-        return (self.child,)
 
     def _emit(self):
         return "neg", (), (self.child,)
@@ -494,9 +495,6 @@ class _RBinary(FieldExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "s", _check_s(self.s))
-
-    def children(self):
-        return (self.left, self.right)
 
     def _emit(self):
         return "rbin", (self.s, self.sign), (self.left, self.right)
@@ -603,9 +601,6 @@ class Equivalence(FieldExpr):
         if self.m < 1:
             raise FieldError(f"equivalence order m must be >= 1, got {self.m}")
 
-    def children(self):
-        return self.children_
-
     def _emit(self):
         return "equiv", (self.m,), self.children_
 
@@ -650,9 +645,6 @@ class Trim(FieldExpr):
 
     base: FieldExpr
     trimmer: FieldExpr
-
-    def children(self):
-        return (self.base, self.trimmer)
 
     def _emit(self):
         return "trim", (), (self.base, self.trimmer)

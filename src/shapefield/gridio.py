@@ -175,12 +175,16 @@ def _grid_csv(samples: GridSamples, grid: GridSpec) -> bytes:
 def parse_grid_csv(data: bytes):
     """Inverse of the CSV grid export: (coords (N, d), GridSamples)."""
     lines = data.decode("ascii").splitlines()
+    if not lines:
+        raise ValueError("empty grid CSV: no header line")
     header = lines[0].split(",")
     dim = header.index("phi")
     has_grad = header[-1] == "gradmag"
     rows = np.array(
         [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
     )
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError(f"grid CSV needs rows of {len(header)} values under its header")
     coords = rows[:, :dim]
     phi = rows[:, dim]
     gradmag = rows[:, dim + 1] if has_grad else None
@@ -211,7 +215,8 @@ def _grid_vtk(samples: GridSamples, grid: GridSpec) -> bytes:
 def parse_grid_vtk(data: bytes):
     """Inverse of the VTK grid export: (GridSpec-like info, phi row-major)."""
     lines = data.decode("ascii").splitlines()
-    if lines[3] != "DATASET STRUCTURED_POINTS":
+    # the ten header lines come before the values
+    if len(lines) < 10 or lines[3] != "DATASET STRUCTURED_POINTS":
         raise ValueError("not a structured-points VTK file")
     dims3 = tuple(int(v) for v in lines[4].split()[1:])
     origin3 = tuple(float(v) for v in lines[5].split()[1:])
@@ -249,12 +254,16 @@ def export_trajectory(traj: Trajectory, *, include_positions: bool = False) -> b
 def parse_trajectory_csv(data: bytes) -> Trajectory:
     """Inverse of :func:`export_trajectory` (positions empty if not exported)."""
     lines = data.decode("ascii").splitlines()
+    if not lines:
+        raise ValueError("empty trajectory CSV: no header line")
     header = lines[0].split(",")
     d = sum(1 for h in header if h.startswith("com_"))
     has_pos = any(h.startswith("b0_") for h in header)
     rows = np.array(
         [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
     )
+    if rows.ndim != 2 or rows.shape[1] != len(header):
+        raise ValueError(f"trajectory CSV needs rows of {len(header)} values under its header")
     k = rows.shape[0]
     times = rows[:, 0]
     com = rows[:, 1 : 1 + d]

@@ -102,6 +102,7 @@ _MAX_CELLS_PER_AXIS = 1 << 20  # wider worlds get wider cells; keeps int64 keys 
 _DENSE_CELLS_PER_BODY = 4      # a cell-start table at most this long per body; built
                                # worlds need 1.06-1.35, sparser ones binary-search
 _CONTROL_MODES = ("squared", "paper")  # the laws control_forces applies
+_INT_SETTINGS = ("n_boundary", "n_interior", "seed", "dimension")  # kept as Python ints
 
 
 class PackingError(RuntimeError):
@@ -151,6 +152,12 @@ class SimConfig:
     max_packing_radius: float | None = None
 
     def __post_init__(self):
+        for name in _INT_SETTINGS:
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
         if self.control_mode not in _CONTROL_MODES:
@@ -172,6 +179,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be non-negative and finite")
         if self.n_boundary < 1 or self.n_interior < 0:
             raise ValueError("body counts out of range")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.dimension == 2 and self.n_boundary < 3:
             raise ValueError("2-D ring needs at least 3 boundary robots")
         if self.dimension == 3 and self.n_interior != 0:
@@ -597,8 +606,9 @@ class _PairCache:
       pairs without testing any;
     - while no body has moved more than skin/2, every overlapping pair is
       still on the list, so it tests the listed pairs;
-    - otherwise, or when the body count or the radii change, it rebuilds
-      the list, and then tests as above.
+    - otherwise, or when the body count changes or the radius array is
+      not the one the list was built for, it rebuilds the list, and then
+      tests as above.
 
     Every listed gap is below the skin, so the cap binds only on bodies
     without a listed pair; it keeps every body inside its bound also
@@ -635,12 +645,10 @@ class _PairCache:
 
     def _build(self, world: WorldState):
         self.pos = world.pos.copy()
-        # the array the list was built for, which later worlds of a run
-        # share, and a copy of its values
+        # the radius array the list was built for; a run's worlds share it
         self.radius_of = world.radius
-        self.radius = world.radius.copy()
-        self.skin = CONTACT_SKIN_FRACTION * float(self.radius.min()) if world.n else 0.0
-        self.i, self.j, d2, self.rsum = _near_pairs(self.pos, self.radius, self.skin)
+        self.skin = CONTACT_SKIN_FRACTION * float(world.radius.min()) if world.n else 0.0
+        self.i, self.j, d2, self.rsum = _near_pairs(self.pos, world.radius, self.skin)
         self.rsum2 = self.rsum * self.rsum
         # listed pairs are nearer than their cutoff, so nothing here overflows
         half_gap = 0.5 * (np.sqrt(d2) - self.rsum * (1.0 + CONTACT_ROOM_MARGIN))
@@ -657,10 +665,8 @@ class _PairCache:
 
     def _moved2(self, world: WorldState) -> np.ndarray | None:
         """Each body's squared move since the build, or None when the body
-        count or the radii changed."""
-        if world.pos.shape != self.pos.shape or not (
-            world.radius is self.radius_of or np.array_equal(world.radius, self.radius)
-        ):
+        count changed or the radius array is not the list's."""
+        if world.pos.shape != self.pos.shape or world.radius is not self.radius_of:
             return None
         moved = world.pos - self.pos
         moved *= moved
@@ -994,7 +1000,6 @@ def run(
 # ---------------------------------------------------------------------------
 
 _TUPLE_KEYS = {"grain_radii", "target"}
-_INT_KEYS = {"n_boundary", "n_interior", "seed", "dimension"}
 _STR_KEYS = {"control_mode"}
 
 
@@ -1024,7 +1029,7 @@ def parse_sim_config(text: str) -> SimConfig:
                 overrides[key] = value
             elif key in _TUPLE_KEYS:
                 overrides[key] = tuple(float(v) for v in value.split(","))
-            elif key in _INT_KEYS:
+            elif key in _INT_SETTINGS:
                 overrides[key] = int(value)
             elif key == "max_packing_radius":
                 overrides[key] = None if value.lower() == "none" else float(value)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapefield.cli import main
+from shapefield.cli import entry, main
 from shapefield.gridio import _final_state_csv, parse_grid_csv, parse_grid_vtk
 from shapefield.lang import parse
 from shapefield.sim import parse_sim_config, run
@@ -488,6 +488,16 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, code", [(["--help"], 0), (["bogus"], 2)])
+    def test_entry_exits_with_mains_code(self, args, code, monkeypatch, capsys):
+        # the console script reads its arguments from sys.argv
+        monkeypatch.setattr("sys.argv", ["shapefield", *args])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert "usage:" in (err if code else out)
 
 
 class TestShippedData:

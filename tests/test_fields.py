@@ -724,6 +724,35 @@ class TestValidate:
         codes = [d.code for d in validate(expr)]
         assert codes == ["s-above-one"]
 
+    def test_children_of_every_node_class(self):
+        # the operands validate walks, in order; a segment is a leaf even
+        # when degenerate, where its trim cannot be built
+        a, b, c = Circle((0, 0), 1.0), Plane((0, 0), (1.0, 0.0)), Circle((1, 0), 0.5)
+        cases = [
+            (Negation(a), (a,)),
+            (Disjunction(a, b, s=0.5), (a, b)),
+            (Conjunction(b, a), (b, a)),
+            (Trim(a, b), (a, b)),
+            (Equivalence((a, b, c), m=3), (a, b, c)),
+            (Segment((0.0, 0.0), (1.0, 0.0)), ()),
+            (Segment((1.0, 1.0), (1.0, 1.0)), ()),
+            (Circle((0, 0), 1.0), ()),
+            (Sphere((0, 0, 0), 1.0), ()),
+            (Sphere((0, 0, 0), 1.0, normalized=False), ()),
+            (Plane((0, 0, 0), (0.0, 0.0, 1.0)), ()),
+        ]
+        for node, want in cases:
+            got = node.children()
+            assert type(got) is tuple and len(got) == len(want), node
+            assert all(g is w for g, w in zip(got, want)), node
+        equiv = Equivalence([a, b])
+        assert equiv.children() is equiv.children_
+
+    def test_bare_base_node_states_no_operands(self):
+        # children() reads _emit, which only a node kind implements
+        with pytest.raises(FieldError, match="^unknown node FieldExpr$"):
+            fields_module.FieldExpr().children()
+
     def test_diagnostic_paths_locate_nodes(self):
         bad = Negation(Segment((0.0, 0.0), (0.0, 0.0)))
         (diag,) = validate(bad)

@@ -157,6 +157,31 @@ class TestGridExports:
         with pytest.raises(ValueError):
             export_grid(GridSamples(phi=np.zeros(3)), grid, "csv")
 
+    def test_unknown_format_rejected(self):
+        grid = GridSpec((0.0, 0.0), 1.0, (2, 2))
+        with pytest.raises(ValueError, match="unknown grid format 'xml'"):
+            export_grid(GridSamples(phi=np.zeros(4)), grid, "xml")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"hello\n", b"x,y,phi\n0,0,1\n0,1,0\n1,0,0\n1,1,-1\n"],
+        ids=["empty", "one line", "grid csv"],
+    )
+    def test_vtk_parser_rejects_other_files(self, data):
+        with pytest.raises(ValueError, match="not a structured-points VTK file"):
+            parse_grid_vtk(data)
+
+    def test_empty_grid_csv_rejected(self):
+        with pytest.raises(ValueError, match="empty grid CSV"):
+            parse_grid_csv(b"")
+
+    @pytest.mark.parametrize(
+        "data", [b"x,y,phi\n", b"x,y,phi\n0,0\n1,0\n"], ids=["no rows", "short rows"]
+    )
+    def test_grid_csv_rows_must_fit_the_header(self, data):
+        with pytest.raises(ValueError, match="grid CSV needs rows of 3 values"):
+            parse_grid_csv(data)
+
     def test_golden_csv(self):
         grid = GridSpec(origin=(-1.0, -0.5), spacing=0.5, dims=(2, 3))
         samples = GridSamples(
@@ -220,6 +245,14 @@ class TestTrajectoryExport:
         )
         assert np.array_equal(parsed.positions, traj.positions)
         assert export_trajectory(parsed, include_positions=True) == data
+
+    def test_trajectory_csv_without_fitting_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty trajectory CSV"):
+            parse_trajectory_csv(b"")
+        head = b"t,com_x,com_y,shape_error,target_distance\n"
+        for data in (head, head + b"0,0,0,0\n"):
+            with pytest.raises(ValueError, match="trajectory CSV needs rows of 5 values"):
+                parse_trajectory_csv(data)
 
     def test_golden_trajectory(self):
         assert (

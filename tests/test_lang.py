@@ -107,6 +107,12 @@ class TestParse:
         with pytest.raises(SemanticError):
             parse("field = requiv(m=0, circle(c=(0,0),r=1), circle(c=(1,0),r=1));")
 
+    def test_requiv_of_one_shape_rejected(self):
+        with pytest.raises(SemanticError) as err:
+            parse("field = requiv(circle(c=(0,0),r=1));")
+        assert (err.value.line, err.value.col) == (1, 9)
+        assert "requiv takes at least 2 shape argument(s), got 1" in err.value.message
+
     def test_unknown_name(self):
         with pytest.raises(SemanticError) as err:
             parse("field = union(nope, circle(c=(0,0),r=1));")

@@ -1546,12 +1546,38 @@ class TestConfigFile:
             (dict(n_boundary=0), "body counts out of range"),
             (dict(n_interior=-1), "body counts out of range"),
             (dict(n_boundary=2), "2-D ring needs at least 3 boundary robots"),
+            (dict(seed=-1), "seed must be non-negative, got -1"),
+            (dict(n_boundary=8.5, n_interior=0), "n_boundary must be an integer, got 8.5"),
+            (dict(n_interior=10.7), "n_interior must be an integer, got 10.7"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(dimension=2.0), "dimension must be an integer, got 2.0"),
+            (dict(seed="3"), "seed must be an integer, got '3'"),
         ],
     )
     def test_out_of_range_settings_rejected(self, override, message):
         with pytest.raises(ValueError) as err:
             SimConfig(**override)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(n_boundary=12, n_interior=20, seed=5, dimension=2),
+            dict(n_boundary=40, n_interior=0, seed=8, dimension=3),
+        ],
+    )
+    def test_numpy_integer_settings_are_python_ints(self, settings):
+        ints = SimConfig(**settings)
+        numpy_ints = SimConfig(**{k: np.int64(v) for k, v in settings.items()})
+        assert numpy_ints == ints
+        assert all(type(getattr(numpy_ints, k)) is int for k in settings)
+        a, b = build_world(ints), build_world(numpy_ints)
+        for field in dataclasses.fields(WorldState):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            else:
+                assert type(x) is type(y) and x == y
 
     def test_defaults_match_reference_platform(self):
         cfg = SimConfig()
