@@ -23,8 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import DimensionMismatchError, FieldError
 from .gridio import (
+    _FLOAT,
+    _GRID_FORMATS,
     GridSpec,
     _check_grid_format,
     _final_state_csv,
@@ -33,7 +34,7 @@ from .gridio import (
     sample_grid,
 )
 from .lang import ParseError, SemanticError, format_number, parse
-from .sim import _CONTROL_MODES, SimulationDivergenceError, parse_sim_config, run
+from .sim import _CONTROL_MODES, PackingError, SimulationDivergenceError, parse_sim_config, run
 from .tolerances import GRAD_FD_STEP
 
 EXIT_OK = 0
@@ -44,10 +45,6 @@ EXIT_CHECK_FAILED = 4
 EXIT_DIVERGED = 5
 
 _CHECK_GRAD_BLOCK = 4096  # candidates drawn and evaluated per batch
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _read_text(path: Path) -> str:
@@ -66,7 +63,7 @@ def _parse_grid_flag(spec: str) -> GridSpec:
         dims = tuple(int(v) for v in dims_s.split(","))
         return GridSpec(origin=origin, spacing=float(spacing_s), dims=dims)
     except ValueError as err:
-        raise _UsageError(f"bad --grid {spec!r}: {err}") from None
+        raise ValueError(f"bad --grid {spec!r}: {err}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "for negative origins",
     )
     g.add_argument("--out", required=True, type=Path, help="output file")
-    g.add_argument("--format", choices=("csv", "vtk"), default="csv")
+    g.add_argument("--format", choices=_GRID_FORMATS, default="csv")
     g.add_argument("--gradmag", action="store_true", help="also export |grad phi|")
 
     c = sub.add_parser("check-grad", help="verify gradients against finite differences")
@@ -121,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, metavar="ox,oy[,oz]:spacing:nx,ny[,nz]"
     )
     m.add_argument("--out", required=True, type=Path, help="output directory")
-    m.add_argument("--format", choices=("csv", "vtk"), default="csv")
+    m.add_argument("--format", choices=_GRID_FORMATS, default="csv")
     return ap
 
 
@@ -158,18 +155,18 @@ def _gradient_errors(expr, pts: np.ndarray) -> np.ndarray:
 
 def cmd_check_grad(args) -> int:
     if args.samples <= 0:
-        raise _UsageError("--samples must be positive")
+        raise ValueError("--samples must be positive")
     program = _load_program(args.shape)
     expr = program.field_expr()
     dim = expr.dimension
     try:
         lo, hi = (float(v) for v in args.box.split(":"))
     except ValueError:
-        raise _UsageError(f"bad --box {args.box!r}") from None
+        raise ValueError(f"bad --box {args.box!r}") from None
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width implies finite ends
-        raise _UsageError(f"--box needs finite LO < HI, got {args.box!r}")
+        raise ValueError(f"--box needs finite LO < HI, got {args.box!r}")
     if not (args.tol >= 0.0 and np.isfinite(args.tol)):
-        raise _UsageError(f"--tol must be finite and >= 0, got {args.tol}")
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     # candidates drawn in blocks from one stream and kept in draw order: the
     # points of a one-at-a-time draw, each block evaluated as one batch
@@ -186,7 +183,7 @@ def cmd_check_grad(args) -> int:
         errors.append(_gradient_errors(expr, blocks[-1]))
         checked += len(blocks[-1])
     if not checked:
-        raise _UsageError("could not sample smooth points in the box")
+        raise ValueError("could not sample smooth points in the box")
     pts, rel = np.concatenate(blocks), np.concatenate(errors)
     worst = int(np.argmax(rel))  # the first worst point; a NaN error is the worst
     worst_err, worst_pt = float(rel[worst]), pts[worst]
@@ -237,7 +234,7 @@ def cmd_simulate(args) -> int:
     summary = (
         f"samples={traj.times.shape[0]}\n"
         f"final_time={format_number(float(traj.times[-1]))}\n"
-        f"final_shape_error={format(final_err, '.17g')}\n"
+        f"final_shape_error={_FLOAT % final_err}\n"
         f"seed={config.seed}\n"
         f"mode={config.control_mode}\n"
     )
@@ -255,12 +252,12 @@ def cmd_morph_grid(args) -> int:
     try:
         times = [float(v) for v in args.times.split(",") if v.strip() != ""]
     except ValueError:
-        raise _UsageError(f"bad --times {args.times!r}") from None
+        raise ValueError(f"bad --times {args.times!r}") from None
     if not times:
-        raise _UsageError("--times is empty")
+        raise ValueError("--times is empty")
     # checked before anything is sampled or written, so a bad time leaves no files
     if not all(map(math.isfinite, times)):
-        raise _UsageError(f"bad --times {args.times!r}: every time must be finite")
+        raise ValueError(f"bad --times {args.times!r}: every time must be finite")
     args.out.mkdir(parents=True, exist_ok=True)
     ext = args.format
     for t in times:
@@ -292,8 +289,11 @@ def main(argv=None) -> int:
     except SemanticError as err:
         print(f"semantic error: {err}", file=sys.stderr)
         return EXIT_SEMANTIC
-    except (_UsageError, FieldError, DimensionMismatchError, ValueError) as err:
+    except (ValueError, PackingError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except RecursionError:
+        print("error: the shape is nested too deeply to evaluate", file=sys.stderr)
         return EXIT_SEMANTIC
     except SimulationDivergenceError as err:
         print(f"simulation diverged: {err}", file=sys.stderr)

@@ -6,7 +6,10 @@ plain text with 17-significant-digit decimals so every value reads back
 bit-exactly, through the matching ``parse_*`` function where there is
 one.  The byte layout of each export is a compatibility contract covered
 by golden-file tests: the grid CSV and VTK files, the trajectory CSV and
-``simulate``'s ``final_state.csv``.
+``simulate``'s ``final_state.csv``.  The grid and trajectory CSV headers
+are each stated once, by a ``_*_columns`` function: the writer emits its
+header, and the reader checks it, so the readers accept exactly the
+headers the writers emit and raise ``ValueError`` on any other.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ __all__ = [
 
 _SAMPLE_BLOCK = 1 << 16  # grid nodes per field evaluation
 _EXPORT_BLOCK = 1 << 14  # rows per formatting call
+_FLOAT = "%.17g"  # every float of every export: 17 digits read back bit-exactly
+_GRID_FORMATS = ("csv", "vtk")
 
 
 def _csv_bytes(head: str, columns, row: str | None = None) -> bytes:
     """``head``, then the rows of ``columns`` (arrays of equal length; a 2-D
     one adds several columns) in ASCII, each through the ``%``-template
-    ``row``: by default every column as ``%.17g``, comma-separated, one
+    ``row``: by default every column as ``_FLOAT``, comma-separated, one
     line per row.  Each block of rows is one ``%``-format call.  Blocks
     bound the memory of the formatting, and ``BytesIO.getvalue`` hands
     over its buffer without a copy."""
@@ -48,9 +53,22 @@ def _csv_bytes(head: str, columns, row: str | None = None) -> bytes:
     out.write(head.encode("ascii"))
     for lo in range(0, len(columns[0]), _EXPORT_BLOCK):
         block = np.column_stack([c[lo:lo + _EXPORT_BLOCK] for c in columns])
-        row = row or ",".join(["%.17g"] * block.shape[1]) + "\n"
+        row = row or ",".join([_FLOAT] * block.shape[1]) + "\n"
         out.write(((row * block.shape[0]) % tuple(block.ravel().tolist())).encode("ascii"))
     return out.getvalue()
+
+
+def _csv_table(data: bytes, what: str):
+    """(header names, float rows (k, columns)) of a CSV export; ``what``
+    names the table in the errors."""
+    lines = data.decode("ascii").splitlines()
+    if not lines:
+        raise ValueError(f"empty {what} CSV: no header line")
+    header = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{what} CSV needs rows of {len(header)} values under its header")
+    return header, np.array(rows, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,7 +164,7 @@ def _check_grid_format(format: str, gradmag: bool) -> None:
     """Reject an unknown grid format, and ``gradmag`` with ``vtk``, whose
     export holds phi only.  Needs no samples, so a caller can check its
     flags before it samples the grid."""
-    if format not in ("csv", "vtk"):
+    if format not in _GRID_FORMATS:
         raise ValueError(f"unknown grid format {format!r}")
     if format == "vtk" and gradmag:
         raise ValueError("the vtk grid format holds phi only; export gradmag as csv")
@@ -162,33 +180,27 @@ def export_grid(samples: GridSamples, grid: GridSpec, format: str = "csv") -> by
     return _grid_csv(samples, grid) if format == "csv" else _grid_vtk(samples, grid)
 
 
+def _grid_columns(dim: int, gradmag: bool) -> list[str]:
+    """The grid CSV header: ``x,y[,z],phi[,gradmag]``."""
+    return [*"xyz"[:dim], "phi"] + ["gradmag"] * gradmag
+
+
 def _grid_csv(samples: GridSamples, grid: GridSpec) -> bytes:
-    coords = grid_points(grid)
-    cols = ["x", "y", "z"][: grid.dimension] + ["phi"]
-    arrays = [coords[:, k] for k in range(grid.dimension)] + [samples.phi]
-    if samples.gradmag is not None:
-        cols.append("gradmag")
-        arrays.append(samples.gradmag)
-    return _csv_bytes(",".join(cols) + "\n", arrays)
+    gradmag = samples.gradmag is not None
+    columns = [grid_points(grid), samples.phi] + [samples.gradmag] * gradmag
+    return _csv_bytes(",".join(_grid_columns(grid.dimension, gradmag)) + "\n", columns)
 
 
 def parse_grid_csv(data: bytes):
     """Inverse of the CSV grid export: (coords (N, d), GridSamples)."""
-    lines = data.decode("ascii").splitlines()
-    if not lines:
-        raise ValueError("empty grid CSV: no header line")
-    header = lines[0].split(",")
-    dim = header.index("phi")
-    has_grad = header[-1] == "gradmag"
-    rows = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
+    header, rows = _csv_table(data, "grid")
+    gradmag = header[-1] == "gradmag"
+    dim = len(header) - 1 - gradmag
+    if dim not in (2, 3) or header != _grid_columns(dim, gradmag):
+        raise ValueError(f"grid CSV header {','.join(header)!r} is not x,y[,z],phi[,gradmag]")
+    return rows[:, :dim], GridSamples(
+        phi=rows[:, dim], gradmag=rows[:, dim + 1] if gradmag else None
     )
-    if rows.ndim != 2 or rows.shape[1] != len(header):
-        raise ValueError(f"grid CSV needs rows of {len(header)} values under its header")
-    coords = rows[:, :dim]
-    phi = rows[:, dim]
-    gradmag = rows[:, dim + 1] if has_grad else None
-    return coords, GridSamples(phi=phi, gradmag=gradmag)
 
 
 def _grid_vtk(samples: GridSamples, grid: GridSpec) -> bytes:
@@ -204,12 +216,20 @@ def _grid_vtk(samples: GridSamples, grid: GridSpec) -> bytes:
     out.write("ASCII\n")
     out.write("DATASET STRUCTURED_POINTS\n")
     out.write("DIMENSIONS {} {} {}\n".format(*dims3))
-    out.write("ORIGIN " + " ".join("%.17g" % c for c in origin3) + "\n")
-    out.write("SPACING " + " ".join(["%.17g" % grid.spacing] * 3) + "\n")
+    out.write("ORIGIN " + " ".join(_FLOAT % c for c in origin3) + "\n")
+    out.write("SPACING " + " ".join([_FLOAT % grid.spacing] * 3) + "\n")
     out.write(f"POINT_DATA {grid.count}\n")
     out.write("SCALARS phi double 1\n")
     out.write("LOOKUP_TABLE default\n")
     return _csv_bytes(out.getvalue(), [vtk_order])
+
+
+def _vtk_numbers(line: str, key: str, n: int, kind) -> tuple:
+    """The ``n`` numbers of the VTK header line ``key v1 ... vn``."""
+    words = line.split()
+    if words[:1] != [key] or len(words) != n + 1:
+        raise ValueError(f"bad VTK header line {line!r}: expected {key}" + " <v>" * n)
+    return tuple(kind(v) for v in words[1:])
 
 
 def parse_grid_vtk(data: bytes):
@@ -218,10 +238,10 @@ def parse_grid_vtk(data: bytes):
     # the ten header lines come before the values
     if len(lines) < 10 or lines[3] != "DATASET STRUCTURED_POINTS":
         raise ValueError("not a structured-points VTK file")
-    dims3 = tuple(int(v) for v in lines[4].split()[1:])
-    origin3 = tuple(float(v) for v in lines[5].split()[1:])
-    spacing = float(lines[6].split()[1])
-    count = int(lines[7].split()[1])
+    dims3 = _vtk_numbers(lines[4], "DIMENSIONS", 3, int)
+    origin3 = _vtk_numbers(lines[5], "ORIGIN", 3, float)
+    spacing = _vtk_numbers(lines[6], "SPACING", 3, float)[0]
+    (count,) = _vtk_numbers(lines[7], "POINT_DATA", 1, int)
     values = np.array([float(v) for v in lines[10 : 10 + count]], dtype=float)
     dim = 2 if dims3[2] == 1 else 3
     dims = dims3[:dim]
@@ -235,52 +255,41 @@ def parse_grid_vtk(data: bytes):
 # Trajectory and final-state exports
 # ---------------------------------------------------------------------------
 
+def _trajectory_columns(d: int, nbodies: int) -> list[str]:
+    """The trajectory CSV header: ``t,com_*,shape_error,target_distance,b{i}_*``."""
+    axes = "xyz"[:d]
+    head = ["t", *(f"com_{a}" for a in axes), "shape_error", "target_distance"]
+    return head + [f"b{b}_{a}" for b in range(nbodies) for a in axes]
+
+
 def export_trajectory(traj: Trajectory, *, include_positions: bool = False) -> bytes:
     """CSV with one row per sample: time, center of mass, shape error,
     target distance, and optionally every body position."""
     d = traj.dimension
-    cols = ["t"] + [f"com_{a}" for a in "xyz"[:d]] + ["shape_error", "target_distance"]
-    if include_positions:
-        nbodies = traj.positions.shape[1]
-        for b in range(nbodies):
-            cols.extend(f"b{b}_{a}" for a in "xyz"[:d])
     columns = [traj.times, traj.com, traj.shape_error, traj.target_distance]
+    nbodies = 0
     if include_positions:
         k, nbodies, _ = traj.positions.shape
         columns.append(traj.positions.reshape(k, nbodies * d))
-    return _csv_bytes(",".join(cols) + "\n", columns)
+    return _csv_bytes(",".join(_trajectory_columns(d, nbodies)) + "\n", columns)
 
 
 def parse_trajectory_csv(data: bytes) -> Trajectory:
     """Inverse of :func:`export_trajectory` (positions empty if not exported)."""
-    lines = data.decode("ascii").splitlines()
-    if not lines:
-        raise ValueError("empty trajectory CSV: no header line")
-    header = lines[0].split(",")
-    d = sum(1 for h in header if h.startswith("com_"))
-    has_pos = any(h.startswith("b0_") for h in header)
-    rows = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
-    )
-    if rows.ndim != 2 or rows.shape[1] != len(header):
-        raise ValueError(f"trajectory CSV needs rows of {len(header)} values under its header")
-    k = rows.shape[0]
-    times = rows[:, 0]
-    com = rows[:, 1 : 1 + d]
-    err = rows[:, 1 + d]
-    dist = rows[:, 2 + d]
-    if has_pos:
-        body_cols = rows[:, 3 + d :]
-        nbodies = body_cols.shape[1] // d
-        positions = body_cols.reshape(k, nbodies, d)
-    else:
-        positions = np.zeros((k, 0, d))
+    header, rows = _csv_table(data, "trajectory")
+    d = sum(h.startswith("com_") for h in header)
+    nbodies = (len(header) - 3 - d) // max(d, 1)  # d = 0 fails the check below
+    if d not in (2, 3) or header != _trajectory_columns(d, nbodies):
+        raise ValueError(
+            f"trajectory CSV header {','.join(header)!r} is not "
+            "t,com_*,shape_error,target_distance[,b{i}_*]"
+        )
     return Trajectory(
-        times=times,
-        positions=positions,
-        com=com,
-        shape_error=err,
-        target_distance=dist,
+        times=rows[:, 0],
+        positions=rows[:, 3 + d :].reshape(len(rows), nbodies, d),
+        com=rows[:, 1 : 1 + d],
+        shape_error=rows[:, 1 + d],
+        target_distance=rows[:, 2 + d],
         boundary_count=0,
         dimension=d,
     )
@@ -293,6 +302,6 @@ def _final_state_csv(world) -> bytes:
     nb, axes = world.boundary_count, "xyz"[: world.dimension]
     head = ",".join(["body", "kind", *axes, *(f"v{a}" for a in axes), "radius", "mass"])
     columns = [np.arange(world.n), world.pos, world.vel, world.radius, world.mass]
-    values = ",%.17g" * (2 * len(axes) + 2) + "\n"
+    values = ("," + _FLOAT) * (2 * len(axes) + 2) + "\n"
     robots = _csv_bytes(head + "\n", [c[:nb] for c in columns], "%d,boundary-robot" + values)
     return robots + _csv_bytes("", [c[nb:] for c in columns], "%d,interior-grain" + values)

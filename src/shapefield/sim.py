@@ -350,8 +350,6 @@ def _hex_sites(n: int, r_small: float, r_large: float):
     )
     xs = ((ii + 0.5 * (jj % 2)) * pitch).ravel()
     ys = (jj * (pitch * math.sqrt(3.0) / 2.0)).ravel()
-    if xs.size < n:
-        raise PackingError(n, xs.size, "hex lattice too small")
     # nearest the centre first; a stable sort keeps ties in (row, column) order
     order = np.argsort(xs * xs + ys * ys, kind="stable")[:n]
     sites = np.stack([xs.take(order), ys.take(order)], axis=1)

@@ -130,6 +130,29 @@ class TestGridCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("nesting", ["one expression", "a chain of bindings"])
+    @pytest.mark.parametrize("command", ["grid", "simulate"])
+    def test_shape_too_deep_exits_2_before_writing(self, command, nesting, quick_config,
+                                                   tmp_path, capsys):
+        # 2000 neg levels, past Python's recursion limit: the parser recurses
+        # into one expression, the plan compiler and validate into bindings
+        deep = tmp_path / "deep.shape"
+        if nesting == "one expression":
+            deep.write_text("field = " + "neg(" * 2000 + "circle(c=(0, 0), r=0.5)"
+                            + ")" * 2000 + ";\n")
+        else:
+            deep.write_text("a0 = circle(c=(0, 0), r=0.5);\n" + "".join(
+                f"a{k} = neg(a{k - 1});\n" for k in range(1, 2001)) + "field = a2000;\n")
+        out = tmp_path / "out"
+        argv = {
+            "grid": ["grid", str(deep), "--grid=-1,-1:0.5:5,5", "--out", str(out)],
+            "simulate": ["simulate", "--shape", str(deep), "--config", str(quick_config),
+                         "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the shape is nested too deeply to evaluate\n"
+        assert not out.exists()
+
     def test_bad_grid_flag_exits_2(self, circle_shape, tmp_path):
         for spec in ("nonsense", "0,0:nan:3,3", "0,0:inf:3,3", "nan,0:0.1:3,3"):
             code = main(
@@ -378,6 +401,20 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "grain_radii" in capsys.readouterr().err
+
+    def test_packing_that_does_not_fit_exits_2_before_writing(self, circle_shape,
+                                                              quick_config, tmp_path, capsys):
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text(quick_config.read_text() + "max_packing_radius = 0.05\n")
+        code = main(
+            ["simulate", "--shape", str(circle_shape), "--config", str(cfg),
+             "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: packing exceeds max_packing_radius (requested 10, ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_5(self, circle_shape, tmp_path):
         cfg = tmp_path / "explode.cfg"

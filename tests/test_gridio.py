@@ -1,12 +1,13 @@
 """Grid sampling and text exports: pointwise equality, round-trips, goldens."""
 
+import re
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shapefield.fields import Circle, Plane
+from shapefield.fields import Circle, Plane, Sphere
 from shapefield.gridio import (
     _SAMPLE_BLOCK,
     GridSamples,
@@ -126,6 +127,28 @@ class TestGridExports:
         assert np.array_equal(coords, grid_points(grid))
         assert export_grid(parsed, grid, "csv") == data
 
+    @pytest.mark.parametrize("gradmag", [False, True])
+    def test_csv_round_trip_bit_exact_in_3d(self, gradmag):
+        grid = GridSpec((-0.85, -0.6, -0.7), 0.171, (5, 7, 6))
+        s = sample_grid(Sphere((0.1, 0.2, -0.05), 0.66), grid, include_gradmag=gradmag)
+        data = export_grid(s, grid, "csv")
+        assert data.splitlines()[0] == (b"x,y,z,phi,gradmag" if gradmag else b"x,y,z,phi")
+        coords, parsed = parse_grid_csv(data)
+        assert same_bits(coords, grid_points(grid)) and same_bits(parsed.phi, s.phi)
+        assert (parsed.gradmag is None) if not gradmag else same_bits(parsed.gradmag, s.gradmag)
+        assert export_grid(parsed, grid, "csv") == data
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"x,phi\n0,1\n", b"x,y,phi,extra\n0,0,1,2\n", b"x,y,z\n0,0,0\n",
+         b"y,x,phi\n0,0,1\n", b"x,y,z,w,phi\n0,0,0,0,1\n", b"phi,gradmag\n1,1\n"],
+        ids=["1-D", "extra column", "no phi", "axes swapped", "4-D", "no axes"],
+    )
+    def test_grid_csv_header_must_be_one_the_writer_emits(self, data):
+        header = data.decode().splitlines()[0]
+        with pytest.raises(ValueError, match=f"grid CSV header '{header}'"):
+            parse_grid_csv(data)
+
     def test_vtk_header_and_round_trip(self):
         grid = GridSpec((-1.0, -1.0, -1.0), 0.25, (4, 5, 6))
         s = sample_grid(Plane((0, 0, 0), (0, 0, 1)), grid)
@@ -171,6 +194,18 @@ class TestGridExports:
         with pytest.raises(ValueError, match="not a structured-points VTK file"):
             parse_grid_vtk(data)
 
+    @pytest.mark.parametrize(
+        "index, line", [(4, "DIMENSIONS 2 2"), (6, "SPACING"), (5, "SPACING 0 0 0"), (7, "")],
+        ids=["two dimensions", "bare spacing", "origin key", "blank point count"],
+    )
+    def test_vtk_parser_names_a_malformed_header_line(self, index, line):
+        grid = GridSpec((0.0, 0.0), 0.5, (2, 2))
+        text = export_grid(GridSamples(phi=np.arange(4.0)), grid, "vtk").decode()
+        lines = text.splitlines(keepends=True)
+        lines[index] = line + "\n"
+        with pytest.raises(ValueError, match=re.escape(f"bad VTK header line {line!r}")):
+            parse_grid_vtk("".join(lines).encode())
+
     def test_empty_grid_csv_rejected(self):
         with pytest.raises(ValueError, match="empty grid CSV"):
             parse_grid_csv(b"")
@@ -181,6 +216,14 @@ class TestGridExports:
     def test_grid_csv_rows_must_fit_the_header(self, data):
         with pytest.raises(ValueError, match="grid CSV needs rows of 3 values"):
             parse_grid_csv(data)
+
+    @pytest.mark.parametrize(
+        "read, head", [(parse_grid_csv, "x,y,phi"), (parse_trajectory_csv, "t,com_x,com_y")]
+    )
+    def test_ragged_rows_get_the_tables_message(self, read, head):
+        data = f"{head}\n0,0,1\n0,0\n".encode()
+        with pytest.raises(ValueError, match="CSV needs rows of 3 values under its header"):
+            read(data)
 
     def test_golden_csv(self):
         grid = GridSpec(origin=(-1.0, -0.5), spacing=0.5, dims=(2, 3))
@@ -245,6 +288,48 @@ class TestTrajectoryExport:
         )
         assert np.array_equal(parsed.positions, traj.positions)
         assert export_trajectory(parsed, include_positions=True) == data
+
+    @pytest.mark.parametrize("include_positions", [False, True])
+    def test_round_trip_bit_exact_in_3d(self, include_positions):
+        traj = Trajectory(
+            times=np.array([0.0, 0.5]),
+            positions=np.array(
+                [[[-0.0, 0.5, 5e-324], [1e300, -1.0, 2.0], [0.1, 0.2, 0.3]],
+                 [[0.0, 0.25, -5e-324], [-1e300, 1.0, 3.0], [0.3, 0.2, 0.1]]]
+            ),
+            com=np.array([[3e299, -0.5, 2.0], [-3e299, 0.5, 1.0]]),
+            shape_error=np.array([0.1, float("inf")]),
+            target_distance=np.array([float("nan"), 2.0]),
+            boundary_count=3,
+            dimension=3,
+        )
+        data = export_trajectory(traj, include_positions=include_positions)
+        parsed = parse_trajectory_csv(data)
+        assert parsed.dimension == 3
+        for name in ("times", "com", "shape_error", "target_distance"):
+            assert same_bits(getattr(parsed, name), getattr(traj, name))
+        if include_positions:
+            assert same_bits(parsed.positions, traj.positions)
+        else:
+            assert parsed.positions.shape == (2, 0, 3)
+        assert export_trajectory(parsed, include_positions=include_positions) == data
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"t,shape_error,target_distance,b0_x\n1,2,3,4\n",
+            b"t\n1\n",
+            b"t,com_x,shape_error,target_distance,b0_x,b0_y,b1_x\n0,0,0,0,0,0,0\n",
+            b"t,com_x,com_y,shape_error,target_distance,b0_x\n0,0,0,0,0,0\n",
+            b"t,com_x,com_y,shape_error,target_distance,b1_x,b1_y\n0,0,0,0,0,0,0\n",
+            b"t,com_y,com_x,shape_error,target_distance\n0,0,0,0,0\n",
+        ],
+        ids=["no com", "time only", "1-D", "half a body", "bodies from 1", "axes swapped"],
+    )
+    def test_header_must_be_one_the_writer_emits(self, data):
+        header = data.decode().splitlines()[0]
+        with pytest.raises(ValueError, match=f"trajectory CSV header '{header}'"):
+            parse_trajectory_csv(data)
 
     def test_trajectory_csv_without_fitting_rows_rejected(self):
         with pytest.raises(ValueError, match="empty trajectory CSV"):

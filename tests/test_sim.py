@@ -326,6 +326,14 @@ class TestBuildWorld:
         w.radius[-1] = 1.0
         assert _hex_sites(180, r_small, r_large)[0].tobytes() == fresh[0].tobytes()
 
+    def test_lattice_holds_every_requested_site(self):
+        # (2 rows + 1)(2 cols + 1) sites, at least 1.28 n for each n here,
+        # tending to 4n / pi: the n nearest the centre are always all there
+        r = 0.0325
+        for n in [*range(0, 400), *range(400, 20001, 739), 10**5]:
+            sites, radii, _ = _hex_sites.__wrapped__(n, r, math.sqrt(2.0) * r)
+            assert sites.shape == (n, 2) and radii.shape == (n,), n
+
     def test_configs_with_other_grain_radii_do_not_share_an_entry(self):
         _hex_sites.cache_clear()
         base = build_world(SimConfig(seed=2))
